@@ -3,11 +3,12 @@
 The package has two halves that share one instruction vocabulary:
 
 - an evaluation engine (`Engine`) computing over a residue-number-system
-  limb basis, with a degree-flexible split layout that maps rings twice
-  the hardware size onto half-degree arithmetic, bit for bit;
+  limb basis, each limb one full-degree evaluation vector;
 - a deterministic latency model (`archsim`) of the accelerator that
   executes the same instruction streams, so every simulated schedule is
-  also functionally verifiable.
+  also functionally verifiable. On rings twice the hardware size its
+  executor runs the half-degree datapath and must match the engine bit
+  for bit.
 """
 
 from .heaan import Ciphertext, Engine, KeySwitchKey, Plaintext

@@ -37,17 +37,19 @@ The same instruction streams can be executed functionally: every opcode
 maps onto a polynomial-ring operation, and the executed stream must
 reproduce the evaluation engine's ciphertexts bit for bit. That keeps
 the latency model honest: a schedule that reorders real dependencies
-would compute the wrong ciphertext.
+would compute the wrong ciphertext. In split mode the executor is where
+the half-ring datapath runs: it loads each full-degree engine limb into
+its plus and minus slots and reads the halves back as one limb.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .heaan import Ciphertext, Plaintext, _centered_int64
+from .heaan import Ciphertext, _centered_int64
 from .keys import signed_to_residues
 from .modarith import PrimeModulus
 from .params import ParamSet
@@ -61,7 +63,7 @@ from .polyring import (
     ntt_inverse,
     scalar_mul,
 )
-from .ringsplit import SplitPair, join, split
+from .ringsplit import SplitPair, eval_halves, eval_whole, join, split
 
 # ---------------------------------------------------------------------------
 # instruction set
@@ -236,10 +238,6 @@ class CycleReport:
     @property
     def latency_us(self) -> float:
         return self.total_cycles / self.clock_mhz
-
-    @property
-    def throughput_per_s(self) -> float:
-        return 1e6 / self.latency_us if self.total_cycles else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -711,10 +709,6 @@ def _compile_ntt_bench(pset, machine, op_seq) -> OpProgram:
 # ---------------------------------------------------------------------------
 # workload-level compilation
 
-_BENCH_LEVEL_OPS = {"add", "sub", "mult_relin", "rescale", "moddown", "rotate",
-                    "mult_plain"}
-
-
 def compile_op(pset: ParamSet, op: str, level: Optional[int] = None,
                machine: Optional[MachineConfig] = None, op_seq: int = 0,
                name: Optional[str] = None, steps: int = 1) -> OpProgram:
@@ -1037,6 +1031,7 @@ class _Executor:
         self.pset = program.pset
         self.machine = program.machine
         self.base = engine.base
+        self.split = program.pset.mode == "split"
 
     def rpau_modulus_idx(self, rpau: int) -> int:
         if rpau == self.machine.special_rpau:
@@ -1050,9 +1045,10 @@ class _Executor:
         key = self.eng.relin_key if ksk_id == 0 else self.eng.rotation_keys[ksk_id]
         grid = key.secret if comp == 0 else key.uniform
         limb = grid[i][self.rpau_modulus_idx(rpau)]
-        if isinstance(limb, SplitPair):
-            return limb.minus if half == "m" else limb.plus
-        return limb
+        if not self.split:
+            return limb
+        pair = eval_halves(limb)
+        return pair.minus if half == "m" else pair.plus
 
     def run(self, opp: OpProgram, state: dict) -> None:
         for ins in _exec_order(opp.streams):
@@ -1145,9 +1141,10 @@ def _seed_binding(state, binding, value):
         comps = [value.limbs]
     for comp, places in zip(comps, binding["components"]):
         for limb, (rpau, slots) in zip(comp, places):
-            if isinstance(limb, SplitPair):
-                state[(rpau, slots[0])] = limb.plus.copy()
-                state[(rpau, slots[1])] = limb.minus.copy()
+            if len(slots) == 2:
+                pair = eval_halves(limb)
+                state[(rpau, slots[0])] = pair.plus.copy()
+                state[(rpau, slots[1])] = pair.minus.copy()
             else:
                 state[(rpau, slots[0])] = limb.copy()
 
@@ -1159,7 +1156,7 @@ def _read_ct(state, binding, scale) -> Ciphertext:
         for rpau, slots in places:
             if len(slots) == 2:
                 limbs.append(
-                    SplitPair(state[(rpau, slots[0])], state[(rpau, slots[1])])
+                    eval_whole(SplitPair(state[(rpau, slots[0])], state[(rpau, slots[1])]))
                 )
             else:
                 limbs.append(state[(rpau, slots[0])])

@@ -1,24 +1,27 @@
 """Approximate-arithmetic homomorphic evaluation over an RNS limb basis.
 
-One Engine instance fixes a prime basis, a ring degree, and a storage layout:
-"native" keeps each limb as a single degree-D polynomial, "split" keeps the
-two half-degree images of the factorization x^D + 1 = (x^h - z^h)(x^h + z^h).
-All public operations produce identical ring elements in either layout; a
-native engine built with uniform_via_split=True additionally shares its
-expanded randomness with the split layout, making the two bit-identical limb
-by limb after conversion to parent coefficients.
+One Engine instance fixes a prime basis, a ring degree, a mode and a seed.
+Every limb is one degree-D polynomial held as its full-degree evaluation
+vector. Under the factorization x^D + 1 = (x^h - z^h)(x^h + z^h) that vector
+is the plus half-ring evaluations followed by the minus half-ring
+evaluations (the split is the transform's first butterfly layer), so a
+"split" limb needs no layout of its own. The mode only picks which tagged
+streams expand the uniform key material: two half-ring streams in split
+mode, one full-ring stream in native mode. The half-ring datapath itself
+runs in the accelerator model's executor (`archsim`), which must reproduce
+this engine's ciphertexts bit for bit.
 
 Elementwise limb arithmetic stays in the evaluation domain. The nonlinear
-steps (centered base conversion inside key switching, modulus dropping,
-rescaling, and Galois maps in the split layout) pass through the parent
-coefficient domain, mirroring how the pipelined hardware sequences them.
+steps (centered base conversion inside key switching, modulus dropping and
+rescaling) pass through the parent coefficient domain, mirroring how the
+pipelined hardware sequences them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -44,27 +47,21 @@ from .keys import (
 )
 from .modarith import PrimeModulus, RnsBase, inv_mod
 from .polyring import (
-    MINUS,
-    PLUS,
     STANDARD,
     ResiduePoly,
     automorphism,
-    automorphism_coeff,
     dyadic,
     ntt_forward,
     ntt_inverse,
     scalar_mul,
 )
-from .ringsplit import SplitPair, forward_pair, inverse_pair, join, split
-
-Limb = Union[ResiduePoly, SplitPair]
 
 RELIN_KSK_ID = 0  # rotation keys use ksk_id = step, which is always >= 1
 
 
 @dataclass
 class Plaintext:
-    limbs: list  # Limb per level modulus, evaluation domain
+    limbs: list  # ResiduePoly per level modulus, evaluation domain
     scale: Fraction
 
     @property
@@ -146,7 +143,7 @@ def _auto_signed(coeffs: np.ndarray, g: int, degree: int) -> np.ndarray:
 
 
 class Engine:
-    """Evaluation context for one basis, ring degree, layout and seed."""
+    """Evaluation context for one basis, ring degree, mode and seed."""
 
     def __init__(
         self,
@@ -154,18 +151,16 @@ class Engine:
         degree: int,
         mode: str = "native",
         seed: int = 0,
-        uniform_via_split: bool = False,
     ):
         if mode not in ("native", "split"):
-            raise ValueError(f"unknown layout {mode!r}")
-        min_deg = 16 if (mode == "split" or uniform_via_split) else 8
+            raise ValueError(f"unknown mode {mode!r}")
+        min_deg = 16 if mode == "split" else 8
         if degree < min_deg or degree & (degree - 1):
             raise ValueError(f"degree must be a power of two >= {min_deg}")
         self.base = base
         self.degree = degree
         self.mode = mode
         self.seed = seed
-        self.uniform_via_split = uniform_via_split
         self.slots = degree // 2
         self.sk: Optional[SecretKey] = None
         self.pk_b: Optional[list] = None
@@ -174,51 +169,35 @@ class Engine:
         self.rotation_keys: dict[int, KeySwitchKey] = {}
         self._s_grid: Optional[list] = None
 
-    # ---- limb layout primitives ----
+    # ---- limb primitives ----
 
-    def _residues_to_limb(self, res: np.ndarray, q: PrimeModulus, to_eval: bool = True) -> Limb:
-        p = ResiduePoly(q, res, "coeff", STANDARD)
-        if self.mode == "split":
-            pair = split(p)
-            return forward_pair(pair) if to_eval else pair
-        return ntt_forward(p) if to_eval else p
+    def _residues_to_limb(self, res: np.ndarray, q: PrimeModulus) -> ResiduePoly:
+        return ntt_forward(ResiduePoly(q, res, "coeff", STANDARD))
 
-    def _signed_to_limb(self, signed: np.ndarray, q: PrimeModulus, to_eval: bool = True) -> Limb:
-        return self._residues_to_limb(signed_to_residues(signed, q.value), q, to_eval)
+    def _signed_to_limb(self, signed: np.ndarray, q: PrimeModulus) -> ResiduePoly:
+        return self._residues_to_limb(signed_to_residues(signed, q.value), q)
 
-    def _limb_to_parent(self, limb: Limb) -> np.ndarray:
+    def _limb_to_parent(self, limb: ResiduePoly) -> np.ndarray:
         """Evaluation-domain limb to parent-ring coefficient residues."""
-        if self.mode == "split":
-            return join(inverse_pair(limb)).coeffs
         return ntt_inverse(limb).coeffs
 
-    def _dy(self, kind: str, a: Limb, b: Limb, acc: Optional[Limb] = None) -> Limb:
-        if self.mode == "split":
-            return SplitPair(
-                dyadic(kind, a.plus, b.plus, acc.plus if acc is not None else None),
-                dyadic(kind, a.minus, b.minus, acc.minus if acc is not None else None),
-            )
-        return dyadic(kind, a, b, acc)
+    def _expand_uniform(
+        self, q: PrimeModulus, i: int, j: int, kind: int, ksk_id: int = 0
+    ) -> ResiduePoly:
+        """Uniform evaluation vector from tagged streams; the mode fixes which.
 
-    def _smul(self, a: Limb, c: int) -> Limb:
-        if self.mode == "split":
-            return SplitPair(scalar_mul(a.plus, c), scalar_mul(a.minus, c))
-        return scalar_mul(a, c)
-
-    def _expand_uniform(self, q: PrimeModulus, i: int, j: int, kind: int, ksk_id: int = 0) -> Limb:
-        if self.mode == "split" or self.uniform_via_split:
-            h = self.degree // 2
-            sp = stream_for(self.seed, i, j, component_tag(kind, HALF_PLUS, ksk_id))
-            sm = stream_for(self.seed, i, j, component_tag(kind, HALF_MINUS, ksk_id))
-            pair = SplitPair(
-                ResiduePoly(q, sample_uniform_mod(sp, h, q.value), "eval", PLUS),
-                ResiduePoly(q, sample_uniform_mod(sm, h, q.value), "eval", MINUS),
+        Split mode draws the plus and minus half-ring evaluations from their
+        own streams, and their concatenation is the full-degree vector.
+        """
+        halves = (HALF_PLUS, HALF_MINUS) if self.mode == "split" else (HALF_FULL,)
+        n = self.degree // len(halves)
+        words = [
+            sample_uniform_mod(
+                stream_for(self.seed, i, j, component_tag(kind, half, ksk_id)), n, q.value
             )
-            if self.mode == "split":
-                return pair
-            return ntt_forward(join(inverse_pair(pair)))
-        st = stream_for(self.seed, i, j, component_tag(kind, HALF_FULL, ksk_id))
-        return ResiduePoly(q, sample_uniform_mod(st, self.degree, q.value), "eval", STANDARD)
+            for half in halves
+        ]
+        return ResiduePoly(q, np.concatenate(words), "eval", STANDARD)
 
     # ---- key generation ----
 
@@ -235,10 +214,10 @@ class Engine:
         for i, m in enumerate(self.base.primes):
             a = self._expand_uniform(m, i, 0, COMP_PK_UNIFORM)
             el = self._signed_to_limb(e, m)
-            b = self._dy("sub", el, self._dy("mul", a, self._s_grid[i]))
+            b = dyadic("sub", el, dyadic("mul", a, self._s_grid[i]))
             self.pk_a.append(a)
             self.pk_b.append(b)
-        target = [self._dy("mul", g, g) for g in self._s_grid]
+        target = [dyadic("mul", g, g) for g in self._s_grid]
         self.relin_key = self._gen_ksk(target, RELIN_KSK_ID)
         self.gen_rotation_keys(rotation_steps)
 
@@ -269,9 +248,9 @@ class Engine:
             for j, m in enumerate(self.base.all_moduli):
                 u = self._expand_uniform(m, i, j, COMP_KSK_UNIFORM, ksk_id)
                 el = self._signed_to_limb(e, m)
-                us = self._dy("mul", u, self._s_grid[j])
-                pt = self._smul(target_grid[j], self.base.p_qtilde[i][j])
-                k_row.append(self._dy("add", self._dy("sub", el, us), pt))
+                us = dyadic("mul", u, self._s_grid[j])
+                pt = scalar_mul(target_grid[j], self.base.p_qtilde[i][j])
+                k_row.append(dyadic("add", dyadic("sub", el, us), pt))
                 u_row.append(u)
             uniform.append(u_row)
             secret.append(k_row)
@@ -348,13 +327,13 @@ class Engine:
         for i, q in enumerate(self.base.level_moduli(pt.level)):
             rl = self._signed_to_limb(r, q)
             c0.append(
-                self._dy(
+                dyadic(
                     "add",
-                    self._dy("mac", self.pk_b[i], rl, acc=self._signed_to_limb(e0, q)),
+                    dyadic("mac", self.pk_b[i], rl, acc=self._signed_to_limb(e0, q)),
                     pt.limbs[i],
                 )
             )
-            c1.append(self._dy("mac", self.pk_a[i], rl, acc=self._signed_to_limb(e1, q)))
+            c1.append(dyadic("mac", self.pk_a[i], rl, acc=self._signed_to_limb(e1, q)))
         return Ciphertext(c0, c1, pt.scale)
 
     def decrypt(self, ct: Ciphertext) -> np.ndarray:
@@ -367,7 +346,7 @@ class Engine:
         if self.sk is None:
             raise ValueError("no secret key in this engine")
         return [
-            self._dy("mac", ct.c1[i], self._s_grid[i], acc=ct.c0[i])
+            dyadic("mac", ct.c1[i], self._s_grid[i], acc=ct.c0[i])
             for i in range(ct.level)
         ]
 
@@ -382,23 +361,23 @@ class Engine:
     def add(self, x: Ciphertext, y: Ciphertext) -> Ciphertext:
         self._check_pair(x, y)
         return Ciphertext(
-            [self._dy("add", a, b) for a, b in zip(x.c0, y.c0)],
-            [self._dy("add", a, b) for a, b in zip(x.c1, y.c1)],
+            [dyadic("add", a, b) for a, b in zip(x.c0, y.c0)],
+            [dyadic("add", a, b) for a, b in zip(x.c1, y.c1)],
             x.scale,
         )
 
     def sub(self, x: Ciphertext, y: Ciphertext) -> Ciphertext:
         self._check_pair(x, y)
         return Ciphertext(
-            [self._dy("sub", a, b) for a, b in zip(x.c0, y.c0)],
-            [self._dy("sub", a, b) for a, b in zip(x.c1, y.c1)],
+            [dyadic("sub", a, b) for a, b in zip(x.c0, y.c0)],
+            [dyadic("sub", a, b) for a, b in zip(x.c1, y.c1)],
             x.scale,
         )
 
     def add_plain(self, ct: Ciphertext, pt: Plaintext) -> Ciphertext:
         self._check_pair(ct, pt)
         return Ciphertext(
-            [self._dy("add", a, b) for a, b in zip(ct.c0, pt.limbs)],
+            [dyadic("add", a, b) for a, b in zip(ct.c0, pt.limbs)],
             [a.copy() for a in ct.c1],
             ct.scale,
         )
@@ -407,8 +386,8 @@ class Engine:
         if ct.level != pt.level:
             raise ValueError(f"level mismatch: {ct.level} vs {pt.level}")
         return Ciphertext(
-            [self._dy("mul", a, b) for a, b in zip(ct.c0, pt.limbs)],
-            [self._dy("mul", a, b) for a, b in zip(ct.c1, pt.limbs)],
+            [dyadic("mul", a, b) for a, b in zip(ct.c0, pt.limbs)],
+            [dyadic("mul", a, b) for a, b in zip(ct.c1, pt.limbs)],
             ct.scale * pt.scale,
         )
 
@@ -418,16 +397,16 @@ class Engine:
         if self.relin_key is None:
             raise ValueError("keygen before mult_relin")
         lvl = x.level
-        d0 = [self._dy("mul", x.c0[i], y.c0[i]) for i in range(lvl)]
+        d0 = [dyadic("mul", x.c0[i], y.c0[i]) for i in range(lvl)]
         d1 = [
-            self._dy("mac", x.c1[i], y.c0[i], acc=self._dy("mul", x.c0[i], y.c1[i]))
+            dyadic("mac", x.c1[i], y.c0[i], acc=dyadic("mul", x.c0[i], y.c1[i]))
             for i in range(lvl)
         ]
-        d2 = [self._dy("mul", x.c1[i], y.c1[i]) for i in range(lvl)]
+        d2 = [dyadic("mul", x.c1[i], y.c1[i]) for i in range(lvl)]
         ks0, ks1 = self._key_switch(d2, self.relin_key)
         return Ciphertext(
-            [self._dy("add", a, b) for a, b in zip(d0, ks0)],
-            [self._dy("add", a, b) for a, b in zip(d1, ks1)],
+            [dyadic("add", a, b) for a, b in zip(d0, ks0)],
+            [dyadic("add", a, b) for a, b in zip(d1, ks1)],
             x.scale * y.scale,
         )
 
@@ -446,11 +425,11 @@ class Engine:
                 dl = self._residues_to_limb(res, m)
                 jg = ext_idx[jj]
                 if acc0[jj] is None:
-                    acc0[jj] = self._dy("mul", dl, ksk.secret[i][jg])
-                    acc1[jj] = self._dy("mul", dl, ksk.uniform[i][jg])
+                    acc0[jj] = dyadic("mul", dl, ksk.secret[i][jg])
+                    acc1[jj] = dyadic("mul", dl, ksk.uniform[i][jg])
                 else:
-                    acc0[jj] = self._dy("mac", dl, ksk.secret[i][jg], acc=acc0[jj])
-                    acc1[jj] = self._dy("mac", dl, ksk.uniform[i][jg], acc=acc1[jj])
+                    acc0[jj] = dyadic("mac", dl, ksk.secret[i][jg], acc=acc0[jj])
+                    acc1[jj] = dyadic("mac", dl, ksk.uniform[i][jg], acc=acc1[jj])
         return self._mod_down(acc0), self._mod_down(acc1)
 
     def _mod_down(self, ext_limbs: list) -> list:
@@ -462,8 +441,8 @@ class Engine:
         for i in range(lvl):
             q = self.base.primes[i]
             conv = self._residues_to_limb((signed % np.int64(q.value)).astype(np.uint64), q)
-            diff = self._dy("sub", ext_limbs[i], conv)
-            out.append(self._smul(diff, self.base.inv[self.base.levels][i]))
+            diff = dyadic("sub", ext_limbs[i], conv)
+            out.append(scalar_mul(diff, self.base.inv[self.base.levels][i]))
         return out
 
     def rescale(self, ct: Ciphertext) -> Ciphertext:
@@ -480,8 +459,8 @@ class Engine:
                 conv = self._residues_to_limb(
                     (signed % np.int64(q.value)).astype(np.uint64), q
                 )
-                diff = self._dy("sub", comp[i], conv)
-                new.append(self._smul(diff, self.base.inv[lvl - 1][i]))
+                diff = dyadic("sub", comp[i], conv)
+                new.append(scalar_mul(diff, self.base.inv[lvl - 1][i]))
             parts.append(new)
         return Ciphertext(parts[0], parts[1], ct.scale / drop.value)
 
@@ -493,15 +472,9 @@ class Engine:
         if ksk is None:
             raise ValueError(f"no rotation key for step {steps}")
         g = pow(5, steps, 2 * self.degree)
-        a0 = [self._auto_limb(x, g) for x in ct.c0]
-        a1 = [self._auto_limb(x, g) for x in ct.c1]
+        a0 = [automorphism(x, g) for x in ct.c0]
+        a1 = [automorphism(x, g) for x in ct.c1]
         ks0, ks1 = self._key_switch(a1, ksk)
         return Ciphertext(
-            [self._dy("add", a, b) for a, b in zip(a0, ks0)], ks1, ct.scale
+            [dyadic("add", a, b) for a, b in zip(a0, ks0)], ks1, ct.scale
         )
-
-    def _auto_limb(self, limb: Limb, g: int) -> Limb:
-        if self.mode == "split":
-            parent = join(inverse_pair(limb))
-            return forward_pair(split(automorphism_coeff(parent, g)))
-        return automorphism(limb, g)

@@ -146,25 +146,6 @@ class PrimeModulus:
         return r
 
 
-def field_op(kind: str, a: int, b: int, q: PrimeModulus | int) -> int:
-    qv = q.value if isinstance(q, PrimeModulus) else q
-    if kind == "add":
-        s = a + b
-        return s - qv if s >= qv else s
-    if kind == "sub":
-        d = a - b
-        return d + qv if d < 0 else d
-    if kind == "mul":
-        if isinstance(q, PrimeModulus):
-            return q.reduce(a * b)
-        return a * b % qv
-    raise ValueError(f"unknown field op {kind!r}")
-
-
-def pow_mod(a: int, e: int, q: int) -> int:
-    return pow(a, e, q)
-
-
 def inv_mod(a: int, q: int) -> int:
     a %= q
     if a == 0:

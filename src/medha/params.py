@@ -14,8 +14,8 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
+from .keys import GAUSS_SIGMA
 from .modarith import RnsBase, gen_rns_base
 
 HW_DEGREE = 1 << 14  # transform size the arithmetic units are built for
@@ -32,7 +32,7 @@ class ParamSet:
     log_pq: int          # total modulus bits including the special prime
     mode: str            # "native" or "split"
     scale_bits: int = 40
-    sigma: float = 3.2
+    sigma: float = GAUSS_SIGMA  # the only width the error sampler draws
     clock_mhz: float = 200.0
     base: RnsBase = field(repr=False, compare=False, default=None)
 
@@ -41,6 +41,10 @@ class ParamSet:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.degree & (self.degree - 1) or self.degree < 16:
             raise ConfigError("degree must be a power of two >= 16")
+        if self.sigma != GAUSS_SIGMA:
+            raise ConfigError(
+                f"sigma {self.sigma!r} is not supported; errors are sampled at {GAUSS_SIGMA}"
+            )
         if self.mode == "split" and self.hw_degree != self.degree // 2:
             raise ConfigError("split mode halves the degree once")
         if self.mode == "native" and self.degree > HW_DEGREE:
@@ -159,7 +163,7 @@ def load_param_config(path: str) -> ParamSet:
             log_pq=int(doc["log_pq"]),
             mode=str(doc["mode"]),
             scale_bits=int(doc.get("scale_bits", 40)),
-            sigma=float(doc.get("sigma", 3.2)),
+            sigma=float(doc.get("sigma", GAUSS_SIGMA)),
             clock_mhz=float(doc.get("clock_mhz", 200.0)),
         )
     except ConfigError:

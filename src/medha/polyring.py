@@ -211,24 +211,6 @@ def twiddle_table(q: PrimeModulus, n: int, twist: RingTwist) -> TwiddleTable:
     return t
 
 
-def twiddles_for_twist(minus_table: TwiddleTable, zeta: int, stage: int) -> np.ndarray:
-    """Standard-ring stage constants derived from the minus-ring table.
-
-    The three rings share their within-stage generator, so only the seed
-    moves: seed_std_s = seed_minus_s * zeta^-(n / 2^(s+1)). The derivation
-    stays a per-stage multiplication chain.
-    """
-    qv = minus_table.q.value
-    zinv = inv_mod(zeta, qv)
-    n = minus_table.n
-    seed_m, gen_m = minus_table.stage_seeds[stage]
-    seed = seed_m * pow(zinv, n >> (stage + 1), qv) % qv
-    derived = TwiddleTable.__new__(TwiddleTable)
-    derived.q = minus_table.q
-    derived.stage_seeds = [None] * stage + [(seed, gen_m)]
-    return TwiddleTable.regenerate_stage(derived, stage)
-
-
 def ntt_forward(p: ResiduePoly) -> ResiduePoly:
     """Coefficient order in, bit-reversed evaluation order out."""
     if p.domain != "coeff":
@@ -304,10 +286,6 @@ def dyadic(kind: str, a: ResiduePoly, b: ResiduePoly, acc: Optional[ResiduePoly]
 def scalar_mul(p: ResiduePoly, c: int) -> ResiduePoly:
     k = kernels.ctx(p.q.value)
     return ResiduePoly(p.q, k.mulmod_scalar(p.coeffs, c), p.domain, p.twist)
-
-
-def poly_neg(p: ResiduePoly) -> ResiduePoly:
-    return ResiduePoly(p.q, negmod(p.coeffs, np.uint64(p.q.value)), p.domain, p.twist)
 
 
 def negacyclic_mul(a: ResiduePoly, b: ResiduePoly) -> ResiduePoly:

@@ -6,6 +6,12 @@ pair of degree-h images by a stride-h linear combine, and back by the inverse
 combine; both directions are coefficient-domain, one multiply per output word.
 Ring arithmetic (add, multiply, rescale-style scaling) commutes with the map,
 so a large-ring workload can run entirely in the two half-size rings.
+
+The split is exactly the first butterfly layer of the full-degree transform:
+the evaluation vector of a degree-2h polynomial is its plus-ring evaluations
+followed by its minus-ring evaluations. A limb therefore needs one layout
+only; `eval_halves` slices it into the two half-ring vectors and
+`eval_whole` joins them back.
 """
 
 from __future__ import annotations
@@ -86,3 +92,27 @@ def forward_pair(pair: SplitPair) -> SplitPair:
 def inverse_pair(pair: SplitPair) -> SplitPair:
     """Both halves back to the coefficient domain."""
     return SplitPair(ntt_inverse(pair.plus), ntt_inverse(pair.minus))
+
+
+def eval_halves(limb: ResiduePoly) -> SplitPair:
+    """Full-degree evaluation vector to its plus and minus half-ring evaluations.
+
+    The halves are views of the limb's words, not copies.
+    """
+    if limb.domain != "eval" or limb.twist != STANDARD:
+        raise ValueError("eval_halves expects a standard-ring evaluation-domain limb")
+    h = limb.n // 2
+    return SplitPair(
+        ResiduePoly(limb.q, limb.coeffs[:h], "eval", PLUS),
+        ResiduePoly(limb.q, limb.coeffs[h:], "eval", MINUS),
+    )
+
+
+def eval_whole(pair: SplitPair) -> ResiduePoly:
+    """Inverse of eval_halves: the full-degree evaluation vector, plus then minus."""
+    p, m = pair.plus, pair.minus
+    if p.domain != "eval" or m.domain != "eval":
+        raise ValueError("eval_whole expects evaluation-domain halves")
+    if p.twist != PLUS or m.twist != MINUS or p.q.value != m.q.value or p.n != m.n:
+        raise ValueError("eval_whole expects a matched plus/minus pair")
+    return ResiduePoly(p.q, np.concatenate([p.coeffs, m.coeffs]), "eval", STANDARD)

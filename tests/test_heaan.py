@@ -9,9 +9,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from medha.archsim import compile_workload, execute_workload
 from medha.heaan import Ciphertext, Engine
 from medha.keys import COMP_KSK_UNIFORM
 from medha.polyring import ntt_inverse
+from medha.ringsplit import forward_pair, split
 
 TOY = 64
 
@@ -28,13 +30,6 @@ def _unit_slots(rng, slots):
 def _rel_err(got, want):
     denom = max(1e-12, float(np.max(np.abs(want))))
     return float(np.max(np.abs(got - want))) / denom
-
-
-def _parent_rows(eng, ct):
-    """Parent-ring coefficient residues for every limb of both components."""
-    return [
-        [eng._limb_to_parent(limb) for limb in comp] for comp in (ct.c0, ct.c1)
-    ]
 
 
 def test_encode_decode_roundtrip(toy_native):
@@ -222,30 +217,30 @@ def test_rotate_key_management(toy_native, set1):
         fresh.encrypt(fresh.encode(np.zeros(4), 1 << 40))
 
 
-def test_split_and_native_layouts_bit_identical(set2):
-    # the reference path expands uniforms through the half rings, so the two
-    # layouts must produce the same ciphertext bits from the same seed
+def test_split_engine_matches_half_ring_datapath(set2):
+    # a split-mode limb is the full-degree evaluation vector; the half-ring
+    # datapath (the executor on the set2 programs) must reproduce it bit for bit
     rng = np.random.default_rng(63)
     es = Engine(set2.base, TOY, "split", seed=9)
-    en = Engine(set2.base, TOY, "native", seed=9, uniform_via_split=True)
     es.keygen(rotation_steps=(2,))
-    en.keygen(rotation_steps=(2,))
-    v = _rand_slots(rng, TOY // 2)
-    w = _rand_slots(rng, TOY // 2)
-    cs = es.encrypt(es.encode(v, 1 << 40))
-    cn = en.encrypt(en.encode(v, 1 << 40))
+    cs = es.encrypt(es.encode(_rand_slots(rng, TOY // 2), 1 << 40))
+    ds = es.encrypt(es.encode(_rand_slots(rng, TOY // 2), 1 << 40), enc_index=1)
+    for limb in cs.c0 + cs.c1:
+        pair = forward_pair(split(ntt_inverse(limb)))
+        assert np.array_equal(limb.coeffs, np.concatenate([pair.plus.coeffs, pair.minus.coeffs]))
 
-    def assert_same(a, b):
-        ra, rb = _parent_rows(es, a), _parent_rows(en, b)
-        for comp_a, comp_b in zip(ra, rb):
-            for la, lb in zip(comp_a, comp_b):
-                assert np.array_equal(la, lb)
-
-    assert_same(cs, cn)
-    ds = es.encrypt(es.encode(w, 1 << 40), enc_index=1)
-    dn = en.encrypt(en.encode(w, 1 << 40), enc_index=1)
-    assert_same(es.rescale(es.mult_relin(cs, ds)), en.rescale(en.mult_relin(cn, dn)))
-    assert_same(es.rotate(cs, 2), en.rotate(cn, 2))
+    prog = compile_workload(set2, [
+        {"op": "mult_relin", "x": "x", "y": "y", "out": "m"},
+        {"op": "rescale", "x": "m", "out": "m"},
+        {"op": "rotate", "steps": 2, "x": "x", "out": "r"},
+    ])
+    got = execute_workload(es, prog, {"x": cs, "y": ds})
+    want = {"m": es.rescale(es.mult_relin(cs, ds)), "r": es.rotate(cs, 2)}
+    for name, ct in want.items():
+        have = got[name]
+        assert have.scale == ct.scale and have.level == ct.level
+        for a, b in zip(have.c0 + have.c1, ct.c0 + ct.c1):
+            assert np.array_equal(a.coeffs, b.coeffs)
 
 
 def test_ksk_uniform_regenerated_from_seed(toy_native, toy_split):
@@ -254,12 +249,7 @@ def test_ksk_uniform_regenerated_from_seed(toy_native, toy_split):
         for i in (0, eng.base.levels - 1):
             for j, m in enumerate(eng.base.all_moduli):
                 regen = eng._expand_uniform(m, i, j, COMP_KSK_UNIFORM, ksk.ksk_id)
-                stored = ksk.uniform[i][j]
-                if eng.mode == "split":
-                    assert np.array_equal(regen.plus.coeffs, stored.plus.coeffs)
-                    assert np.array_equal(regen.minus.coeffs, stored.minus.coeffs)
-                else:
-                    assert np.array_equal(regen.coeffs, stored.coeffs)
+                assert np.array_equal(regen.coeffs, ksk.uniform[i][j].coeffs)
 
 
 def test_distinct_enc_index_distinct_randomness(toy_native):

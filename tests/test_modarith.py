@@ -9,12 +9,10 @@ from medha.modarith import (
     PrimeModulus,
     RnsBase,
     crt_reconstruct,
-    field_op,
     find_root_of_unity,
     gen_rns_base,
     inv_mod,
     is_probable_prime,
-    pow_mod,
     reduce_sparse,
     signed_power_terms,
 )
@@ -91,11 +89,7 @@ def test_field_ops_and_inverses(set1):
     q = m.value
     rng = random.Random(9)
     for _ in range(200):
-        a, b = rng.randrange(q), rng.randrange(q)
-        assert field_op("add", a, b, m) == (a + b) % q
-        assert field_op("sub", a, b, m) == (a - b) % q
-        assert field_op("mul", a, b, m) == a * b % q
-        assert pow_mod(a, b % 1000, q) == pow(a, b % 1000, q)
+        a = rng.randrange(q)
         if a:
             assert inv_mod(a, q) * a % q == 1
 

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from medha.params import get_param_set
 from medha.polyring import (
     MINUS,
     PLUS,
@@ -10,16 +13,26 @@ from medha.polyring import (
     ResiduePoly,
     dyadic,
     negacyclic_mul,
+    ntt_forward,
+    ntt_inverse,
     zeta_4n,
 )
 from medha.ringsplit import (
     SplitPair,
     _split_consts,
+    eval_halves,
+    eval_whole,
     forward_pair,
     inverse_pair,
     join,
     split,
 )
+
+_MODULI = {
+    m.value: m
+    for name in ("set1", "set2")
+    for m in get_param_set(name).base.all_moduli
+}
 
 
 def _rand_parent(rng, q, n):
@@ -117,6 +130,13 @@ def test_split_rejects_bad_inputs(set1):
         join(SplitPair(pair.minus, pair.plus))
     with pytest.raises(ValueError):
         join(forward_pair(pair))
+    with pytest.raises(ValueError):
+        eval_halves(p)
+    with pytest.raises(ValueError):
+        eval_whole(pair)
+    halves = forward_pair(pair)
+    with pytest.raises(ValueError):
+        eval_whole(SplitPair(halves.minus, halves.plus))
 
 
 def test_split_pair_copy_is_deep(set1):
@@ -135,3 +155,30 @@ def test_zeta_consistency_between_split_and_twists(set1):
     h = 32
     zh, _, _ = _split_consts(q, h)
     assert zh == pow(zeta_4n(q, h), h, q.value)
+
+
+def _assert_transform_is_half_ring_evaluations(p):
+    full = ntt_forward(p)
+    pair = forward_pair(split(p))
+    assert np.array_equal(full.coeffs, eval_whole(pair).coeffs)
+    halves = eval_halves(full)
+    assert np.array_equal(halves.plus.coeffs, pair.plus.coeffs)
+    assert np.array_equal(halves.minus.coeffs, pair.minus.coeffs)
+    back = join(inverse_pair(halves))
+    assert np.array_equal(ntt_inverse(full).coeffs, back.coeffs)
+    assert np.array_equal(back.coeffs, p.coeffs)
+
+
+@settings(max_examples=25, deadline=None)
+@given(log_n=st.integers(4, 10), seed=st.integers(0, 2**32 - 1))
+def test_full_transform_is_concatenated_half_ring_evaluations(log_n, seed):
+    # the split is the transform's first butterfly layer: the full-degree
+    # evaluation vector is the plus evaluations followed by the minus ones
+    rng = np.random.default_rng(seed)
+    for q in _MODULI.values():
+        _assert_transform_is_half_ring_evaluations(_rand_parent(rng, q, 1 << log_n))
+
+
+def test_full_transform_is_concatenated_half_ring_evaluations_2_15(set2):
+    rng = np.random.default_rng(37)
+    _assert_transform_is_half_ring_evaluations(_rand_parent(rng, set2.base.primes[-1], 1 << 15))

@@ -1,6 +1,6 @@
 """Container format: roundtrips, corruption detection, seed-expanded keys."""
 
-from fractions import Fraction
+import hashlib
 
 import numpy as np
 import pytest
@@ -16,7 +16,6 @@ from medha.serialize import (
     save_ksk,
 )
 from medha.heaan import Engine
-from medha.ringsplit import SplitPair
 
 TOY = 64
 
@@ -39,11 +38,7 @@ def _assert_ksk_equal(a, b):
     for grid_a, grid_b in zip((a.uniform, a.secret), (b.uniform, b.secret)):
         for row_a, row_b in zip(grid_a, grid_b):
             for la, lb in zip(row_a, row_b):
-                if isinstance(la, SplitPair):
-                    assert np.array_equal(la.plus.coeffs, lb.plus.coeffs)
-                    assert np.array_equal(la.minus.coeffs, lb.minus.coeffs)
-                else:
-                    assert np.array_equal(la.coeffs, lb.coeffs)
+                assert np.array_equal(la.coeffs, lb.coeffs)
 
 
 def test_ciphertext_roundtrip_native(set1, toy_native, tmp_path):
@@ -133,6 +128,32 @@ def test_rejects_out_of_range_level(set1, toy_native, tmp_path):
         load_ciphertext(path, set1)
 
 
+def _set_last_word(path, value):
+    raw = bytearray(path.read_bytes())
+    raw[-8:] = value.to_bytes(8, "little")
+    path.write_bytes(raw)
+
+
+def test_rejects_non_canonical_residue(set1, toy_native, tmp_path):
+    # the last payload word is c1's top limb, a residue mod the top prime
+    path = _saved(toy_native, set1, tmp_path)
+    q = set1.base.primes[set1.levels - 1].value
+    _set_last_word(path, q - 1)
+    load_ciphertext(path, set1)
+    _set_last_word(path, q)
+    with pytest.raises(SerializationError, match="residue"):
+        load_ciphertext(path, set1)
+
+
+def test_ksk_rejects_non_canonical_residue(set1, toy_native, tmp_path):
+    # the last payload word belongs to the special-prime column
+    path = tmp_path / "relin.mdhk"
+    save_ksk(path, toy_native.relin_key, toy_native, set1)
+    _set_last_word(path, set1.base.special.value)
+    with pytest.raises(SerializationError, match="residue"):
+        load_ksk(path, toy_native, set1)
+
+
 def test_ksk_roundtrip_regenerates_uniform_half(set1, toy_native, tmp_path):
     path = tmp_path / "relin.mdhk"
     save_ksk(path, toy_native.relin_key, toy_native, set1)
@@ -172,6 +193,27 @@ def test_ksk_rejects_wrong_degree(set1, toy_native, tmp_path):
     other = Engine(set1.base, 2 * TOY, "native", seed=5)
     with pytest.raises(HashError, match="degree"):
         load_ksk(path, other, set1)
+
+
+# SHA-256 of a rotated ciphertext file and of the rotation-1 key file for
+# the toy engines; any change to key, ciphertext or container bits shows here
+_PINNED = {
+    "set1": ("28325ac1333de9226e94d104bab0fc846c1c9bbcf2932a302070a33821d0d692",
+             "aafcea0ef7339a3cbdf85e170998c463027d4d1e36f523f033376bcb8df95ddd"),
+    "set2": ("d22b3dcda94c075fe42218378c959986ece5c4f01ea2de8b1e49d270b5648647",
+             "ab7f5cccb6f6feedf63ee796f363d86e76c477a5ade073dcff334660f642431d"),
+}
+
+
+def test_saved_bits_pinned(set1, set2, toy_native, toy_split2, tmp_path):
+    for pset, eng in ((set1, toy_native), (set2, toy_split2)):
+        rng = np.random.default_rng(26)
+        ct = eng.rotate(_rand_ct(eng, rng), 1)
+        save_ciphertext(tmp_path / "ct", ct, pset)
+        save_ksk(tmp_path / "ksk", eng.rotation_keys[1], eng, pset)
+        got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                    for f in ("ct", "ksk"))
+        assert got == _PINNED[pset.name]
 
 
 def test_ksk_file_smaller_than_two_grid_form(set1, toy_native, tmp_path):
