@@ -36,6 +36,13 @@ from .serialize import SerializationError, load_ksk, save_ksk
 from .workloads import get_workload, workload_names
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if not 0 <= value < 1 << 64:
+        raise argparse.ArgumentTypeError(f"{value} is outside [0, 2^64)")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="medha",
@@ -47,7 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="JSON parameter configuration (overrides --param-set)")
     ap.add_argument("--workload", default="mult_relin",
                     help=f"one of: {', '.join(workload_names())}")
-    ap.add_argument("--seed", type=int, default=0, help="expansion and data seed")
+    ap.add_argument("--seed", type=_seed, default=0,
+                    help="expansion and data seed, in [0, 2^64)")
     ap.add_argument("--simulate", action="store_true",
                     help="attach the cycle-model report")
     ap.add_argument("--clock-mhz", type=float, default=None,

@@ -40,8 +40,9 @@ from .keys import (
     SecretKey,
     component_tag,
     sample_gaussian,
+    sample_lanes,
     sample_ternary,
-    sample_uniform_mod,
+    sample_uniform_mod,  # noqa: F401  (perfbench/test_perfbench.py reads it here)
     signed_to_residues,
     stream_for,
 )
@@ -157,6 +158,8 @@ class Engine:
         min_deg = 16 if mode == "split" else 8
         if degree < min_deg or degree & (degree - 1):
             raise ValueError(f"degree must be a power of two >= {min_deg}")
+        if not 0 <= seed < (1 << 64):
+            raise ValueError("seed must be in [0, 2^64)")
         self.base = base
         self.degree = degree
         self.mode = mode
@@ -181,80 +184,135 @@ class Engine:
         """Evaluation-domain limb to parent-ring coefficient residues."""
         return ntt_inverse(limb).coeffs
 
+    def _draw(
+        self, uniform_tags: Sequence[tuple], error_tags: Sequence[tuple] = ()
+    ) -> tuple[list, list]:
+        """Uniform limbs and Gaussian error vectors from one lock-step batch.
+
+        A uniform tag (q, i, j, kind, ksk_id) gives one evaluation-domain limb
+        mod q. The mode fixes its streams: in split mode the plus and minus
+        half-ring evaluations come from their own streams, drawn as adjacent
+        lanes, so each limb is a view of two consecutive batch rows (their
+        concatenation is the full-degree vector). All limbs of one call are
+        views of one buffer. An error tag (i, kind, ksk_id) gives one signed
+        vector of `degree` coefficients.
+        """
+        halves = (HALF_PLUS, HALF_MINUS) if self.mode == "split" else (HALF_FULL,)
+        uniform = [
+            (stream_for(self.seed, i, j, component_tag(kind, half, ksk_id)), q.value)
+            for q, i, j, kind, ksk_id in uniform_tags
+            for half in halves
+        ]
+        errors = [
+            stream_for(self.seed, i, 0, component_tag(kind, HALF_FULL, ksk_id))
+            for i, kind, ksk_id in error_tags
+        ]
+        rows, errs = sample_lanes(uniform, self.degree // len(halves), errors, self.degree)
+        grid = rows.reshape(len(uniform_tags), self.degree)
+        limbs = [ResiduePoly(tag[0], v, "eval", STANDARD) for tag, v in zip(uniform_tags, grid)]
+        return limbs, list(errs)
+
     def _expand_uniform(
         self, q: PrimeModulus, i: int, j: int, kind: int, ksk_id: int = 0
     ) -> ResiduePoly:
-        """Uniform evaluation vector from tagged streams; the mode fixes which.
+        """Uniform evaluation vector of one tag; the mode fixes its streams."""
+        return self._draw([(q, i, j, kind, ksk_id)])[0][0]
 
-        Split mode draws the plus and minus half-ring evaluations from their
-        own streams, and their concatenation is the full-degree vector.
-        """
-        halves = (HALF_PLUS, HALF_MINUS) if self.mode == "split" else (HALF_FULL,)
-        n = self.degree // len(halves)
-        words = [
-            sample_uniform_mod(
-                stream_for(self.seed, i, j, component_tag(kind, half, ksk_id)), n, q.value
-            )
-            for half in halves
+    def ksk_uniform(self, ksk_id: int, rows: int) -> list:
+        """A switching key's uniform grid, regenerated in one batch."""
+        width = len(self.base.all_moduli)
+        limbs, _ = self._draw(self._ksk_uniform_tags(ksk_id, rows))
+        return [limbs[r * width:(r + 1) * width] for r in range(rows)]
+
+    def _ksk_uniform_tags(self, ksk_id: int, rows: int) -> list:
+        """Uniform tags of a key's grid, row-major over (row i, modulus j)."""
+        return [
+            (m, i, j, COMP_KSK_UNIFORM, ksk_id)
+            for i in range(rows)
+            for j, m in enumerate(self.base.all_moduli)
         ]
-        return ResiduePoly(q, np.concatenate(words), "eval", STANDARD)
 
     # ---- key generation ----
 
     def keygen(self, rotation_steps: Sequence[int] = ()) -> None:
+        """Secret, public, relinearization and rotation keys.
+
+        Every uniform and error stream of the call is drawn in one batch.
+        """
         self.sk = krand.gen_secret(self.seed, self.degree)
         self._s_grid = [
             self._signed_to_limb(self.sk.coeffs, m) for m in self.base.all_moduli
         ]
-        e = sample_gaussian(
-            stream_for(self.seed, 0, 0, component_tag(COMP_PK_ERROR)), self.degree
+        primes = self.base.primes
+        ids = [RELIN_KSK_ID] + self._new_rotation_steps(rotation_steps)
+        ksk_uniform, ksk_errors = self._ksk_tags(ids)
+        uniform, errors = self._draw(
+            [(m, i, 0, COMP_PK_UNIFORM, 0) for i, m in enumerate(primes)] + ksk_uniform,
+            [(0, COMP_PK_ERROR, 0)] + ksk_errors,
         )
-        self.pk_b = []
-        self.pk_a = []
-        for i, m in enumerate(self.base.primes):
-            a = self._expand_uniform(m, i, 0, COMP_PK_UNIFORM)
-            el = self._signed_to_limb(e, m)
-            b = dyadic("sub", el, dyadic("mul", a, self._s_grid[i]))
-            self.pk_a.append(a)
-            self.pk_b.append(b)
-        target = [dyadic("mul", g, g) for g in self._s_grid]
-        self.relin_key = self._gen_ksk(target, RELIN_KSK_ID)
-        self.gen_rotation_keys(rotation_steps)
+        # copies, so that the public key does not keep the switching keys'
+        # batch buffer alive once those keys are replaced or dropped
+        self.pk_a = [a.copy() for a in uniform[: len(primes)]]
+        self.pk_b = [
+            dyadic("sub", self._signed_to_limb(errors[0], m), dyadic("mul", a, s))
+            for m, a, s in zip(primes, self.pk_a, self._s_grid)
+        ]
+        keys = self._build_ksks(ids, uniform[len(primes):], errors[1:])
+        self.relin_key = keys[0]
+        self.rotation_keys.update(zip(ids[1:], keys[1:]))
 
     def gen_rotation_keys(self, steps: Sequence[int]) -> None:
         if self.sk is None:
             raise ValueError("keygen before rotation keys")
+        ids = self._new_rotation_steps(steps)
+        uniform, errors = self._draw(*self._ksk_tags(ids))
+        self.rotation_keys.update(zip(ids, self._build_ksks(ids, uniform, errors)))
+
+    def _new_rotation_steps(self, steps: Sequence[int]) -> list[int]:
+        """Distinct nonzero steps mod slots that have no key yet, in order."""
+        out: list[int] = []
         for step in steps:
             step = step % self.slots
-            if step == 0 or step in self.rotation_keys:
-                continue
-            g = pow(5, step, 2 * self.degree)
-            ts = _auto_signed(self.sk.coeffs, g, self.degree)
-            target = [self._signed_to_limb(ts, m) for m in self.base.all_moduli]
-            self.rotation_keys[step] = self._gen_ksk(target, step)
+            if step and step not in self.rotation_keys and step not in out:
+                out.append(step)
+        return out
 
-    def _gen_ksk(self, target_grid: list, ksk_id: int) -> KeySwitchKey:
-        uniform: list = []
-        secret: list = []
-        for i in range(self.base.levels):
-            e = sample_gaussian(
-                stream_for(
-                    self.seed, i, 0, component_tag(COMP_KSK_ERROR, HALF_FULL, ksk_id)
-                ),
-                self.degree,
-            )
-            u_row = []
-            k_row = []
-            for j, m in enumerate(self.base.all_moduli):
-                u = self._expand_uniform(m, i, j, COMP_KSK_UNIFORM, ksk_id)
-                el = self._signed_to_limb(e, m)
-                us = dyadic("mul", u, self._s_grid[j])
-                pt = scalar_mul(target_grid[j], self.base.p_qtilde[i][j])
-                k_row.append(dyadic("add", dyadic("sub", el, us), pt))
-                u_row.append(u)
-            uniform.append(u_row)
-            secret.append(k_row)
-        return KeySwitchKey(ksk_id, uniform, secret)
+    def _ksk_tags(self, ids: Sequence[int]) -> tuple[list, list]:
+        """Uniform and error tags of the switching keys `ids`, key by key."""
+        levels = self.base.levels
+        uniform = [t for k in ids for t in self._ksk_uniform_tags(k, levels)]
+        errors = [(i, COMP_KSK_ERROR, k) for k in ids for i in range(levels)]
+        return uniform, errors
+
+    def _ksk_target(self, ksk_id: int) -> list:
+        """The key a switching key re-encrypts under: s^2 or the rotated s."""
+        if ksk_id == RELIN_KSK_ID:
+            return [dyadic("mul", g, g) for g in self._s_grid]
+        g = pow(5, ksk_id, 2 * self.degree)
+        ts = _auto_signed(self.sk.coeffs, g, self.degree)
+        return [self._signed_to_limb(ts, m) for m in self.base.all_moduli]
+
+    def _build_ksks(self, ids: Sequence[int], uniform: list, errors: list) -> list:
+        """Switching keys from their drawn limbs, in the order of the tags."""
+        u_iter, e_iter = iter(uniform), iter(errors)
+        keys = []
+        for ksk_id in ids:
+            target = self._ksk_target(ksk_id)
+            u_grid: list = []
+            secret: list = []
+            for i in range(self.base.levels):
+                e = next(e_iter)
+                u_row = [next(u_iter) for _ in self.base.all_moduli]
+                k_row = []
+                for j, (m, u) in enumerate(zip(self.base.all_moduli, u_row)):
+                    el = self._signed_to_limb(e, m)
+                    us = dyadic("mul", u, self._s_grid[j])
+                    pt = scalar_mul(target[j], self.base.p_qtilde[i][j])
+                    k_row.append(dyadic("add", dyadic("sub", el, us), pt))
+                u_grid.append(u_row)
+                secret.append(k_row)
+            keys.append(KeySwitchKey(ksk_id, u_grid, secret))
+        return keys
 
     # ---- encoding ----
 

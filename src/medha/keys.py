@@ -9,16 +9,24 @@ demand, which is what keeps serialized key-switching material at half size.
 The generator steps 64 clocks at a time. That is sound for Trivium because
 its shortest feedback tap sits 66 positions from the register input, so a
 64-bit window never reads a bit produced in the same step.
+
+Key generation and key loading draw hundreds of tagged streams at once, so
+`sample_lanes` steps them together as NumPy lanes (`TriviumLanes`) instead
+of one Python-int stream at a time. Each tagged stream feeds exactly one
+sampler call, and a sampler's result is a prefix of its stream's accepted
+words: the first n words for a Gaussian draw, the first n candidates below
+q for a uniform one. Drawing past that point, as a lane does while it waits
+for the slowest lane of its batch, therefore changes no output bit. Every
+preset prime sits just above a power of two (q / 2^bitlen is 0.500 to
+0.5002), so masked rejection accepts about half its candidates and a
+uniform draw of n residues takes about 2n words.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .modarith import PrimeModulus
 
 M64 = (1 << 64) - 1
 
@@ -86,6 +94,59 @@ class TriviumStream:
         return out
 
 
+class TriviumLanes:
+    """K Trivium streams stepped in lock-step, one NumPy lane per stream.
+
+    Lane k continues streams[k] from its current state (the stream objects
+    themselves do not advance). Register r of the scalar class is held as
+    lo[r] | hi[r] << 64, and each step is the scalar 64-clock step written
+    as a fixed number of NumPy calls over all lanes at once, so lane k emits
+    exactly the words streams[k].next_words would.
+    """
+
+    # rows: the z tap, the two AND taps and the feedback tap, per register a, b, c
+    _TAPS = np.array([[27, 15, 45], [2, 2, 2], [1, 1, 1], [24, 6, 24]], dtype=np.uint64)
+    # where each register's new 64 bits enter it
+    _ENTRY = np.array([29, 20, 47], dtype=np.uint64)
+
+    def __init__(self, streams):
+        k = len(streams)
+        regs = [r for s in streams for r in (s.a, s.b, s.c)]
+        self.lo = np.array([r & M64 for r in regs], dtype=np.uint64).reshape(k, 3).T.copy()
+        self.hi = np.array([r >> 64 for r in regs], dtype=np.uint64).reshape(k, 3).T.copy()
+        # shift counts spelled out per lane: NumPy shifts contiguous operands fastest
+        self._taps = np.repeat(self._TAPS[..., None], k, axis=2)
+        self._taps_hi = 64 - self._taps
+        self._entry = np.repeat(self._ENTRY[:, None], k, axis=1)
+        self._entry_hi = 64 - self._entry
+        self._win = np.empty_like(self._taps)
+        self._tmp = np.empty_like(self._taps)
+        # rows c, a, b, c of the feedback terms, so rows 0..2 line up with a, b, c
+        self._feed = np.empty((4, k), dtype=np.uint64)
+
+    def next_words(self, count: int) -> np.ndarray:
+        """The next `count` words of every lane, as a (lanes, count) array."""
+        lo, hi, win, tmp, feed = self.lo, self.hi, self._win, self._tmp, self._feed
+        out = np.empty((count, lo.shape[1]), dtype=np.uint64)
+        t, g, g2, f = win
+        for k in range(count):
+            # win[m][r]: low 64 bits of register r shifted right by tap m
+            np.right_shift(lo, self._taps, out=win)
+            np.left_shift(hi, self._taps_hi, out=tmp)
+            np.bitwise_or(win, tmp, out=win)
+            np.bitwise_xor(t, lo, out=t)                # t1, t2, t3
+            np.bitwise_xor(t[0], t[1], out=out[k])
+            np.bitwise_xor(out[k], t[2], out=out[k])    # z
+            np.bitwise_and(g, g2, out=feed[1:])
+            np.bitwise_xor(feed[1:], t, out=feed[1:])
+            np.copyto(feed[0], feed[3])
+            np.bitwise_xor(feed[:3], f, out=f)          # fa, fb, fc
+            np.left_shift(f, self._entry, out=lo)
+            np.bitwise_or(lo, hi, out=lo)
+            np.right_shift(f, self._entry_hi, out=hi)
+        return np.ascontiguousarray(out.T)
+
+
 def stream_for(seed: int, i: int, j: int, component: int) -> TriviumStream:
     """The keystream owned by tag (i, j, component) under a master seed."""
     if not 0 <= seed < (1 << 64):
@@ -134,18 +195,30 @@ def _gauss_thresholds(sigma: float, tail: float) -> tuple[np.ndarray, int]:
 _GAUSS_CACHE: dict[tuple[float, float], tuple[np.ndarray, int]] = {}
 
 
-def sample_gaussian(stream: TriviumStream, n: int, sigma: float = GAUSS_SIGMA) -> np.ndarray:
-    """Discrete Gaussian by CDF inversion of one 64-bit word per draw."""
+def _gauss_table(sigma: float) -> tuple[np.ndarray, int]:
     key = (sigma, GAUSS_TAIL)
     if key not in _GAUSS_CACHE:
         _GAUSS_CACHE[key] = _gauss_thresholds(sigma, GAUSS_TAIL)
-    thr, bound = _GAUSS_CACHE[key]
+    return _GAUSS_CACHE[key]
+
+
+def sample_gaussian(stream: TriviumStream, n: int, sigma: float = GAUSS_SIGMA) -> np.ndarray:
+    """Discrete Gaussian by CDF inversion of one 64-bit word per draw.
+
+    The result depends only on the stream's first n words.
+    """
+    thr, bound = _gauss_table(sigma)
     words = stream.next_words(n)
     return np.searchsorted(thr, words, side="right").astype(np.int64) - bound
 
 
 def sample_uniform_mod(stream: TriviumStream, n: int, q: int) -> np.ndarray:
-    """Uniform residues mod q by masked rejection, one word per candidate."""
+    """Uniform residues mod q by masked rejection, one word per candidate.
+
+    The result is the stream's first n candidates below q, however many
+    words are drawn past them. A candidate is accepted with probability
+    q / 2^bitlen(q), which is about 0.5 for every preset prime.
+    """
     mask = np.uint64((1 << q.bit_length()) - 1)
     qv = np.uint64(q)
     out = np.empty(n, dtype=np.uint64)
@@ -158,6 +231,55 @@ def sample_uniform_mod(stream: TriviumStream, n: int, q: int) -> np.ndarray:
         out[filled : filled + take] = good[:take]
         filled += take
     return out
+
+
+LANE_CHUNK = 512  # lock-step steps per round, which bounds the word buffer
+
+
+def sample_lanes(
+    uniform, n_uniform: int, gaussian=(), n_gaussian: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform and Gaussian draws for many streams in one lock-step run.
+
+    `uniform` holds (stream, q) pairs: row k of the first result equals
+    sample_uniform_mod(stream_k, n_uniform, q_k). `gaussian` holds streams:
+    row k of the second result equals sample_gaussian(stream_k, n_gaussian).
+    Every lane steps until the slowest uniform lane holds n_uniform
+    residues; the words a lane draws past its own result are discarded,
+    which is exact because each result is a prefix of its stream's accepted
+    words (see the module docstring). The streams themselves do not advance.
+    """
+    n_lanes = len(uniform)
+    g_steps = n_gaussian if len(gaussian) else 0
+    qs = np.array([q for _, q in uniform], dtype=np.uint64)[:, None]
+    masks = np.array([(1 << q.bit_length()) - 1 for _, q in uniform], dtype=np.uint64)[:, None]
+    lanes = TriviumLanes([s for s, _ in uniform] + list(gaussian))
+    thr, bound = _gauss_table(GAUSS_SIGMA)
+    u_out = np.empty((n_lanes, n_uniform), dtype=np.uint64)
+    g_out = np.empty((len(gaussian), n_gaussian), dtype=np.int64)
+    filled = [0] * n_lanes
+    drawn = 0
+    while True:
+        # about two candidates per residue, since acceptance is about 0.5
+        short = n_uniform - min(filled, default=n_uniform)
+        steps = min(LANE_CHUNK, max(2 * short + 16 if short else 0, g_steps - drawn))
+        if steps <= 0:
+            return u_out, g_out
+        words = lanes.next_words(steps)
+        take = min(steps, g_steps - drawn)
+        if take > 0:
+            g_out[:, drawn:drawn + take] = (
+                np.searchsorted(thr, words[n_lanes:, :take], side="right") - bound
+            )
+            drawn += take
+        cand = np.bitwise_and(words[:n_lanes], masks, out=words[:n_lanes])
+        ok = cand < qs
+        for k in range(n_lanes):
+            need = n_uniform - filled[k]
+            if need:
+                good = cand[k][ok[k]][:need]
+                u_out[k, filled[k]:filled[k] + len(good)] = good
+                filled[k] += len(good)
 
 
 def signed_to_residues(x: np.ndarray, q: int) -> np.ndarray:

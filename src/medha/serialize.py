@@ -30,7 +30,6 @@ from pathlib import Path
 import numpy as np
 
 from .heaan import Ciphertext, Engine, KeySwitchKey
-from .keys import COMP_KSK_UNIFORM
 from .params import ParamSet
 from .polyring import STANDARD, ResiduePoly
 
@@ -122,6 +121,8 @@ def load_ciphertext(path, pset: ParamSet) -> Ciphertext:
     level, degree, off = _check_header(buf, KIND_CT, pset)
     if level < 1 or level > pset.levels:
         raise SerializationError(f"level {level} out of range")
+    if degree != pset.degree:
+        raise SerializationError(f"ring degree {degree} does not match the parameter set")
     num, off = _decode_bigint(buf, off)
     den, off = _decode_bigint(buf, off)
     if len(buf) != off + 2 * level * 8 * degree:
@@ -143,7 +144,7 @@ def save_ksk(path, ksk: KeySwitchKey, engine: Engine, pset: ParamSet) -> None:
     parts = [
         _HEADER.pack(MAGIC, VERSION, KIND_KSK, _mode_code(pset.mode),
                      pset.param_hash(), rows, engine.degree),
-        struct.pack("<HQ", ksk.ksk_id, engine.seed & 0xFFFFFFFFFFFFFFFF),
+        struct.pack("<HQ", ksk.ksk_id, engine.seed),
     ]
     for row in ksk.secret:
         for limb in row:
@@ -161,22 +162,18 @@ def load_ksk(path, engine: Engine, pset: ParamSet) -> KeySwitchKey:
         raise SerializationError("truncated container")
     ksk_id, seed = struct.unpack_from("<HQ", buf, off)
     off += struct.calcsize("<HQ")
-    if seed != (engine.seed & 0xFFFFFFFFFFFFFFFF):
+    if seed != engine.seed:
         raise HashError("expansion seed does not match the engine")
     base = engine.base
     if len(buf) != off + rows * len(base.all_moduli) * 8 * degree:
         raise SerializationError("container length does not match header")
-    ext = list(base.all_moduli)
     secret = []
-    uniform = []
-    for i in range(rows):
-        srow, urow = [], []
-        for j, m in enumerate(ext):
+    for _ in range(rows):
+        srow = []
+        for m in base.all_moduli:
             limb, off = _read_limb(buf, off, m, engine.degree)
             srow.append(limb)
-            urow.append(engine._expand_uniform(m, i, j, COMP_KSK_UNIFORM, ksk_id))
         secret.append(srow)
-        uniform.append(urow)
     if off != len(buf):
         raise SerializationError("trailing bytes after payload")
-    return KeySwitchKey(ksk_id=ksk_id, uniform=uniform, secret=secret)
+    return KeySwitchKey(ksk_id, engine.ksk_uniform(ksk_id, rows), secret)

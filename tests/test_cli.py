@@ -83,6 +83,23 @@ def test_sigma_other_than_sampler_width_rejected(tmp_path):
         assert main(["--config", str(cfg), "--workload", "add"]) == 2
 
 
+def test_seed_outside_64_bits_is_a_usage_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path, TINY_NATIVE)
+    for bad in ("-1", str(1 << 64)):
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "--workload", "add", "--seed", bad])
+        assert exc.value.code == 2
+        assert "seed" in capsys.readouterr().err
+    # the largest seed saves and reloads its key files
+    top = ("--workload", "add", "--seed", str((1 << 64) - 1), "--keys", str(tmp_path / "keys"))
+    rc1, raw1 = _run(tmp_path, *top)
+    rc2, raw2 = _run(tmp_path, *top)
+    doc1, doc2 = json.loads(raw1), json.loads(raw2)
+    assert rc1 == rc2 == 0 and doc1["seed"] == (1 << 64) - 1
+    assert doc1["keys"]["saved"] == doc2["keys"]["loaded"] == ["relin.ksk"]
+    assert doc1["functional"] == doc2["functional"]
+
+
 def test_exit_code_unknown_workload(tmp_path):
     cfg = _write_config(tmp_path, TINY_NATIVE)
     assert main(["--config", str(cfg), "--workload", "bootstrap"]) == 3

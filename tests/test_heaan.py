@@ -11,8 +11,16 @@ import pytest
 
 from medha.archsim import compile_workload, execute_workload
 from medha.heaan import Ciphertext, Engine
-from medha.keys import COMP_KSK_UNIFORM
-from medha.polyring import ntt_inverse
+from medha.keys import (
+    COMP_KSK_ERROR,
+    COMP_KSK_UNIFORM,
+    COMP_PK_ERROR,
+    COMP_PK_UNIFORM,
+    component_tag,
+    sample_gaussian,
+    stream_for,
+)
+from medha.polyring import dyadic, ntt_inverse, scalar_mul
 from medha.ringsplit import forward_pair, split
 
 TOY = 64
@@ -250,6 +258,48 @@ def test_ksk_uniform_regenerated_from_seed(toy_native, toy_split):
             for j, m in enumerate(eng.base.all_moduli):
                 regen = eng._expand_uniform(m, i, j, COMP_KSK_UNIFORM, ksk.ksk_id)
                 assert np.array_equal(regen.coeffs, ksk.uniform[i][j].coeffs)
+
+
+def _same(a, b):
+    return np.array_equal(a.coeffs, b.coeffs)
+
+
+def test_every_key_row_matches_per_limb_streams(toy_native, toy_split):
+    # keygen draws all of its streams in one lock-step batch; every uniform
+    # limb must equal its own one-tag draw, and every secret limb must hide
+    # exactly the scalar sampler's error for its row
+    for eng in (toy_native, toy_split):
+        def error(i, kind, ksk_id=0):
+            tag = component_tag(kind, ksk_id=ksk_id)
+            return sample_gaussian(stream_for(eng.seed, i, 0, tag), eng.degree)
+
+        e = error(0, COMP_PK_ERROR)
+        for i, m in enumerate(eng.base.primes):
+            assert _same(eng.pk_a[i], eng._expand_uniform(m, i, 0, COMP_PK_UNIFORM))
+            b_plus_as = dyadic("mac", eng.pk_a[i], eng._s_grid[i], acc=eng.pk_b[i])
+            assert _same(b_plus_as, eng._signed_to_limb(e, m))
+        keys = [eng.relin_key] + [eng.rotation_keys[k] for k in sorted(eng.rotation_keys)]
+        assert [k.ksk_id for k in keys] == [0, 1, 3]
+        for ksk in keys:
+            target = eng._ksk_target(ksk.ksk_id)
+            for i in range(eng.base.levels):
+                e = error(i, COMP_KSK_ERROR, ksk.ksk_id)
+                for j, m in enumerate(eng.base.all_moduli):
+                    u = ksk.uniform[i][j]
+                    assert _same(u, eng._expand_uniform(m, i, j, COMP_KSK_UNIFORM, ksk.ksk_id))
+                    pt = scalar_mul(target[j], eng.base.p_qtilde[i][j])
+                    k_plus_us = dyadic("mac", u, eng._s_grid[j], acc=ksk.secret[i][j])
+                    assert _same(dyadic("sub", k_plus_us, pt), eng._signed_to_limb(e, m))
+
+
+def test_seed_must_fit_64_bits(set1):
+    for bad in (-1, 1 << 64):
+        with pytest.raises(ValueError, match="seed"):
+            Engine(set1.base, TOY, "native", seed=bad)
+    top = Engine(set1.base, TOY, "native", seed=(1 << 64) - 1)
+    top.keygen()
+    ct = top.encrypt(top.encode(np.ones(4), 1 << 40))
+    assert _rel_err(top.decrypt(ct)[:4], np.ones(4)) < 2 ** -18
 
 
 def test_distinct_enc_index_distinct_randomness(toy_native):

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from medha.keys import (
     COMP_KSK_UNIFORM,
@@ -11,15 +13,19 @@ from medha.keys import (
     GAUSS_SIGMA,
     HALF_MINUS,
     HALF_PLUS,
+    LANE_CHUNK,
+    TriviumLanes,
     TriviumStream,
     component_tag,
     gen_secret,
     sample_gaussian,
+    sample_lanes,
     sample_ternary,
     sample_uniform_mod,
     signed_to_residues,
     stream_for,
 )
+from medha.params import get_param_set
 
 
 class BitSerialTrivium:
@@ -69,6 +75,48 @@ def test_word_stream_matches_bit_serial_reference():
         fast = TriviumStream(key, iv)
         ref = BitSerialTrivium(key, iv)
         assert [fast.next_word() for _ in range(4)] == ref.words(4)
+
+
+def test_lanes_continue_each_stream():
+    rng = random.Random(43)
+    streams = [TriviumStream(rng.getrandbits(80), rng.getrandbits(80)) for _ in range(5)]
+    streams[1].next_words(3)  # a lane starts wherever its stream stands
+    lanes = TriviumLanes(streams)
+    words = np.concatenate([lanes.next_words(7), lanes.next_words(2)], axis=1)
+    assert words.shape == (5, 9)
+    for row, s in zip(words, streams):
+        assert np.array_equal(row, s.next_words(9))
+
+
+_MODULI = [17] + sorted({m.value for name in ("set1", "set2")
+                         for m in get_param_set(name).base.all_moduli})
+
+
+def _random_tag(rng):
+    return rng.randrange(1 << 24), rng.randrange(1 << 24), rng.randrange(1 << 32)
+
+
+@settings(max_examples=12)
+@given(seed=st.integers(0, (1 << 64) - 1), tag_seed=st.integers(0, (1 << 32) - 1),
+       n_lanes=st.integers(1, 64), n_gauss_lanes=st.integers(0, 8),
+       n_uniform=st.integers(1, LANE_CHUNK + 300),
+       n_gaussian=st.integers(1, 2 * LANE_CHUNK + 100))
+def test_lane_samplers_match_scalar_samplers(seed, tag_seed, n_lanes, n_gauss_lanes,
+                                             n_uniform, n_gaussian):
+    # every lane gives exactly the scalar sampler's output for its stream,
+    # over several rejection rounds and lock-step chunks
+    rng = random.Random(tag_seed)
+    uniform = [(_random_tag(rng), rng.choice(_MODULI)) for _ in range(n_lanes)]
+    gaussian = [_random_tag(rng) for _ in range(n_gauss_lanes)]
+    u_rows, g_rows = sample_lanes(
+        [(stream_for(seed, *tag), q) for tag, q in uniform], n_uniform,
+        [stream_for(seed, *tag) for tag in gaussian], n_gaussian)
+    assert u_rows.shape == (n_lanes, n_uniform) and u_rows.dtype == np.uint64
+    assert g_rows.shape == (n_gauss_lanes, n_gaussian) and g_rows.dtype == np.int64
+    for row, (tag, q) in zip(u_rows, uniform):
+        assert np.array_equal(row, sample_uniform_mod(stream_for(seed, *tag), n_uniform, q))
+    for row, tag in zip(g_rows, gaussian):
+        assert np.array_equal(row, sample_gaussian(stream_for(seed, *tag), n_gaussian))
 
 
 def test_stream_for_matches_reference_tag_layout():

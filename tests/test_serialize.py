@@ -15,7 +15,8 @@ from medha.serialize import (
     save_ciphertext,
     save_ksk,
 )
-from medha.heaan import Engine
+from medha.heaan import Ciphertext, Engine
+from medha.polyring import ResiduePoly
 
 TOY = 64
 
@@ -41,91 +42,107 @@ def _assert_ksk_equal(a, b):
                 assert np.array_equal(la.coeffs, lb.coeffs)
 
 
-def test_ciphertext_roundtrip_native(set1, toy_native, tmp_path):
+def test_ciphertext_roundtrip_native(toy_set1, toy_native, tmp_path):
     rng = np.random.default_rng(21)
     ct = _rand_ct(toy_native, rng)
     path = tmp_path / "fresh.mdha"
-    save_ciphertext(path, ct, set1)
-    _assert_ct_equal(toy_native, ct, load_ciphertext(path, set1))
+    save_ciphertext(path, ct, toy_set1)
+    _assert_ct_equal(toy_native, ct, load_ciphertext(path, toy_set1))
 
 
-def test_ciphertext_roundtrip_fraction_scale(set1, toy_native, tmp_path):
+def test_ciphertext_roundtrip_fraction_scale(toy_set1, toy_native, tmp_path):
     # a rescaled product carries an exact non-integer scale
     rng = np.random.default_rng(22)
     ct = toy_native.rescale(toy_native.mult_relin(_rand_ct(toy_native, rng),
                                                   _rand_ct(toy_native, rng)))
     assert ct.scale.denominator > 1
     path = tmp_path / "rescaled.mdha"
-    save_ciphertext(path, ct, set1)
-    back = load_ciphertext(path, set1)
+    save_ciphertext(path, ct, toy_set1)
+    back = load_ciphertext(path, toy_set1)
     assert back.scale == ct.scale
     _assert_ct_equal(toy_native, ct, back)
 
 
-def test_ciphertext_roundtrip_split(set2, toy_split2, tmp_path):
+def test_ciphertext_roundtrip_split(toy_set2, toy_split2, tmp_path):
     rng = np.random.default_rng(23)
     ct = _rand_ct(toy_split2, rng)
     path = tmp_path / "split.mdha"
-    save_ciphertext(path, ct, set2)
-    _assert_ct_equal(toy_split2, ct, load_ciphertext(path, set2))
+    save_ciphertext(path, ct, toy_set2)
+    _assert_ct_equal(toy_split2, ct, load_ciphertext(path, toy_set2))
 
 
-def _saved(toy_native, set1, tmp_path):
+def _saved(toy_native, toy_set1, tmp_path):
     rng = np.random.default_rng(24)
     path = tmp_path / "probe.mdha"
-    save_ciphertext(path, _rand_ct(toy_native, rng), set1)
+    save_ciphertext(path, _rand_ct(toy_native, rng), toy_set1)
     return path
 
 
-def test_rejects_bad_magic(set1, toy_native, tmp_path):
-    path = _saved(toy_native, set1, tmp_path)
+def test_rejects_bad_magic(toy_set1, toy_native, tmp_path):
+    path = _saved(toy_native, toy_set1, tmp_path)
     raw = bytearray(path.read_bytes())
     raw[0] ^= 0xFF
     path.write_bytes(raw)
     with pytest.raises(SerializationError, match="not a recognized"):
-        load_ciphertext(path, set1)
+        load_ciphertext(path, toy_set1)
 
 
-def test_rejects_future_version(set1, toy_native, tmp_path):
-    path = _saved(toy_native, set1, tmp_path)
+def test_rejects_future_version(toy_set1, toy_native, tmp_path):
+    path = _saved(toy_native, toy_set1, tmp_path)
     raw = bytearray(path.read_bytes())
     raw[4] += 1  # little-endian u16 version field
     path.write_bytes(raw)
     with pytest.raises(VersionError):
-        load_ciphertext(path, set1)
+        load_ciphertext(path, toy_set1)
 
 
-def test_rejects_wrong_kind(set1, toy_native, tmp_path):
-    path = _saved(toy_native, set1, tmp_path)
+def test_rejects_wrong_kind(toy_set1, toy_native, tmp_path):
+    path = _saved(toy_native, toy_set1, tmp_path)
     raw = bytearray(path.read_bytes())
     raw[6] = 2  # kind byte: claims to be a key file
     path.write_bytes(raw)
     with pytest.raises(SerializationError, match="kind"):
-        load_ciphertext(path, set1)
+        load_ciphertext(path, toy_set1)
 
 
-def test_rejects_foreign_parameter_set(set1, logreg_pset, toy_native, tmp_path):
-    path = _saved(toy_native, set1, tmp_path)
+def test_rejects_foreign_parameter_set(toy_set1, logreg_pset, toy_native, tmp_path):
+    path = _saved(toy_native, toy_set1, tmp_path)
     with pytest.raises(HashError):
         load_ciphertext(path, logreg_pset)
 
 
-def test_rejects_truncation_and_junk(set1, toy_native, tmp_path):
-    path = _saved(toy_native, set1, tmp_path)
+def test_rejects_truncation_and_junk(toy_set1, toy_native, tmp_path):
+    path = _saved(toy_native, toy_set1, tmp_path)
     raw = path.read_bytes()
     for bad in (raw[:-8], raw[: _HEADER.size + 3], raw + b"\x00" * 4):
         path.write_bytes(bad)
         with pytest.raises(SerializationError):
-            load_ciphertext(path, set1)
+            load_ciphertext(path, toy_set1)
 
 
-def test_rejects_out_of_range_level(set1, toy_native, tmp_path):
-    path = _saved(toy_native, set1, tmp_path)
+def test_rejects_out_of_range_level(toy_set1, toy_native, tmp_path):
+    path = _saved(toy_native, toy_set1, tmp_path)
     raw = bytearray(path.read_bytes())
-    raw[16:18] = (set1.levels + 1).to_bytes(2, "little")
+    raw[16:18] = (toy_set1.levels + 1).to_bytes(2, "little")
     path.write_bytes(raw)
     with pytest.raises(SerializationError, match="level"):
-        load_ciphertext(path, set1)
+        load_ciphertext(path, toy_set1)
+
+
+def test_rejects_degree_other_than_parameter_set(toy_set1, toy_native, tmp_path):
+    # level x2 and degree /2 keep the payload length; with residues small
+    # enough for every modulus only the degree check can catch the rewrite
+    small = (np.arange(toy_native.degree) % 5).astype(np.uint64)
+    limbs = [ResiduePoly(q, small.copy(), "eval") for q in toy_set1.base.primes[:2]]
+    path = tmp_path / "small.mdha"
+    save_ciphertext(path, Ciphertext(limbs, [x.copy() for x in limbs], 1 << 40), toy_set1)
+    assert load_ciphertext(path, toy_set1).level == 2
+    raw = bytearray(path.read_bytes())
+    raw[16:18] = (4).to_bytes(2, "little")
+    raw[18:22] = (toy_native.degree // 2).to_bytes(4, "little")
+    path.write_bytes(raw)
+    with pytest.raises(SerializationError, match="degree"):
+        load_ciphertext(path, toy_set1)
 
 
 def _set_last_word(path, value):
@@ -134,15 +151,15 @@ def _set_last_word(path, value):
     path.write_bytes(raw)
 
 
-def test_rejects_non_canonical_residue(set1, toy_native, tmp_path):
+def test_rejects_non_canonical_residue(toy_set1, toy_native, tmp_path):
     # the last payload word is c1's top limb, a residue mod the top prime
-    path = _saved(toy_native, set1, tmp_path)
-    q = set1.base.primes[set1.levels - 1].value
+    path = _saved(toy_native, toy_set1, tmp_path)
+    q = toy_set1.base.primes[toy_set1.levels - 1].value
     _set_last_word(path, q - 1)
-    load_ciphertext(path, set1)
+    load_ciphertext(path, toy_set1)
     _set_last_word(path, q)
     with pytest.raises(SerializationError, match="residue"):
-        load_ciphertext(path, set1)
+        load_ciphertext(path, toy_set1)
 
 
 def test_ksk_rejects_non_canonical_residue(set1, toy_native, tmp_path):
