@@ -49,7 +49,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .heaan import Ciphertext, _centered_int64
+from .heaan import RELIN_KSK_ID, Ciphertext, _centered_int64
 from .keys import signed_to_residues
 from .modarith import PrimeModulus
 from .params import ParamSet
@@ -287,11 +287,6 @@ class _Builder:
             for s in slots:
                 self._touch(r, s)
 
-    def free(self, rpaus: Sequence[int], slots: Sequence[int]):
-        for r in rpaus:
-            for s in slots:
-                self.live.get(r, set()).discard(s)
-
     # -- emission -----------------------------------------------------------
 
     def emit(
@@ -438,64 +433,92 @@ class _OpCompiler:
 
     # instruction helpers ----------------------------------------------------
 
+    def half(self, h: int) -> str:
+        """Minus-half marker for the h-th slot of a limb."""
+        return "m" if (self.split and h == 1) else ""
+
     def cwise(self, ctrl, rpaus, kind, dst, srcs):
         for h, d in enumerate(dst):
             self.b.emit(
                 CWISE, PIPE_MAIN, ctrl, rpaus, dst=(d,),
-                src=tuple(("slot", s[h]) for s in srcs), kind=kind,
-                half="m" if (self.split and h == 1) else "",
+                src=tuple(("slot", s[h]) for s in srcs), kind=kind, half=self.half(h),
             )
 
-    def dyadic_op(self, ctrl, rpaus, kind, dst, srcs, ksk=None):
-        # ksk = (ksk_id, comp, i); the executing rpau picks its own column
+    def dyadic_op(self, ctrl, rpaus, kind, dst, srcs):
         for h, d in enumerate(dst):
-            half = "m" if (self.split and h == 1) else ""
             terms = [("slot", s[h]) for s in srcs]
-            if ksk is not None:
-                terms.append(("ksk", *ksk))
             if kind == "mac":
                 terms.append(("slot", d))
             self.b.emit(
                 DYADIC, PIPE_DYADIC, ctrl, rpaus, dst=(d,), src=tuple(terms),
-                kind=kind, half=half,
+                kind=kind, half=self.half(h),
             )
 
     def transform(self, op, ctrl, rpaus, slots):
         for h, s in enumerate(slots):
             self.b.emit(
-                op, PIPE_MAIN, ctrl, rpaus, dst=(s,), src=(("slot", s),),
-                half="m" if (self.split and h == 1) else "",
+                op, PIPE_MAIN, ctrl, rpaus, dst=(s,), src=(("slot", s),), half=self.half(h),
             )
 
     def scale_qinv(self, ctrl, rpaus, slots, drop_idx):
         for h, s in enumerate(slots):
             self.b.emit(
                 SCALE_QINV, PIPE_MAIN, ctrl, rpaus, dst=(s,), src=(("slot", s),),
-                half="m" if (self.split and h == 1) else "", drop_idx=drop_idx,
+                half=self.half(h), drop_idx=drop_idx,
             )
 
-    def join_split_bcast(self, ctrl, src_rpau, src_slots, receivers, recv):
-        """INTT'd limb on src_rpau -> re-reduced coefficients on receivers."""
+    def to_coeff(self, ctrl, rpaus, slots):
+        """Evaluation limb to parent-ring coefficients, in place."""
+        self.transform(INTT, ctrl, rpaus, slots)
         if self.split:
-            self.b.emit(JOIN, PIPE_MAIN, ctrl, (src_rpau,), dst=src_slots,
-                        src=tuple(("slot", s) for s in src_slots))
+            self.b.emit(JOIN, PIPE_MAIN, ctrl, rpaus, dst=slots,
+                        src=tuple(("slot", s) for s in slots))
+
+    def to_eval(self, ctrl, rpaus, slots):
+        """Parent-ring coefficients to an evaluation limb, in place."""
+        if self.split:
+            self.b.emit(SPLIT, PIPE_MAIN, ctrl, rpaus, dst=slots,
+                        src=tuple(("slot", s) for s in slots), half="m")
+        self.transform(NTT, ctrl, rpaus, slots)
+
+    def bcast(self, ctrl, src_rpau, src_slots, receivers, recv):
+        """Coefficients on src_rpau -> re-reduced evaluation limbs on receivers."""
         self.b.emit(
             BCAST, PIPE_RING, ctrl, receivers, dst=recv,
             src=tuple(("remote", src_rpau, s) for s in src_slots),
             words=len(src_slots),
         )
-        if self.split:
-            self.b.emit(SPLIT, PIPE_MAIN, ctrl, receivers, dst=recv,
-                        src=tuple(("slot", s) for s in recv), half="m")
-        self.transform(NTT, ctrl, receivers, recv)
+        self.to_eval(ctrl, receivers, recv)
 
     def mod_down(self, ctrl, acc_slots, receivers, ring, drop_rpau, drop_idx):
         """Drop the limb held by drop_rpau and divide it out of the rest."""
-        self.transform(INTT, ctrl, (drop_rpau,), acc_slots)
+        self.to_coeff(ctrl, (drop_rpau,), acc_slots)
         recv = self.recv_slots(ring)
-        self.join_split_bcast(ctrl, drop_rpau, acc_slots, receivers, recv)
+        self.bcast(ctrl, drop_rpau, acc_slots, receivers, recv)
         self.cwise(ctrl, receivers, "sub", acc_slots, [acc_slots, recv])
         self.scale_qinv(ctrl, receivers, acc_slots, drop_idx)
+
+    def key_switch(self, src, acc0, acc1, ksk_id, recv_ring):
+        """Hoisted key switch of the limbs in `src` into `acc0`/`acc1`.
+
+        The main controller walks each limb's coefficients through every
+        output modulus; the dyadic controller accumulates them against the
+        key, plus half before minus half so the ring can overwrite sooner.
+        Two sequential special-prime drops bring both sums back to the level.
+        """
+        self.to_coeff(0, self.limbs, src)
+        for i in self.limbs:
+            recv = self.recv_slots(recv_ring)
+            self.bcast(0, i, src, self.all_r, recv)
+            for h, r in enumerate(recv):
+                for comp, acc in ((0, acc0), (1, acc1)):
+                    terms = (("slot", r), ("ksk", ksk_id, comp, i))
+                    if i:
+                        terms += (("slot", acc[h]),)
+                    self.b.emit(DYADIC, PIPE_DYADIC, 1, self.all_r, dst=(acc[h],),
+                                src=terms, kind="mac" if i else "mul", half=self.half(h))
+        for acc in (acc0, acc1):
+            self.mod_down(0, acc, self.limbs, recv_ring, self.sp, self.pset.levels)
 
 
 def _compile_add(pset, machine, level, op_seq, name, sub=False) -> OpProgram:
@@ -565,37 +588,7 @@ def _compile_mult_relin(pset, machine, level, op_seq, name) -> OpProgram:
     c.dyadic_op(1, c.limbs, "mac", d1, [x1, y0])
     c.dyadic_op(1, c.limbs, "mul", d0, [x0, y0])
 
-    # quadratic part back to coefficients, one limb per RPAU, in place
-    c.transform(INTT, 0, c.limbs, d2)
-    if c.split:
-        b.emit(JOIN, PIPE_MAIN, 0, c.limbs, dst=d2,
-               src=tuple(("slot", s) for s in d2))
-
-    for i in c.limbs:
-        recv = c.recv_slots(recv_ring)
-        b.emit(
-            BCAST, PIPE_RING, 0, c.all_r, dst=recv,
-            src=tuple(("remote", i, s) for s in d2), words=len(recv),
-        )
-        if c.split:
-            b.emit(SPLIT, PIPE_MAIN, 0, c.all_r, dst=recv,
-                   src=tuple(("slot", s) for s in recv), half="m")
-        c.transform(NTT, 0, c.all_r, recv)
-        # plus-half accumulations first so the ring can overwrite sooner
-        for h in range(len(recv)):
-            kind = "mul" if i == 0 else "mac"
-            for comp, acc in ((0, acc0), (1, acc1)):
-                half = "m" if (c.split and h == 1) else ""
-                terms = [("slot", recv[h]), ("ksk", 0, comp, i)]
-                if kind == "mac":
-                    terms.append(("slot", acc[h]))
-                b.emit(DYADIC, PIPE_DYADIC, 1, c.all_r, dst=(acc[h],),
-                       src=tuple(terms), kind=kind, half=half)
-
-    # two sequential special-prime drops, then fold into the linear parts
-    md_ring = recv_ring
-    c.mod_down(0, acc0, c.limbs, md_ring, c.sp, pset.levels)
-    c.mod_down(0, acc1, c.limbs, md_ring, c.sp, pset.levels)
+    c.key_switch(d2, acc0, acc1, RELIN_KSK_ID, recv_ring)
     c.cwise(0, c.limbs, "add", d0, [d0, acc0])
     c.cwise(0, c.limbs, "add", d1, [d1, acc1])
     b.sync_pipes()
@@ -638,6 +631,9 @@ def _compile_rescale_like(pset, machine, level, op_seq, name, drop_special) -> O
 
 def _compile_rotate(pset, machine, level, op_seq, name, steps) -> OpProgram:
     """Galois map of both components, then key-switch the mapped c1."""
+    steps %= pset.slots  # the key id, as in Engine.rotate
+    if steps == 0:
+        raise UnsupportedOpError("rotation by a multiple of the slot count has no key")
     c = _OpCompiler(pset, machine, level, op_seq, "rotate")
     b = c.b
     H = lambda i: _halves(pset, i)
@@ -647,46 +643,19 @@ def _compile_rotate(pset, machine, level, op_seq, name, steps) -> OpProgram:
     g = pow(5, steps, 2 * pset.degree)
     b.preload(c.limbs, c0 + c1)
     b.sync_ctrl(op_start=True)
-    if c.split:
-        # the map crosses the half-ring boundary, so walk each component
-        # through full-ring coefficients and back
-        for src, dst in ((c0, a0), (c1, a1)):
-            c.transform(INTT, 0, c.limbs, src)
-            b.emit(JOIN, PIPE_MAIN, 0, c.limbs, dst=src,
-                   src=tuple(("slot", s) for s in src))
+    for src, dst in ((c0, a0), (c1, a1)):
+        if c.split:
+            # the map crosses the half-ring boundary, so walk each component
+            # through full-ring coefficients and back
+            c.to_coeff(0, c.limbs, src)
             b.emit(AUTO, PIPE_MAIN, 0, c.limbs, dst=dst,
                    src=tuple(("slot", s) for s in src), words=2, g=g,
                    coeff_domain=True)
-            b.emit(SPLIT, PIPE_MAIN, 0, c.limbs, dst=dst,
-                   src=tuple(("slot", s) for s in dst), half="m")
-            c.transform(NTT, 0, c.limbs, dst)
-    else:
-        for src, dst in ((c0, a0), (c1, a1)):
+            c.to_eval(0, c.limbs, dst)
+        else:
             b.emit(AUTO, PIPE_MAIN, 0, c.limbs, dst=dst,
                    src=tuple(("slot", s) for s in src), g=g)
-    c.transform(INTT, 0, c.limbs, a1)
-    if c.split:
-        b.emit(JOIN, PIPE_MAIN, 0, c.limbs, dst=a1,
-               src=tuple(("slot", s) for s in a1))
-    for i in c.limbs:
-        recv = c.recv_slots(recv_ring)
-        b.emit(BCAST, PIPE_RING, 0, c.all_r, dst=recv,
-               src=tuple(("remote", i, s) for s in a1), words=len(recv))
-        if c.split:
-            b.emit(SPLIT, PIPE_MAIN, 0, c.all_r, dst=recv,
-                   src=tuple(("slot", s) for s in recv), half="m")
-        c.transform(NTT, 0, c.all_r, recv)
-        for h in range(len(recv)):
-            kind = "mul" if i == 0 else "mac"
-            for comp, acc in ((0, acc0), (1, acc1)):
-                half = "m" if (c.split and h == 1) else ""
-                terms = [("slot", recv[h]), ("ksk", steps, comp, i)]
-                if kind == "mac":
-                    terms.append(("slot", acc[h]))
-                b.emit(DYADIC, PIPE_DYADIC, 1, c.all_r, dst=(acc[h],),
-                       src=tuple(terms), kind=kind, half=half)
-    c.mod_down(0, acc0, c.limbs, recv_ring, c.sp, pset.levels)
-    c.mod_down(0, acc1, c.limbs, recv_ring, c.sp, pset.levels)
+    c.key_switch(a1, acc0, acc1, steps, recv_ring)
     c.cwise(0, c.limbs, "add", a0, [a0, acc0])
     b.sync_pipes()
     b.sync_ctrl()
@@ -998,6 +967,24 @@ class _ParentHalf:
     coeffs: np.ndarray
 
 
+def _gather(state, rpau, slots) -> ResiduePoly:
+    """The polynomial in one slot, or joined from its two parent halves."""
+    if len(slots) == 1:
+        return state[(rpau, slots[0])]
+    lo, hi = (state[(rpau, s)] for s in slots)
+    return ResiduePoly(lo.q, np.concatenate([lo.coeffs, hi.coeffs]), "coeff", STANDARD)
+
+
+def _scatter(state, rpau, slots, poly: ResiduePoly) -> None:
+    """Store a polynomial in one slot, or cut into two parent halves."""
+    if len(slots) == 1:
+        state[(rpau, slots[0])] = poly
+        return
+    h = poly.n // 2
+    state[(rpau, slots[0])] = _ParentHalf(poly.q, poly.coeffs[:h].copy())
+    state[(rpau, slots[1])] = _ParentHalf(poly.q, poly.coeffs[h:].copy())
+
+
 def _exec_order(streams) -> list[Instruction]:
     """Any dependency-respecting linearization; arithmetic is exact so all
     such orders produce identical values."""
@@ -1082,54 +1069,26 @@ class _Executor:
                 )
         elif ins.op == BCAST:
             src_r = ins.src[0][1]
-            parts = [state[(src_r, t[2])] for t in ins.src]
-            if isinstance(parts[0], _ParentHalf):
-                coeffs = np.concatenate([p.coeffs for p in parts])
-            else:
-                coeffs = parts[0].coeffs
-            q_src = parts[0].q
-            signed = _centered_int64(coeffs, q_src.value)
+            x = _gather(state, src_r, [t[2] for t in ins.src])
+            signed = _centered_int64(x.coeffs, x.q.value)
             for r in ins.rpaus:
                 q_r = self.rpau_q(r)
                 res = signed_to_residues(signed, q_r.value)
-                if len(ins.dst) == 2:
-                    h = len(res) // 2
-                    state[(r, ins.dst[0])] = _ParentHalf(q_r, res[:h].copy())
-                    state[(r, ins.dst[1])] = _ParentHalf(q_r, res[h:].copy())
-                else:
-                    state[(r, ins.dst[0])] = ResiduePoly(q_r, res, "coeff", STANDARD)
+                _scatter(state, r, ins.dst, ResiduePoly(q_r, res, "coeff", STANDARD))
         elif ins.op == SPLIT:
             for r in ins.rpaus:
-                lo = state[(r, ins.src[0][1])]
-                hi = state[(r, ins.src[1][1])]
-                parent = ResiduePoly(
-                    lo.q, np.concatenate([lo.coeffs, hi.coeffs]), "coeff", STANDARD
-                )
-                pair = split(parent)
+                pair = split(_gather(state, r, [t[1] for t in ins.src]))
                 state[(r, ins.dst[0])] = pair.plus
                 state[(r, ins.dst[1])] = pair.minus
         elif ins.op == JOIN:
             for r in ins.rpaus:
                 pair = SplitPair(state[(r, ins.src[0][1])], state[(r, ins.src[1][1])])
-                parent = join(pair)
-                h = parent.n // 2
-                state[(r, ins.dst[0])] = _ParentHalf(parent.q, parent.coeffs[:h].copy())
-                state[(r, ins.dst[1])] = _ParentHalf(parent.q, parent.coeffs[h:].copy())
+                _scatter(state, r, ins.dst, join(pair))
         elif ins.op == AUTO:
-            g = ins.meta["g"]
+            fn = automorphism_coeff if ins.meta.get("coeff_domain") else automorphism
             for r in ins.rpaus:
-                if ins.meta.get("coeff_domain"):
-                    lo = state[(r, ins.src[0][1])]
-                    hi = state[(r, ins.src[1][1])]
-                    parent = ResiduePoly(
-                        lo.q, np.concatenate([lo.coeffs, hi.coeffs]), "coeff", STANDARD
-                    )
-                    mapped = automorphism_coeff(parent, g)
-                    h = mapped.n // 2
-                    state[(r, ins.dst[0])] = _ParentHalf(mapped.q, mapped.coeffs[:h].copy())
-                    state[(r, ins.dst[1])] = _ParentHalf(mapped.q, mapped.coeffs[h:].copy())
-                else:
-                    state[(r, ins.dst[0])] = automorphism(state[(r, ins.src[0][1])], g)
+                x = _gather(state, r, [t[1] for t in ins.src])
+                _scatter(state, r, ins.dst, fn(x, ins.meta["g"]))
         else:
             raise UnsupportedOpError(f"cannot execute {ins.op}")
 

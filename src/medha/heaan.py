@@ -46,7 +46,7 @@ from .keys import (
     signed_to_residues,
     stream_for,
 )
-from .modarith import PrimeModulus, RnsBase, inv_mod
+from .modarith import PrimeModulus, RnsBase, crt_reconstruct
 from .polyring import (
     STANDARD,
     ResiduePoly,
@@ -101,17 +101,6 @@ class KeySwitchKey:
     secret: list
 
 
-def _crt_weights(moduli: Sequence[PrimeModulus]) -> tuple[list[int], int]:
-    big = 1
-    for m in moduli:
-        big *= m.value
-    w = []
-    for m in moduli:
-        hat = big // m.value
-        w.append(hat * inv_mod(hat % m.value, m.value) % big)
-    return w, big
-
-
 _SLOT_INDEX_CACHE: dict[int, np.ndarray] = {}
 
 
@@ -132,15 +121,6 @@ def _centered_int64(res: np.ndarray, q: int) -> np.ndarray:
     """Canonical residues to the centered representative in (-q/2, q/2]."""
     x = res.astype(np.int64)
     return np.where(x > q // 2, x - np.int64(q), x)
-
-
-def _auto_signed(coeffs: np.ndarray, g: int, degree: int) -> np.ndarray:
-    """Galois map x -> x^g on a signed coefficient vector."""
-    j = np.arange(degree, dtype=np.int64)
-    e = (j * (g % (2 * degree))) % (2 * degree)
-    out = np.zeros(degree, dtype=np.int64)
-    out[e % degree] = np.where(e >= degree, -coeffs, coeffs)
-    return out
 
 
 class Engine:
@@ -174,11 +154,9 @@ class Engine:
 
     # ---- limb primitives ----
 
-    def _residues_to_limb(self, res: np.ndarray, q: PrimeModulus) -> ResiduePoly:
-        return ntt_forward(ResiduePoly(q, res, "coeff", STANDARD))
-
     def _signed_to_limb(self, signed: np.ndarray, q: PrimeModulus) -> ResiduePoly:
-        return self._residues_to_limb(signed_to_residues(signed, q.value), q)
+        res = signed_to_residues(signed, q.value)
+        return ntt_forward(ResiduePoly(q, res, "coeff", STANDARD))
 
     def _limb_to_parent(self, limb: ResiduePoly) -> np.ndarray:
         """Evaluation-domain limb to parent-ring coefficient residues."""
@@ -289,8 +267,7 @@ class Engine:
         if ksk_id == RELIN_KSK_ID:
             return [dyadic("mul", g, g) for g in self._s_grid]
         g = pow(5, ksk_id, 2 * self.degree)
-        ts = _auto_signed(self.sk.coeffs, g, self.degree)
-        return [self._signed_to_limb(ts, m) for m in self.base.all_moduli]
+        return [automorphism(x, g) for x in self._s_grid]
 
     def _build_ksks(self, ids: Sequence[int], uniform: list, errors: list) -> list:
         """Switching keys from their drawn limbs, in the order of the tags."""
@@ -346,17 +323,8 @@ class Engine:
 
     def _limbs_to_centered(self, limbs: list) -> list[int]:
         moduli = self.base.level_moduli(len(limbs))
-        weights, big = _crt_weights(moduli)
-        res = [self._limb_to_parent(x) for x in limbs]
-        out = []
-        half = big // 2
-        for t in range(self.degree):
-            acc = 0
-            for jw, r in zip(weights, res):
-                acc += jw * int(r[t])
-            acc %= big
-            out.append(acc - big if acc > half else acc)
-        return out
+        rows = [self._limb_to_parent(x) for x in limbs]
+        return crt_reconstruct(rows, [m.value for m in moduli])
 
     def decode(self, pt: Plaintext) -> np.ndarray:
         centered = self._limbs_to_centered(pt.limbs)
@@ -478,49 +446,35 @@ class Engine:
         for i in range(lvl):
             qi = self.base.primes[i].value
             signed = _centered_int64(self._limb_to_parent(d_limbs[i]), qi)
-            for jj, m in enumerate(ext):
-                res = (signed % np.int64(m.value)).astype(np.uint64)
-                dl = self._residues_to_limb(res, m)
-                jg = ext_idx[jj]
-                if acc0[jj] is None:
-                    acc0[jj] = dyadic("mul", dl, ksk.secret[i][jg])
-                    acc1[jj] = dyadic("mul", dl, ksk.uniform[i][jg])
-                else:
-                    acc0[jj] = dyadic("mac", dl, ksk.secret[i][jg], acc=acc0[jj])
-                    acc1[jj] = dyadic("mac", dl, ksk.uniform[i][jg], acc=acc1[jj])
-        return self._mod_down(acc0), self._mod_down(acc1)
+            kind = "mac" if i else "mul"
+            for jj, (m, jg) in enumerate(zip(ext, ext_idx)):
+                dl = self._signed_to_limb(signed, m)
+                acc0[jj] = dyadic(kind, dl, ksk.secret[i][jg], acc=acc0[jj])
+                acc1[jj] = dyadic(kind, dl, ksk.uniform[i][jg], acc=acc1[jj])
+        inv_p = self.base.inv[self.base.levels]
+        return self._drop_last(acc0, inv_p), self._drop_last(acc1, inv_p)
 
-    def _mod_down(self, ext_limbs: list) -> list:
-        """Extended-basis limbs (special prime last) back to the level basis."""
-        lvl = len(ext_limbs) - 1
-        p = self.base.special.value
-        signed = _centered_int64(self._limb_to_parent(ext_limbs[lvl]), p)
-        out = []
-        for i in range(lvl):
-            q = self.base.primes[i]
-            conv = self._residues_to_limb((signed % np.int64(q.value)).astype(np.uint64), q)
-            diff = dyadic("sub", ext_limbs[i], conv)
-            out.append(scalar_mul(diff, self.base.inv[self.base.levels][i]))
-        return out
+    def _drop_last(self, limbs: list, inv_row: Sequence[int]) -> list:
+        """Drop the last limb and divide its modulus out of the others.
+
+        inv_row[i] is the dropped modulus' inverse modulo limb i's.
+        """
+        last = limbs[-1]
+        signed = _centered_int64(self._limb_to_parent(last), last.q.value)
+        return [
+            scalar_mul(dyadic("sub", x, self._signed_to_limb(signed, x.q)), inv_row[i])
+            for i, x in enumerate(limbs[:-1])
+        ]
 
     def rescale(self, ct: Ciphertext) -> Ciphertext:
         lvl = ct.level
         if lvl < 2:
             raise ValueError("cannot rescale below level 1")
-        drop = self.base.primes[lvl - 1]
-        parts = []
-        for comp in (ct.c0, ct.c1):
-            signed = _centered_int64(self._limb_to_parent(comp[lvl - 1]), drop.value)
-            new = []
-            for i in range(lvl - 1):
-                q = self.base.primes[i]
-                conv = self._residues_to_limb(
-                    (signed % np.int64(q.value)).astype(np.uint64), q
-                )
-                diff = dyadic("sub", comp[i], conv)
-                new.append(scalar_mul(diff, self.base.inv[lvl - 1][i]))
-            parts.append(new)
-        return Ciphertext(parts[0], parts[1], ct.scale / drop.value)
+        inv = self.base.inv[lvl - 1]
+        return Ciphertext(
+            self._drop_last(ct.c0, inv), self._drop_last(ct.c1, inv),
+            ct.scale / self.base.primes[lvl - 1].value,
+        )
 
     def rotate(self, ct: Ciphertext, steps: int) -> Ciphertext:
         steps = steps % self.slots

@@ -1,15 +1,18 @@
 """Prime moduli, modular field ops, and RNS base construction.
 
-Scalar arithmetic uses Python integers (exact); bulk reduction paths for the
-same primes live in kernels.py. Sparse primes close to a power of two get a
-shift-add reduction; everything else uses a precomputed-constant (Barrett)
-division.
+Scalar arithmetic uses Python integers (exact); every bulk reduction for the
+same primes runs in kernels.py. Sparse primes close to a power of two carry
+their shift-add term list (`reduction_kind`), which `reduce_sparse` applies
+with shifts and adds only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+import math
+from dataclasses import dataclass
+from typing import Optional, Sequence
+
+import numpy as np
 
 # 60-bit sparse prime used as q_0 in the standard profiles.
 Q0_SPARSE = (1 << 59) + (1 << 25) + (1 << 22) - (1 << 20) + 1
@@ -115,7 +118,6 @@ class PrimeModulus:
     bit_width: int
     root_order: int  # largest power of two dividing value - 1
     reduction_kind: Optional[tuple[tuple[int, int], ...]]
-    barrett_mu: int = field(repr=False, default=0)
 
     @classmethod
     def from_value(cls, q: int) -> "PrimeModulus":
@@ -127,23 +129,7 @@ class PrimeModulus:
             bit_width=q.bit_length(),
             root_order=two_adic,
             reduction_kind=_sparse_kind(q),
-            barrett_mu=(1 << 126) // q,
         )
-
-    def reduce(self, x: int) -> int:
-        """x mod value for 0 <= x < 2^126 without naive long division."""
-        if x < 0 or x >= (1 << 126):
-            raise ValueError("input out of range")
-        if self.reduction_kind is not None:
-            return reduce_sparse(x, self.value, self.reduction_kind)
-        return self.reduce_generic(x)
-
-    def reduce_generic(self, x: int) -> int:
-        est = (x * self.barrett_mu) >> 126
-        r = x - est * self.value
-        while r >= self.value:
-            r -= self.value
-        return r
 
 
 def inv_mod(a: int, q: int) -> int:
@@ -195,26 +181,13 @@ class RnsBase:
             ]
             for i in range(n)
         ]
-        self.src_mod_dst = [
-            [self.all_moduli[i].value % self.all_moduli[j].value for j in range(n)]
-            for i in range(n)
-        ]
-        q_big = 1
-        for m in self.primes:
-            q_big *= m.value
-        self.q_product_full = q_big
+        q_big = math.prod(m.value for m in self.primes)
         # [p * (Q/q_i) * ((Q/q_i)^-1 mod q_i)] mod q_j for every limb j incl. p
         self.p_qtilde: list[list[int]] = []
         for i, m in enumerate(self.primes):
             qi_hat = q_big // m.value
             factor = self.special.value * qi_hat * inv_mod(qi_hat, m.value)
             self.p_qtilde.append([factor % d.value for d in self.all_moduli])
-
-    def q_product(self, level: int) -> int:
-        out = 1
-        for m in self.primes[:level]:
-            out *= m.value
-        return out
 
     def level_moduli(self, level: int) -> tuple[PrimeModulus, ...]:
         if not (1 <= level <= self.levels):
@@ -299,16 +272,17 @@ def _search_prime(bits: int, step: int, exclude: set[int]) -> int:
             return q
 
 
-def crt_reconstruct(residues: list[int], moduli: list[int]) -> int:
-    """Centered CRT lift into (-M/2, M/2] for M the product of the moduli."""
-    m_big = 1
-    for m in moduli:
-        m_big *= m
-    x = 0
-    for r, m in zip(residues, moduli):
-        hat = m_big // m
-        x += r * hat * inv_mod(hat, m)
-    x %= m_big
-    if x > m_big // 2:
-        x -= m_big
-    return x
+def crt_reconstruct(rows: Sequence, moduli: Sequence[int]) -> list[int]:
+    """Centered CRT lift into (-M/2, M/2] of every column of residue rows.
+
+    rows[j][t] is value t modulo moduli[j]; M is the product of the moduli.
+    The weights are computed once, and each row is added into the running
+    sum as one array of Python integers.
+    """
+    big = math.prod(moduli)
+    acc = np.zeros(len(rows[0]), dtype=object)
+    for r, m in zip(rows, moduli):
+        hat = big // m
+        acc += np.asarray(r).astype(object) * (hat * inv_mod(hat % m, m) % big)
+    acc %= big
+    return np.where(acc > big // 2, acc - big, acc).tolist()

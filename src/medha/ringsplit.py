@@ -37,10 +37,6 @@ class SplitPair:
     def q(self) -> PrimeModulus:
         return self.plus.q
 
-    @property
-    def half_degree(self) -> int:
-        return self.plus.n
-
     def copy(self) -> "SplitPair":
         return SplitPair(self.plus.copy(), self.minus.copy())
 

@@ -1,5 +1,7 @@
 """Compiled instruction streams: cycle accounting, hazards and functional replay."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from medha.archsim import (
     simulate,
 )
 from medha.heaan import Engine
+from medha.params import get_param_set
 from medha.workloads import get_workload, workload_names
 
 TOY = 64
@@ -238,6 +241,19 @@ def test_functional_matches_engine_split(set2, toy_split2, name):
     _same_ct(toy_split2, got, _DIRECT[name](toy_split2, variables))
 
 
+def test_compiled_rotate_reduces_steps_mod_slots(toy_set1, toy_native):
+    # toy_set1 has 32 slots, so 33 and -31 both rotate by the key of step 1
+    vals = np.linspace(-1.0, 1.0, toy_native.slots)
+    ct = toy_native.encrypt(toy_native.encode(vals, toy_set1.scale))
+    for steps in (33, -31):
+        spec = {"op": "rotate", "steps": steps, "x": "x", "out": "out"}
+        got = execute_workload(toy_native, compile_workload(toy_set1, [spec]), {"x": ct})
+        _same_ct(toy_native, got["out"], toy_native.rotate(ct, steps))
+    for steps in (0, 32, -64):
+        with pytest.raises(UnsupportedOpError):
+            compile_op(toy_set1, "rotate", steps=steps)
+
+
 def test_latency_only_op_not_executed(set1, toy_native):
     spec, prog = _bench_program(set1, "moddown")
     assert spec.build_inputs is None
@@ -266,3 +282,62 @@ def test_logreg_functional_toy(logreg_pset):
     out = eng.decrypt(result[spec.output_var]).real
     err = np.max(np.abs(out - expected)) / np.max(np.abs(expected))
     assert err < 1e-6
+
+
+def _canon(x):
+    """A repr-stable form of nested dicts, lists and tuples."""
+    if isinstance(x, dict):
+        return tuple(sorted((repr(k), _canon(v)) for k, v in x.items()))
+    if isinstance(x, (list, tuple)):
+        return tuple(_canon(v) for v in x)
+    return repr(x)
+
+
+def _program_digest(prog) -> str:
+    """SHA-256 over every field of every op and instruction of a program."""
+    h = hashlib.sha256()
+    for op in prog.ops:
+        h.update(repr(_canon((op.kind, op.name, op.inputs, op.outputs, op.meta,
+                              op.high_water, op.functional))).encode())
+        for stream in op.streams:
+            for i in stream:
+                h.update(repr(_canon((i.op, i.pipe, i.ctrl, i.rpaus, i.dst, i.src,
+                                      i.kind, i.words, i.half, i.meta, i.uid,
+                                      i.deps, i.op_seq))).encode())
+    return h.hexdigest()[:16]
+
+
+_STREAM_DIGESTS = {
+    "set1": {
+        "add": "f9c110f7bb37d12d", "sub": "f6685e342613e860",
+        "mult_relin": "61cc3a574c48ffe7", "rescale": "e638ee0ed6ef6070",
+        "moddown": "d531dff33e16f424", "rotate": "0735ebb48bf2e06a",
+        "mult_plain": "c0efd0d83c5d5ac4", "ntt": "2c2968551d524e50",
+        "empty": "e3b0c44298fc1c14", "logreg": "1f3be38fbb5140d7",
+    },
+    "set2": {
+        "add": "52a4fcb7fbafdfc6", "sub": "e3c53e076f6bbe72",
+        "mult_relin": "dba6c345ab98c4af", "rescale": "80eda18ec659377d",
+        "moddown": "f7affb2f3ee20da6", "rotate": "e9ec2c085ff7f23c",
+        "mult_plain": "dd9d4f417dcf358e", "ntt": "2c2968551d524e50",
+        "empty": "e3b0c44298fc1c14", "logreg": "8eb16f7a568cde9c",
+    },
+    "logreg": {
+        "add": "e6114e30dc81e2d9", "sub": "26ae78053623f7c9",
+        "mult_relin": "16b79524d82fab0d", "rescale": "1916cc1a86d09b91",
+        "moddown": "3858ff6101e7b248", "rotate": "3793e343b49d0e77",
+        "mult_plain": "780962e5a80fc530", "ntt": "2c2968551d524e50",
+        "empty": "e3b0c44298fc1c14", "logreg": "7c135c2b35da6449",
+    },
+}
+
+
+@pytest.mark.parametrize("pset_name", sorted(_STREAM_DIGESTS))
+def test_compiled_streams_pinned(pset_name):
+    # totals and counts miss a swapped slot or dependency; these digests
+    # cover every instruction field, each op's bindings and high-water marks
+    pset = get_param_set(pset_name)
+    assert set(_STREAM_DIGESTS[pset_name]) == set(workload_names())
+    for name, want in _STREAM_DIGESTS[pset_name].items():
+        _, prog = _bench_program(pset, name)
+        assert _program_digest(prog) == want, name
