@@ -35,11 +35,15 @@ quantity the hardware measurements leave unspecified.
 
 The same instruction streams can be executed functionally: every opcode
 maps onto a polynomial-ring operation, and the executed stream must
-reproduce the evaluation engine's ciphertexts bit for bit. That keeps
-the latency model honest: a schedule that reorders real dependencies
-would compute the wrong ciphertext. In split mode the executor is where
-the half-ring datapath runs: it loads each full-degree engine limb into
-its plus and minus slots and reads the halves back as one limb.
+reproduce the evaluation engine's ciphertexts bit for bit. Replay runs
+each instruction atomically, in a dependency order of its own, so it
+checks the compiled edges only in part: with one main-controller edge of
+a `mult_relin` dyadic instruction dropped, it fails or differs for 4 of
+14 such edges at set1 and 9 of 36 at set2. Replaying the simulator's
+dispatch order would catch none, as it starts such a reader only after
+its writer has started. In split mode the executor is where the
+half-ring datapath runs: it loads each full-degree engine limb into its
+plus and minus slots and reads the halves back as one limb.
 """
 
 from __future__ import annotations
@@ -230,10 +234,8 @@ class CycleReport:
     op_histogram: dict[str, dict]
     per_op: list[dict]
     critical_path: list[str]
-    memory_high_water: dict
     instruction_count: int
     clock_mhz: float
-    serial: bool
 
     @property
     def latency_us(self) -> float:
@@ -253,10 +255,9 @@ class _Builder:
     previous writer.
     """
 
-    def __init__(self, machine: MachineConfig, op_seq: int, op_kind: str):
+    def __init__(self, machine: MachineConfig, op_seq: int):
         self.machine = machine
         self.op_seq = op_seq
-        self.op_kind = op_kind
         self.streams: tuple[list[Instruction], list[Instruction]] = ([], [])
         self.uid = 0
         self.last_write: dict[tuple[int, int], int] = {}
@@ -339,26 +340,16 @@ class _Builder:
         self.streams[ctrl].append(ins)
         return ins
 
-    def sync_ctrl(self, op_start: bool = False):
-        sid = self.sync_seq
-        self.sync_seq += 1
+    def sync(self, op: str, **meta):
+        """A zero-cost barrier on both controllers; each SYNC_CTRL
+        rendezvous gets the next sync_id."""
+        if op == SYNC_CTRL:
+            meta = {"sync_id": self.sync_seq, "op_start": False, **meta}
+            self.sync_seq += 1
         for c in (0, 1):
             self.streams[c].append(
-                Instruction(
-                    op=SYNC_CTRL, pipe=PIPE_NONE, ctrl=c, rpaus=(),
-                    meta={"sync_id": sid, "op_start": op_start},
-                    uid=self.uid, op_seq=self.op_seq,
-                )
-            )
-            self.uid += 1
-
-    def sync_pipes(self):
-        for c in (0, 1):
-            self.streams[c].append(
-                Instruction(
-                    op=SYNC_PIPES, pipe=PIPE_NONE, ctrl=c, rpaus=(),
-                    uid=self.uid, op_seq=self.op_seq,
-                )
+                Instruction(op=op, pipe=PIPE_NONE, ctrl=c, rpaus=(), meta=dict(meta),
+                            uid=self.uid, op_seq=self.op_seq)
             )
             self.uid += 1
 
@@ -391,18 +382,10 @@ def _pt_binding(rpaus, slots):
     return {"kind": "pt", "components": [[(r, tuple(slots)) for r in rpaus]]}
 
 
-def _halves(pset: ParamSet, base_slot: int) -> tuple[int, ...]:
-    """Slot tuple for one logical limb: one slot native, a pair in split mode."""
-    if pset.mode == "split":
-        return (2 * base_slot, 2 * base_slot + 1)
-    return (base_slot,)
-
-
 class _OpCompiler:
     """Shared context for compiling one high-level operation."""
 
-    def __init__(self, pset: ParamSet, machine: MachineConfig, level: int,
-                 op_seq: int, kind: str):
+    def __init__(self, pset: ParamSet, machine: MachineConfig, level: int, op_seq: int):
         if level < 1 or level > pset.levels:
             raise UnsupportedOpError(f"level {level} outside 1..{pset.levels}")
         if pset.levels + 1 > machine.n_rpaus:
@@ -411,7 +394,7 @@ class _OpCompiler:
         self.machine = machine
         self.level = level
         self.split = pset.mode == "split"
-        self.b = _Builder(machine, op_seq, kind)
+        self.b = _Builder(machine, op_seq)
         self.limbs = _limb_rpaus(level)
         self.sp = machine.special_rpau
         self.all_r = self.limbs + (self.sp,)
@@ -419,6 +402,24 @@ class _OpCompiler:
         # a two-slot payload so the next broadcast can land while the
         # previous one is still being consumed
         self._recv_seq = 0
+
+    # op frame ---------------------------------------------------------------
+
+    def slots(self, i: int) -> tuple[int, ...]:
+        """Slot tuple for logical limb i: one slot native, a pair in split mode."""
+        return (2 * i, 2 * i + 1) if self.split else (i,)
+
+    def open(self, rpaus, slots):
+        """Preload the op's inputs, then the rendezvous that dispatches it."""
+        self.b.preload(rpaus, slots)
+        self.b.sync(SYNC_CTRL, op_start=True)
+
+    def close(self, kind, name, inputs, outputs, functional=True, **meta) -> OpProgram:
+        """Drain both controllers, rendezvous, and package the op."""
+        self.b.sync(SYNC_PIPES)
+        self.b.sync(SYNC_CTRL)
+        return self.b.finish(kind, name, inputs, outputs, functional,
+                             level=self.level, **meta)
 
     # receive-buffer rotation ------------------------------------------------
 
@@ -522,40 +523,29 @@ class _OpCompiler:
 
 
 def _compile_add(pset, machine, level, op_seq, name, sub=False) -> OpProgram:
-    c = _OpCompiler(pset, machine, level, op_seq, "add")
-    H = lambda i: _halves(pset, i)
-    x0, x1, y0, y1 = H(0), H(1), H(2), H(3)
-    o0, o1 = H(4), H(5)
-    c.b.preload(c.limbs, x0 + x1 + y0 + y1)
-    c.b.sync_ctrl(op_start=True)
+    c = _OpCompiler(pset, machine, level, op_seq)
+    x0, x1, y0, y1, o0, o1 = map(c.slots, range(6))
+    c.open(c.limbs, x0 + x1 + y0 + y1)
     kind = "sub" if sub else "add"
     c.cwise(0, c.limbs, kind, o0, [x0, y0])
     c.cwise(0, c.limbs, kind, o1, [x1, y1])
-    c.b.sync_pipes()
-    c.b.sync_ctrl()
-    return c.b.finish(
-        "add" if not sub else "sub", name,
+    return c.close(
+        kind, name,
         inputs={"x": _ct_binding(c.limbs, x0, x1), "y": _ct_binding(c.limbs, y0, y1)},
         outputs={"out": _ct_binding(c.limbs, o0, o1)},
-        level=level,
     )
 
 
 def _compile_mult_plain(pset, machine, level, op_seq, name) -> OpProgram:
-    c = _OpCompiler(pset, machine, level, op_seq, "mult_plain")
-    H = lambda i: _halves(pset, i)
-    x0, x1, pt = H(0), H(1), H(2)
-    c.b.preload(c.limbs, x0 + x1 + pt)
-    c.b.sync_ctrl(op_start=True)
+    c = _OpCompiler(pset, machine, level, op_seq)
+    x0, x1, pt = map(c.slots, range(3))
+    c.open(c.limbs, x0 + x1 + pt)
     c.dyadic_op(1, c.limbs, "mul", x0, [x0, pt])
     c.dyadic_op(1, c.limbs, "mul", x1, [x1, pt])
-    c.b.sync_pipes()
-    c.b.sync_ctrl()
-    return c.b.finish(
+    return c.close(
         "mult_plain", name,
         inputs={"x": _ct_binding(c.limbs, x0, x1), "pt": _pt_binding(c.limbs, pt)},
         outputs={"out": _ct_binding(c.limbs, x0, x1)},
-        level=level,
     )
 
 
@@ -567,11 +557,8 @@ def _compile_mult_relin(pset, machine, level, op_seq, name) -> OpProgram:
     that walks the quadratic part through every output modulus, then the
     two sequential special-prime drops.
     """
-    c = _OpCompiler(pset, machine, level, op_seq, "mult_relin")
-    b = c.b
-    H = lambda i: _halves(pset, i)
-    x0, x1, y0, y1 = H(0), H(1), H(2), H(3)
-    d2, d1 = H(4), H(5)
+    c = _OpCompiler(pset, machine, level, op_seq)
+    x0, x1, y0, y1, d2, d1 = map(c.slots, range(6))
     d0, acc0 = x0, x1                    # overwrite inputs as they go dead
     if c.split:
         acc1 = y0
@@ -579,8 +566,7 @@ def _compile_mult_relin(pset, machine, level, op_seq, name) -> OpProgram:
     else:
         acc1 = y1
         recv_ring = (6, 2)               # slot 2 freed by the last tensor read
-    b.preload(c.limbs, x0 + x1 + y0 + y1)
-    b.sync_ctrl(op_start=True)
+    c.open(c.limbs, x0 + x1 + y0 + y1)
 
     # tensor product; the quadratic part first so the transform loop can start
     c.dyadic_op(1, c.limbs, "mul", d2, [x1, y1])
@@ -591,41 +577,33 @@ def _compile_mult_relin(pset, machine, level, op_seq, name) -> OpProgram:
     c.key_switch(d2, acc0, acc1, RELIN_KSK_ID, recv_ring)
     c.cwise(0, c.limbs, "add", d0, [d0, acc0])
     c.cwise(0, c.limbs, "add", d1, [d1, acc1])
-    b.sync_pipes()
-    b.sync_ctrl()
-    return b.finish(
+    return c.close(
         "mult_relin", name,
         inputs={"x": _ct_binding(c.limbs, x0, x1), "y": _ct_binding(c.limbs, y0, y1)},
         outputs={"out": _ct_binding(c.limbs, d0, d1)},
-        level=level,
     )
 
 
 def _compile_rescale_like(pset, machine, level, op_seq, name, drop_special) -> OpProgram:
     """Drop one limb from both components and divide it out (two branches:
     the dropped limb's RPAU transforms and broadcasts, the rest receive)."""
-    kind = "moddown" if drop_special else "rescale"
-    c = _OpCompiler(pset, machine, level, op_seq, kind)
-    H = lambda i: _halves(pset, i)
-    c0, c1 = H(0), H(1)
-    ring = (H(2) + H(3))[: (3 if c.split else 2)]
+    c = _OpCompiler(pset, machine, level, op_seq)
+    c0, c1 = c.slots(0), c.slots(1)
+    ring = (c.slots(2) + c.slots(3))[: (3 if c.split else 2)]
     if drop_special:
         drop_rpau, drop_idx, keep = c.sp, pset.levels, c.limbs
         src_rpaus = c.all_r
     else:
         drop_rpau, drop_idx, keep = level - 1, level - 1, _limb_rpaus(level - 1)
         src_rpaus = c.limbs
-    c.b.preload(src_rpaus, c0 + c1)
-    c.b.sync_ctrl(op_start=True)
+    c.open(src_rpaus, c0 + c1)
     for comp in (c0, c1):
         c.mod_down(0, comp, keep, ring, drop_rpau, drop_idx)
-    c.b.sync_pipes()
-    c.b.sync_ctrl()
-    return c.b.finish(
-        kind, name,
+    return c.close(
+        "moddown" if drop_special else "rescale", name,
         inputs={"x": _ct_binding(src_rpaus, c0, c1)},
         outputs={"out": _ct_binding(keep, c0, c1)},
-        level=level, functional=not drop_special,
+        functional=not drop_special,
     )
 
 
@@ -634,42 +612,37 @@ def _compile_rotate(pset, machine, level, op_seq, name, steps) -> OpProgram:
     steps %= pset.slots  # the key id, as in Engine.rotate
     if steps == 0:
         raise UnsupportedOpError("rotation by a multiple of the slot count has no key")
-    c = _OpCompiler(pset, machine, level, op_seq, "rotate")
-    b = c.b
-    H = lambda i: _halves(pset, i)
-    c0, c1, a0, a1 = H(0), H(1), H(2), H(3)
+    c = _OpCompiler(pset, machine, level, op_seq)
+    c0, c1, a0, a1 = map(c.slots, range(4))
     acc0, acc1 = c0, c1                   # inputs dead once mapped
-    recv_ring = (H(4) + H(5))[: (3 if c.split else 2)]
+    recv_ring = (c.slots(4) + c.slots(5))[: (3 if c.split else 2)]
     g = pow(5, steps, 2 * pset.degree)
-    b.preload(c.limbs, c0 + c1)
-    b.sync_ctrl(op_start=True)
+    c.open(c.limbs, c0 + c1)
     for src, dst in ((c0, a0), (c1, a1)):
         if c.split:
             # the map crosses the half-ring boundary, so walk each component
             # through full-ring coefficients and back
             c.to_coeff(0, c.limbs, src)
-            b.emit(AUTO, PIPE_MAIN, 0, c.limbs, dst=dst,
-                   src=tuple(("slot", s) for s in src), words=2, g=g,
-                   coeff_domain=True)
+            c.b.emit(AUTO, PIPE_MAIN, 0, c.limbs, dst=dst,
+                     src=tuple(("slot", s) for s in src), words=2, g=g,
+                     coeff_domain=True)
             c.to_eval(0, c.limbs, dst)
         else:
-            b.emit(AUTO, PIPE_MAIN, 0, c.limbs, dst=dst,
-                   src=tuple(("slot", s) for s in src), g=g)
+            c.b.emit(AUTO, PIPE_MAIN, 0, c.limbs, dst=dst,
+                     src=tuple(("slot", s) for s in src), g=g)
     c.key_switch(a1, acc0, acc1, steps, recv_ring)
     c.cwise(0, c.limbs, "add", a0, [a0, acc0])
-    b.sync_pipes()
-    b.sync_ctrl()
-    return b.finish(
+    return c.close(
         "rotate", name,
         inputs={"x": _ct_binding(c.limbs, c0, c1)},
         outputs={"out": _ct_binding(c.limbs, a0, acc1)},
-        level=level, steps=steps, galois=g,
+        steps=steps, galois=g,
     )
 
 
 def _compile_ntt_bench(pset, machine, op_seq) -> OpProgram:
-    c = _OpCompiler(pset, machine, pset.levels, op_seq, "ntt")
-    s = _halves(pset, 0)[:1]
+    c = _OpCompiler(pset, machine, pset.levels, op_seq)
+    s = c.slots(0)[:1]
     c.b.preload((0,), s)
     c.b.emit(NTT, PIPE_MAIN, 0, (0,), dst=s, src=(("slot", s[0]),))
     return c.b.finish("ntt", "ntt", inputs={}, outputs={}, functional=False)
@@ -731,9 +704,16 @@ def compile_workload(pset: ParamSet, ops: Sequence[dict],
 # ---------------------------------------------------------------------------
 # simulation
 
+def _resources(ins: Instruction, serial: bool) -> list[tuple]:
+    """The busy-until keys a costed instruction waits for and then holds."""
+    keys = [("ring",)] if ins.pipe == PIPE_RING else [(r, ins.pipe) for r in ins.rpaus]
+    if serial:
+        keys.append(("serial",))
+    return keys
+
+
 def simulate(program: Program, cost: Optional[CostModel] = None,
-             serial: bool = False, clock_mhz: Optional[float] = None,
-             _order_out: Optional[list] = None) -> CycleReport:
+             serial: bool = False, clock_mhz: Optional[float] = None) -> CycleReport:
     """Run the two controller streams through the machine's resources.
 
     Returns exact cycle totals; raises DependencyCycleError when neither
@@ -742,8 +722,6 @@ def simulate(program: Program, cost: Optional[CostModel] = None,
     the single-issue baseline the dual-issue comparison uses.
     """
     cost = cost or CostModel()
-    machine = program.machine
-    clock = clock_mhz or machine.clock_mhz
     pipe_free: dict = {}
     busy = {PIPE_MAIN: 0, PIPE_DYADIC: 0, PIPE_RING: 0}
     histogram: dict[str, dict] = {}
@@ -760,45 +738,38 @@ def simulate(program: Program, cost: Optional[CostModel] = None,
         own_retire = [t_end, t_end]
         op_t0, op_t1 = None, t_end
 
-        def candidate(c: int):
+        def candidate(c: int) -> Optional[int]:
+            """Earliest start of controller c's next instruction, or None."""
             ins = streams[c][ptr[c]]
             if ins.op == SYNC_CTRL:
                 o = 1 - c
                 if ptr[o] >= len(streams[o]):
-                    return None, None
+                    return None
                 partner = streams[o][ptr[o]]
                 if partner.op != SYNC_CTRL or partner.meta["sync_id"] != ins.meta["sync_id"]:
-                    return None, None
-                t = max(last_start[c], fence[c], last_start[o], fence[o])
-                return t, ("rendezvous", None)
+                    return None
+                return max(last_start[c], fence[c], last_start[o], fence[o])
             if ins.op in (SYNC_PIPES, END):
-                return max(own_retire[c], fence[c], last_start[c]), ("drain", None)
+                return max(own_retire[c], fence[c], last_start[c])
             t = max(last_start[c], fence[c])
-            why = ("order", None)
             for d in ins.deps:
                 if d not in retired:
-                    return None, None
+                    return None
                 if retired[d] > t:
-                    t, why = retired[d], ("dep", d)
-            keys = [("ring",)] if ins.pipe == PIPE_RING else [
-                (r, ins.pipe) for r in ins.rpaus
-            ]
-            if serial:
-                keys.append(("serial",))
-            for k in keys:
-                ft = pipe_free.get(k, 0)
-                if ft > t:
-                    t, why = ft, ("pipe", k)
-            return t, why
+                    t = retired[d]
+            for k in _resources(ins, serial):
+                if pipe_free.get(k, 0) > t:
+                    t = pipe_free[k]
+            return t
 
         while ptr[0] < len(streams[0]) or ptr[1] < len(streams[1]):
-            best, who, why = None, None, None
+            best, who = None, None
             for c in (0, 1):
                 if ptr[c] >= len(streams[c]):
                     continue
-                t, reason = candidate(c)
+                t = candidate(c)
                 if t is not None and (best is None or t < best):
-                    best, who, why = t, c, reason
+                    best, who = t, c
             if who is None:
                 raise DependencyCycleError(
                     f"controllers deadlocked in {opp.name} at "
@@ -816,8 +787,6 @@ def simulate(program: Program, cost: Optional[CostModel] = None,
                     own_retire[c] = max(own_retire[c], best + dur)
                     ptr[c] += 1
                 _bump_hist(histogram, SYNC_CTRL, 0, 2)
-                if _order_out is not None:
-                    _order_out.extend([(opp, ins), (opp, partner)])
                 op_t1 = max(op_t1, best + dur)
                 if op_t0 is None:
                     op_t0 = best
@@ -832,18 +801,11 @@ def simulate(program: Program, cost: Optional[CostModel] = None,
                 fence[who] = retire
             else:
                 last_start[who] = start
-                keys = [("ring",)] if ins.pipe == PIPE_RING else [
-                    (r, ins.pipe) for r in ins.rpaus
-                ]
-                if serial:
-                    keys.append(("serial",))
-                for k in keys:
+                for k in _resources(ins, serial):
                     pipe_free[k] = retire
                 busy[ins.pipe] += dur
             own_retire[who] = max(own_retire[who], retire)
             _bump_hist(histogram, ins.op, dur, 1)
-            if _order_out is not None:
-                _order_out.append((opp, ins))
             if op_t0 is None:
                 op_t0 = start
             op_t1 = max(op_t1, retire)
@@ -858,29 +820,16 @@ def simulate(program: Program, cost: Optional[CostModel] = None,
             "_retired": retired, "_started": started, "_streams": streams,
         }
 
-    per_op_list = []
-    for opp in program.ops:
-        entry = per_op[id(opp)]
-        per_op_list.append({k: entry[k] for k in ("name", "kind", "start", "end", "cycles")})
-
-    critical = _critical_path(program, per_op)
-    hw = program.high_water()
-    report = CycleReport(
+    return CycleReport(
         total_cycles=t_end,
         per_pipe_busy=busy,
         op_histogram=histogram,
-        per_op=per_op_list,
-        critical_path=critical,
-        memory_high_water={
-            "per_rpau": hw,
-            "max": max(hw.values(), default=0),
-            "budget": machine.rpm_slots,
-        },
+        per_op=[{k: per_op[id(opp)][k] for k in ("name", "kind", "start", "end", "cycles")}
+                for opp in program.ops],
+        critical_path=_critical_path(program, per_op),
         instruction_count=program.instruction_count,
-        clock_mhz=clock,
-        serial=serial,
+        clock_mhz=clock_mhz or program.machine.clock_mhz,
     )
-    return report
 
 
 def _bump_hist(histogram, op, cycles, count):
@@ -1099,6 +1048,10 @@ def _seed_binding(state, binding, value):
     else:
         comps = [value.limbs]
     for comp, places in zip(comps, binding["components"]):
+        if len(comp) != len(places):
+            raise ArchSimError(
+                f"operand has {len(comp)} limbs; the op is compiled for {len(places)}"
+            )
         for limb, (rpau, slots) in zip(comp, places):
             if len(slots) == 2:
                 pair = eval_halves(limb)

@@ -328,7 +328,9 @@ class Engine:
 
     def decode(self, pt: Plaintext) -> np.ndarray:
         centered = self._limbs_to_centered(pt.limbs)
-        m = np.array([float(Fraction(c) / pt.scale) for c in centered])
+        scale = Fraction(pt.scale)
+        # int true division rounds correctly: float(Fraction(c) / scale), bit for bit
+        m = np.array([c * scale.denominator / scale.numerator for c in centered])
         d = self.degree
         f = np.fft.ifft(m * np.exp(1j * np.pi * np.arange(d) / d)) * d
         return f[_slot_index(d)]

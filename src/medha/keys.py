@@ -181,10 +181,10 @@ def sample_ternary(stream: TriviumStream, n: int) -> np.ndarray:
     return out
 
 
-def _gauss_thresholds(sigma: float, tail: float) -> tuple[np.ndarray, int]:
-    bound = int(tail * sigma)
+def _gauss_table() -> tuple[np.ndarray, int]:
+    bound = int(GAUSS_TAIL * GAUSS_SIGMA)
     ks = np.arange(-bound, bound + 1)
-    probs = np.exp(-(ks.astype(np.float64) ** 2) / (2.0 * sigma * sigma))
+    probs = np.exp(-(ks.astype(np.float64) ** 2) / (2.0 * GAUSS_SIGMA * GAUSS_SIGMA))
     cum = np.cumsum(probs) / probs.sum()
     thr = [min(int(round(c * float(1 << 64))), (1 << 64) - 1) for c in cum]
     # searchsorted works on all but the final cutoff; the last bucket catches
@@ -192,24 +192,17 @@ def _gauss_thresholds(sigma: float, tail: float) -> tuple[np.ndarray, int]:
     return np.array(thr[:-1], dtype=np.uint64), bound
 
 
-_GAUSS_CACHE: dict[tuple[float, float], tuple[np.ndarray, int]] = {}
+_GAUSS_THR, _GAUSS_BOUND = _gauss_table()
 
 
-def _gauss_table(sigma: float) -> tuple[np.ndarray, int]:
-    key = (sigma, GAUSS_TAIL)
-    if key not in _GAUSS_CACHE:
-        _GAUSS_CACHE[key] = _gauss_thresholds(sigma, GAUSS_TAIL)
-    return _GAUSS_CACHE[key]
-
-
-def sample_gaussian(stream: TriviumStream, n: int, sigma: float = GAUSS_SIGMA) -> np.ndarray:
-    """Discrete Gaussian by CDF inversion of one 64-bit word per draw.
+def sample_gaussian(stream: TriviumStream, n: int) -> np.ndarray:
+    """Discrete Gaussian of width GAUSS_SIGMA by CDF inversion of one
+    64-bit word per draw.
 
     The result depends only on the stream's first n words.
     """
-    thr, bound = _gauss_table(sigma)
     words = stream.next_words(n)
-    return np.searchsorted(thr, words, side="right").astype(np.int64) - bound
+    return np.searchsorted(_GAUSS_THR, words, side="right").astype(np.int64) - _GAUSS_BOUND
 
 
 def sample_uniform_mod(stream: TriviumStream, n: int, q: int) -> np.ndarray:
@@ -254,7 +247,6 @@ def sample_lanes(
     qs = np.array([q for _, q in uniform], dtype=np.uint64)[:, None]
     masks = np.array([(1 << q.bit_length()) - 1 for _, q in uniform], dtype=np.uint64)[:, None]
     lanes = TriviumLanes([s for s, _ in uniform] + list(gaussian))
-    thr, bound = _gauss_table(GAUSS_SIGMA)
     u_out = np.empty((n_lanes, n_uniform), dtype=np.uint64)
     g_out = np.empty((len(gaussian), n_gaussian), dtype=np.int64)
     filled = [0] * n_lanes
@@ -269,7 +261,7 @@ def sample_lanes(
         take = min(steps, g_steps - drawn)
         if take > 0:
             g_out[:, drawn:drawn + take] = (
-                np.searchsorted(thr, words[n_lanes:, :take], side="right") - bound
+                np.searchsorted(_GAUSS_THR, words[n_lanes:, :take], side="right") - _GAUSS_BOUND
             )
             drawn += take
         cand = np.bitwise_and(words[:n_lanes], masks, out=words[:n_lanes])

@@ -17,8 +17,6 @@ import numpy as np
 # 60-bit sparse prime used as q_0 in the standard profiles.
 Q0_SPARSE = (1 << 59) + (1 << 25) + (1 << 22) - (1 << 20) + 1
 
-_MR_BASES: tuple[int, ...] = ()
-
 
 def _first_primes(k: int) -> tuple[int, ...]:
     ps: list[int] = []
@@ -30,14 +28,14 @@ def _first_primes(k: int) -> tuple[int, ...]:
     return tuple(ps)
 
 
-def is_probable_prime(n: int, rounds: int = 64) -> bool:
-    """Miller-Rabin with the first `rounds` primes as bases (deterministic)."""
-    global _MR_BASES
-    if len(_MR_BASES) < rounds:
-        _MR_BASES = _first_primes(rounds)
+_MR_BASES = _first_primes(64)
+
+
+def is_probable_prime(n: int) -> bool:
+    """Miller-Rabin with the first 64 primes as bases (deterministic)."""
     if n < 2:
         return False
-    for p in _MR_BASES[:rounds]:
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -45,7 +43,7 @@ def is_probable_prime(n: int, rounds: int = 64) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES[:rounds]:
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -116,20 +114,13 @@ class PrimeModulus:
 
     value: int
     bit_width: int
-    root_order: int  # largest power of two dividing value - 1
     reduction_kind: Optional[tuple[tuple[int, int], ...]]
 
     @classmethod
     def from_value(cls, q: int) -> "PrimeModulus":
         if not is_probable_prime(q):
             raise ValueError(f"{q} is not prime")
-        two_adic = (q - 1) & -(q - 1)
-        return cls(
-            value=q,
-            bit_width=q.bit_length(),
-            root_order=two_adic,
-            reduction_kind=_sparse_kind(q),
-        )
+        return cls(value=q, bit_width=q.bit_length(), reduction_kind=_sparse_kind(q))
 
 
 def inv_mod(a: int, q: int) -> int:
@@ -222,7 +213,7 @@ def _sparse_candidates_54(step: int):
                     yield top + s1 * (1 << e1) + s2 * (1 << e2) + 1
 
 
-def gen_rns_base(log_pq: int, n_hw: int, use_sparse_q0: bool = True) -> RnsBase:
+def gen_rns_base(log_pq: int, n_hw: int) -> RnsBase:
     """Standard-profile base: one 60-bit prime plus L 54-bit primes.
 
     All primes satisfy q = 1 (mod 4*n_hw) and, like q_0, are chosen close
@@ -235,7 +226,7 @@ def gen_rns_base(log_pq: int, n_hw: int, use_sparse_q0: bool = True) -> RnsBase:
     if big_l < 1:
         raise ValueError("need at least one 54-bit prime")
     step = 4 * n_hw
-    if use_sparse_q0 and (Q0_SPARSE - 1) % step == 0:
+    if (Q0_SPARSE - 1) % step == 0:
         q0 = PrimeModulus.from_value(Q0_SPARSE)
     else:
         q0 = PrimeModulus.from_value(_search_prime(60, step, exclude=set()))

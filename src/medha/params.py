@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .keys import GAUSS_SIGMA
@@ -32,7 +32,6 @@ class ParamSet:
     log_pq: int          # total modulus bits including the special prime
     mode: str            # "native" or "split"
     scale_bits: int = 40
-    sigma: float = GAUSS_SIGMA  # the only width the error sampler draws
     clock_mhz: float = 200.0
     base: RnsBase = field(repr=False, compare=False, default=None)
 
@@ -41,15 +40,10 @@ class ParamSet:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.degree & (self.degree - 1) or self.degree < 16:
             raise ConfigError("degree must be a power of two >= 16")
-        if self.sigma != GAUSS_SIGMA:
+        if self.hw_degree > HW_DEGREE:
             raise ConfigError(
-                f"sigma {self.sigma!r} is not supported; errors are sampled at {GAUSS_SIGMA}"
-            )
-        if self.mode == "split" and self.hw_degree != self.degree // 2:
-            raise ConfigError("split mode halves the degree once")
-        if self.mode == "native" and self.degree > HW_DEGREE:
-            raise ConfigError(
-                f"native mode supports degree <= {HW_DEGREE}; use split"
+                f"{self.mode} mode needs {self.hw_degree}-point transforms; "
+                f"the hardware supports at most {HW_DEGREE}"
             )
         if self.base is None:
             object.__setattr__(self, "base", gen_rns_base(self.log_pq, self.degree))
@@ -77,7 +71,7 @@ class ParamSet:
             "mode": self.mode,
             "moduli": [m.value for m in self.base.all_moduli],
             "scale_bits": self.scale_bits,
-            "sigma": self.sigma,
+            "sigma": GAUSS_SIGMA,  # the only width the error sampler draws
         }
         blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
         return hashlib.sha256(blob).digest()[:8]
@@ -116,8 +110,9 @@ def load_param_config(path: str) -> ParamSet:
     """Read a parameter set from a JSON file.
 
     The file may either point at a preset ({"param_set": "set1"}, with
-    optional overrides for scale_bits/sigma/clock_mhz) or spell out a full
-    set (degree, log_pq, mode, ...).
+    optional overrides for scale_bits/clock_mhz) or spell out a full set
+    (degree, log_pq, mode, ...). Either may say "sigma", but only with the
+    sampler's width, GAUSS_SIGMA.
     """
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -132,28 +127,19 @@ def load_param_config(path: str) -> ParamSet:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     try:
+        if float(doc.get("sigma", GAUSS_SIGMA)) != GAUSS_SIGMA:
+            raise ConfigError(
+                f"sigma {doc['sigma']!r} is not supported; errors are sampled at {GAUSS_SIGMA}"
+            )
         if "param_set" in doc:
             ref = get_param_set(doc["param_set"])
-            overrides = {
-                k: doc[k] for k in ("scale_bits", "sigma", "clock_mhz") if k in doc
-            }
-            extra = set(doc) - {"param_set", *overrides}
+            overrides = {k: doc[k] for k in ("scale_bits", "clock_mhz") if k in doc}
+            extra = set(doc) - {"param_set", "sigma", *overrides}
             if extra:
                 raise ConfigError(
                     f"preset reference allows only tuning overrides, got {sorted(extra)}"
                 )
-            if not overrides:
-                return ref
-            return ParamSet(
-                name=ref.name,
-                degree=ref.degree,
-                log_pq=ref.log_pq,
-                mode=ref.mode,
-                scale_bits=overrides.get("scale_bits", ref.scale_bits),
-                sigma=overrides.get("sigma", ref.sigma),
-                clock_mhz=overrides.get("clock_mhz", ref.clock_mhz),
-                base=ref.base,
-            )
+            return replace(ref, **overrides)
         missing = {"name", "degree", "log_pq", "mode"} - set(doc)
         if missing:
             raise ConfigError(f"config missing keys: {sorted(missing)}")
@@ -163,7 +149,6 @@ def load_param_config(path: str) -> ParamSet:
             log_pq=int(doc["log_pq"]),
             mode=str(doc["mode"]),
             scale_bits=int(doc.get("scale_bits", 40)),
-            sigma=float(doc.get("sigma", GAUSS_SIGMA)),
             clock_mhz=float(doc.get("clock_mhz", 200.0)),
         )
     except ConfigError:

@@ -1,6 +1,7 @@
 """Compiled instruction streams: cycle accounting, hazards and functional replay."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -252,6 +253,66 @@ def test_compiled_rotate_reduces_steps_mod_slots(toy_set1, toy_native):
     for steps in (0, 32, -64):
         with pytest.raises(UnsupportedOpError):
             compile_op(toy_set1, "rotate", steps=steps)
+
+
+def test_operand_level_must_match_compiled_level(set1, toy_native):
+    vals = np.linspace(-1.0, 1.0, toy_native.slots)
+
+    def ct_at(level):
+        return toy_native.encrypt(toy_native.encode(vals, set1.scale, level=level))
+
+    add = compile_workload(set1, [{"op": "add", "level": 3, "x": "x", "y": "y", "out": "out"}])
+    got = execute_workload(toy_native, add, {"x": ct_at(3), "y": ct_at(3)})
+    assert got["out"].level == 3
+    for level in (2, 4):  # below the compiled level, then above it
+        with pytest.raises(ArchSimError, match="limbs"):
+            execute_workload(toy_native, add, {"x": ct_at(level), "y": ct_at(3)})
+    mult = compile_workload(
+        set1, [{"op": "mult_plain", "level": 3, "x": "x", "pt": "pt", "out": "out"}])
+    for level in (2, 4):
+        pt = toy_native.encode(vals, set1.scale, level=level)
+        with pytest.raises(ArchSimError, match="limbs"):
+            execute_workload(toy_native, mult, {"x": ct_at(3), "pt": pt})
+
+
+def _ct_equal(eng, a, b) -> bool:
+    return all(
+        np.array_equal(eng._limb_to_parent(la), eng._limb_to_parent(lb))
+        for ca, cb in ((a.c0, b.c0), (a.c1, b.c1)) for la, lb in zip(ca, cb)
+    )
+
+
+@pytest.mark.parametrize("pset_name, engine, mutants, caught_at_least", [
+    ("set1", "toy_native", 14, 4),
+    ("set2", "toy_split2", 36, 9),
+])
+def test_replay_catches_dropped_dependencies(request, pset_name, engine, mutants,
+                                             caught_at_least):
+    # drop, one at a time, each edge from a dyadic-controller instruction to
+    # the main controller; replay in dependency order must keep failing or
+    # computing a different ciphertext for at least as many mutants as now
+    eng = request.getfixturevalue(engine)
+    spec, prog = _bench_program(get_param_set(pset_name), "mult_relin")
+    variables, _ = spec.build_inputs(eng, 3)
+    want = eng.mult_relin(variables["x"], variables["y"])
+    (opp,) = prog.ops
+    main = {i.uid for i in opp.streams[0]}
+    made = caught = 0
+    for k, ins in enumerate(opp.streams[1]):
+        if not main.intersection(ins.deps):
+            continue
+        made += 1
+        dyadic = list(opp.streams[1])
+        dyadic[k] = replace(ins, deps=tuple(d for d in ins.deps if d not in main))
+        mutant = replace(opp, streams=(opp.streams[0], dyadic))
+        try:
+            got = execute_workload(eng, Program(prog.pset, prog.machine, [mutant]), variables)
+        except (KeyError, ValueError):
+            caught += 1
+            continue
+        caught += not _ct_equal(eng, got[spec.output_var], want)
+    assert made == mutants
+    assert caught >= caught_at_least
 
 
 def test_latency_only_op_not_executed(set1, toy_native):

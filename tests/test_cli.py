@@ -83,6 +83,13 @@ def test_sigma_other_than_sampler_width_rejected(tmp_path):
         assert main(["--config", str(cfg), "--workload", "add"]) == 2
 
 
+def test_split_ring_beyond_hardware_transform_rejected(tmp_path):
+    # a 2^16 split ring needs 2^15-point transforms; the hardware does 2^14
+    big = {"name": "big", "degree": 1 << 16, "log_pq": 168, "mode": "split"}
+    cfg = _write_config(tmp_path, big)
+    assert main(["--config", str(cfg), "--workload", "add"]) == 2
+
+
 def test_seed_outside_64_bits_is_a_usage_error(tmp_path, capsys):
     cfg = _write_config(tmp_path, TINY_NATIVE)
     for bad in ("-1", str(1 << 64)):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from medha.archsim import compile_workload, execute_workload
-from medha.heaan import Ciphertext, Engine
+from medha.heaan import Ciphertext, Engine, _slot_index
 from medha.keys import (
     COMP_KSK_ERROR,
     COMP_KSK_UNIFORM,
@@ -47,6 +47,20 @@ def test_encode_decode_roundtrip(toy_native):
     assert pt.level == toy_native.base.levels
     assert pt.scale == Fraction(1 << 40)
     assert _rel_err(toy_native.decode(pt), v) < 1e-9
+
+
+def test_decode_divides_by_exact_scale(toy_native):
+    # a scale with an odd numerator makes every division round
+    scale = Fraction(3**33, 7)
+    rng = np.random.default_rng(52)
+    pt = toy_native.encode(_rand_slots(rng, toy_native.slots), scale)
+    ct = toy_native.encrypt(pt)
+    d = toy_native.degree
+    for limbs, got in ((pt.limbs, toy_native.decode(pt)),
+                       (toy_native._dec_limbs(ct), toy_native.decrypt(ct))):
+        m = np.array([float(Fraction(c) / scale) for c in toy_native._limbs_to_centered(limbs)])
+        want = (np.fft.ifft(m * np.exp(1j * np.pi * np.arange(d) / d)) * d)[_slot_index(d)]
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_encode_rejects_overflow_and_shape(toy_native):
