@@ -439,7 +439,11 @@ class Engine:
         )
 
     def _key_switch(self, d_limbs: list, ksk: KeySwitchKey) -> tuple[list, list]:
-        """Accumulate ksk rows against the decomposition of d, then drop p."""
+        """Accumulate ksk rows against the decomposition of d, then drop p.
+
+        Row i's centered lift, reduced mod q_i and transformed back, is d_i
+        itself, so target i takes d_i without a transform.
+        """
         lvl = len(d_limbs)
         ext = self.base.extended_moduli(lvl)
         ext_idx = list(range(lvl)) + [self.base.levels]
@@ -450,7 +454,7 @@ class Engine:
             signed = _centered_int64(self._limb_to_parent(d_limbs[i]), qi)
             kind = "mac" if i else "mul"
             for jj, (m, jg) in enumerate(zip(ext, ext_idx)):
-                dl = self._signed_to_limb(signed, m)
+                dl = d_limbs[i] if jj == i else self._signed_to_limb(signed, m)
                 acc0[jj] = dyadic(kind, dl, ksk.secret[i][jg], acc=acc0[jj])
                 acc1[jj] = dyadic(kind, dl, ksk.uniform[i][jg], acc=acc1[jj])
         inv_p = self.base.inv[self.base.levels]

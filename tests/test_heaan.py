@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from medha import heaan
 from medha.archsim import compile_workload, execute_workload
 from medha.heaan import Ciphertext, Engine, _slot_index
 from medha.keys import (
@@ -166,6 +167,24 @@ def test_mult_relin_rescale_bookkeeping(toy_native, toy_split):
         assert red.level == top - 1
         assert red.scale == Fraction(1 << 80, dropped)
         assert _rel_err(eng.decrypt(red), vx * vy) < 2 ** -16
+
+
+def test_mult_relin_forward_transform_count(toy_split2, monkeypatch):
+    # at level L the key switch lifts L rows onto L + 1 targets, and target
+    # i of row i is the source limb itself; dropping p transforms 2L limbs
+    eng = toy_split2
+    rng = np.random.default_rng(59)
+    vx, vy = _rand_slots(rng, eng.slots), _rand_slots(rng, eng.slots)
+    x = eng.encrypt(eng.encode(vx, 1 << 40))
+    y = eng.encrypt(eng.encode(vy, 1 << 40), enc_index=1)
+    calls = []
+    orig = heaan.ntt_forward
+    monkeypatch.setattr(heaan, "ntt_forward", lambda p: calls.append(p.n) or orig(p))
+    prod = eng.mult_relin(x, y)
+    monkeypatch.undo()
+    top = eng.base.levels
+    assert top == 9 and len(calls) == top * top + 2 * top == 99
+    assert _rel_err(eng.decrypt(prod), vx * vy) < 2 ** -16
 
 
 def test_rescale_floor_raises(toy_native):

@@ -9,6 +9,7 @@ from medha.kernels import (
     ctx,
     mulhi64,
     mulmod_shoup,
+    mulmod_shoup_lazy,
     negmod,
     shoup,
     submod,
@@ -55,6 +56,45 @@ def test_add_sub_neg_mod(set1):
     assert np.array_equal(_as_int(negmod(a, qv)), (-_as_int(a)) % q)
     zero = np.zeros(4, dtype=np.uint64)
     assert np.array_equal(negmod(zero, qv), zero)
+
+
+# the largest moduli ModContext accepts: 4q is within 2^18 of 2^64, so a
+# correction that let one more q through would wrap
+NEAR_2_62 = ((1 << 62) - (1 << 16) + 1, (1 << 62) - 57)
+
+
+def _edge_operands(rng, q, n):
+    """Random residues with 0 and q - 1 against each other in every order."""
+    a = rng.integers(0, q, size=n, dtype=np.uint64)
+    b = rng.integers(0, q, size=n, dtype=np.uint64)
+    a[:4] = (0, 0, q - 1, q - 1)
+    b[:4] = (0, q - 1, 0, q - 1)
+    return a, b
+
+
+@pytest.mark.parametrize("q", NEAR_2_62)
+def test_add_sub_neg_mod_near_2_62(q):
+    a, b = _edge_operands(np.random.default_rng(16), q, 4096)
+    qv = np.uint64(q)
+    assert np.array_equal(_as_int(addmod(a, b, qv)), (_as_int(a) + _as_int(b)) % q)
+    assert np.array_equal(_as_int(submod(a, b, qv)), (_as_int(a) - _as_int(b)) % q)
+    assert np.array_equal(_as_int(negmod(a, qv)), (-_as_int(a)) % q)
+
+
+@pytest.mark.parametrize("q", NEAR_2_62)
+def test_shoup_products_near_2_62(q):
+    rng = np.random.default_rng(17)
+    a, _ = _edge_operands(rng, q, 4096)
+    words = _rand_u64(rng, 4096)
+    words[:2] = (0, (1 << 64) - 1)
+    for w in (0, 1, q - 1, q // 3):
+        wv, ws, qv = np.uint64(w), np.uint64(shoup(w, q)), np.uint64(q)
+        assert np.array_equal(_as_int(mulmod_shoup(a, wv, ws, qv)), _as_int(a) * w % q)
+        # any 64-bit word: the lazy product stays below 4q, the full one is canonical
+        lazy = _as_int(mulmod_shoup_lazy(words, wv, ws, qv))
+        assert all(x < 4 * q for x in lazy)
+        assert np.array_equal(lazy % q, _as_int(words) * w % q)
+        assert np.array_equal(_as_int(mulmod_shoup(words, wv, ws, qv)), _as_int(words) * w % q)
 
 
 def test_reduce_word_and_pair(set1, set2):

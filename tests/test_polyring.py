@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from medha.modarith import PrimeModulus
+from medha.params import get_param_set
 from medha.polyring import (
     MINUS,
     PLUS,
@@ -22,6 +26,14 @@ from medha.polyring import (
 )
 
 ALL_TWISTS = (STANDARD, PLUS, MINUS)
+
+# every preset modulus, plus an NTT-friendly prime just below 2^62, where the
+# transforms' lazy bound 4q comes within 2^18 of 2^64
+Q_NEAR_2_62 = (1 << 62) - (1 << 16) + 1
+LAZY_MODULI = sorted(
+    {m.value for s in ("set1", "set2") for m in get_param_set(s).base.all_moduli}
+    | {Q_NEAR_2_62}
+)
 
 
 def _rand_poly(rng, q, n, twist=STANDARD, domain="coeff"):
@@ -212,3 +224,41 @@ def test_scalar_mul_and_neg(set1):
     for c in (0, 1, qi - 1, 987654321):
         got = scalar_mul(p, c).coeffs.astype(object)
         assert np.array_equal(got, (p.coeffs.astype(object) * c) % qi)
+
+
+def _eval_oracle(q, n, twist, coeffs):
+    """Python-int evaluation of the coefficients at every slot's point."""
+    qv = q.value
+    psi, gen = psi_for(q, n, twist)
+    out = []
+    for e in eval_exponents(n):
+        point = psi * pow(gen, int(e) - 1, qv) % qv
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc * point + c) % qv
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("fill", ("zero", "max", "random"))
+@pytest.mark.parametrize("qv", LAZY_MODULI)
+@settings(max_examples=8, deadline=None)
+@given(
+    log_n=st.integers(4, 6),
+    twist=st.sampled_from(ALL_TWISTS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_transforms_exact_at_lazy_bounds(qv, log_n, twist, fill, seed):
+    q = PrimeModulus.from_value(qv)
+    n = 1 << log_n
+    if fill == "random":
+        words = np.random.default_rng(seed).integers(0, qv, size=n, dtype=np.uint64)
+    else:
+        words = np.full(n, 0 if fill == "zero" else qv - 1, dtype=np.uint64)
+    ints = [int(x) for x in words]
+    f = ntt_forward(ResiduePoly(q, words, "coeff", twist))
+    assert [int(x) for x in f.coeffs] == _eval_oracle(q, n, twist, ints)
+    # the same words read as evaluations: the inverse must return the
+    # coefficients whose evaluations they are
+    c = ntt_inverse(ResiduePoly(q, words, "eval", twist))
+    assert _eval_oracle(q, n, twist, [int(x) for x in c.coeffs]) == ints
