@@ -25,6 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import kernels
 from . import keys as krand
 from .keys import (
     COMP_ENC_E0,
@@ -39,7 +40,6 @@ from .keys import (
     HALF_PLUS,
     SecretKey,
     component_tag,
-    sample_gaussian,
     sample_lanes,
     sample_ternary,
     sample_uniform_mod,  # noqa: F401  (perfbench/test_perfbench.py reads it here)
@@ -344,12 +344,11 @@ class Engine:
         r = sample_ternary(
             stream_for(self.seed, enc_index, 0, component_tag(COMP_ENC_R)), d
         )
-        e0 = sample_gaussian(
-            stream_for(self.seed, enc_index, 0, component_tag(COMP_ENC_E0)), d
-        )
-        e1 = sample_gaussian(
-            stream_for(self.seed, enc_index, 0, component_tag(COMP_ENC_E1)), d
-        )
+        errors = [
+            stream_for(self.seed, enc_index, 0, component_tag(kind))
+            for kind in (COMP_ENC_E0, COMP_ENC_E1)
+        ]
+        _, (e0, e1) = sample_lanes((), 0, errors, d)
         c0 = []
         c1 = []
         for i, q in enumerate(self.base.level_moduli(pt.level)):
@@ -441,22 +440,34 @@ class Engine:
     def _key_switch(self, d_limbs: list, ksk: KeySwitchKey) -> tuple[list, list]:
         """Accumulate ksk rows against the decomposition of d, then drop p.
 
-        Row i's centered lift, reduced mod q_i and transformed back, is d_i
-        itself, so target i takes d_i without a transform.
+        Target j of each output is the sum over rows i of d_ij * k_ij mod
+        q_j, where d_ij is row i's centered lift mod q_j. The targets run one
+        at a time, each sum as a `kernels.WideSum`: its terms add up as
+        unreduced 128-bit words and it reduces once. A term is below
+        q_j^2 < 2^124, so the at most `levels` terms of a preset sum stay
+        below 2^128 (WideSum folds a longer one). Row i's lift, reduced mod
+        q_i and transformed back, is d_i itself, so target i takes d_i
+        without a transform.
         """
         lvl = len(d_limbs)
         ext = self.base.extended_moduli(lvl)
         ext_idx = list(range(lvl)) + [self.base.levels]
-        acc0: list = [None] * len(ext)
-        acc1: list = [None] * len(ext)
-        for i in range(lvl):
-            qi = self.base.primes[i].value
-            signed = _centered_int64(self._limb_to_parent(d_limbs[i]), qi)
-            kind = "mac" if i else "mul"
-            for jj, (m, jg) in enumerate(zip(ext, ext_idx)):
-                dl = d_limbs[i] if jj == i else self._signed_to_limb(signed, m)
-                acc0[jj] = dyadic(kind, dl, ksk.secret[i][jg], acc=acc0[jj])
-                acc1[jj] = dyadic(kind, dl, ksk.uniform[i][jg], acc=acc1[jj])
+        lifts = [
+            _centered_int64(self._limb_to_parent(d), q.value)
+            for d, q in zip(d_limbs, self.base.primes)
+        ]
+        acc0: list = []
+        acc1: list = []
+        for j, (m, jg) in enumerate(zip(ext, ext_idx)):
+            c = kernels.ctx(m.value)
+            sum0 = kernels.WideSum(c, self.degree)
+            sum1 = kernels.WideSum(c, self.degree)
+            for i, signed in enumerate(lifts):
+                dl = d_limbs[i] if j == i else self._signed_to_limb(signed, m)
+                sum0.add(dl.coeffs, ksk.secret[i][jg].coeffs)
+                sum1.add(dl.coeffs, ksk.uniform[i][jg].coeffs)
+            acc0.append(ResiduePoly(m, sum0.residues(), "eval", STANDARD))
+            acc1.append(ResiduePoly(m, sum1.residues(), "eval", STANDARD))
         inv_p = self.base.inv[self.base.levels]
         return self._drop_last(acc0, inv_p), self._drop_last(acc1, inv_p)
 

@@ -12,13 +12,18 @@ al*wl and the carries of the two cross terms, whose fractional parts sum
 to less than 3, so hi is at most 2 below floor(a*w'/2^64). The exact high
 word leaves r < 2q for any 64-bit a; the estimate leaves r < 4q, which
 fits a word because q < 2^62. The transforms in polyring keep their
-butterfly values in [0, 4q) and reduce to [0, q) only at the end, so
-every product there stays lazy.
+butterfly values below a bound they track and reduce to [0, q) only at the
+end, so every product there stays lazy.
+
+Wide sums. A sum of products a*b mod q (the key-switch inner product)
+need not reduce every term: `WideSum` adds each 128-bit product to
+unreduced (hi, lo) words and reduces once, with `ModContext.reduce_pair`.
 
 Corrections. A value x in [0, 2c) is brought into [0, c) by
 `np.minimum(x, x - c)`: when x < c the difference wraps around 2^64 to a
 word above x, so the minimum keeps x; otherwise it is x - c. With c = q
-this is the final correction, and with c = 2q it takes [0, 4q) to [0, 2q).
+this is the final correction, with c = 2q it takes [0, 4q) to [0, 2q), and
+with c = ceil(b/2) q it halves a bound b*q.
 """
 
 from __future__ import annotations
@@ -122,6 +127,8 @@ class ModContext:
         self.r64v = np.uint64(self.r64)
         self.r64_shoup = np.uint64(shoup(self.r64, q))
         self.u64 = np.uint64((1 << 64) // q)
+        # how many products of two residues fit below 2^128 on top of a residue
+        self.wide_terms = ((1 << 128) - q) // (q - 1) ** 2
 
     def reduce_word(self, lo: np.ndarray) -> np.ndarray:
         """lo mod q for full uint64 words: a Shoup product by 1, since
@@ -142,6 +149,78 @@ class ModContext:
         """a * w mod q with w a runtime constant."""
         w %= self.q
         return mulmod_shoup(a, np.uint64(w), np.uint64(shoup(w, self.q)), self.qv)
+
+
+# Words per slice of a wide sum. A 2^15-word temporary is 256 KB, and at
+# that size every temporary took fresh pages: a 2^15 mulmod cost twice per
+# word what a 2^14 one did. Slices of 2^14 words keep every temporary below
+# that size.
+WIDE_SLICE = 1 << 14
+
+
+def _mac_wide(hi: np.ndarray, lo: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """hi * 2^64 + lo += a * b elementwise, in place, for words a, b < 2^62.
+
+    With a, b < 2^62 the high halves are below 2^30, so the cross partials
+    al*bh + ah*bl sum below 2^63 and the product is hh * 2^64 + mid * 2^32 +
+    ll with one carry, out of ll + (mid << 32). The caller keeps the sum
+    below 2^128.
+    """
+    al = a & _M32
+    ah = a >> _S32
+    bl = b & _M32
+    bh = b >> _S32
+    ll = al * bl
+    al *= bh
+    bl *= ah
+    al += bl  # mid
+    ah *= bh  # hh
+    p = a * b  # the product's low word
+    c = p < ll
+    hi += c
+    lo += p
+    np.less(lo, p, out=c)
+    hi += c
+    al >>= _S32
+    hi += al
+    hi += ah
+
+
+class WideSum:
+    """Sum of elementwise products a * b mod q, reduced once.
+
+    Terms are added as unreduced 128-bit (hi, lo) words. A term is at most
+    (q - 1)^2 < 2^124, so `ctx.wide_terms` of them (at least 16 for any
+    q < 2^62) fit below 2^128 on top of a residue; a longer sum folds its
+    words to residues before the next group. Each word op runs on slices of
+    at most WIDE_SLICE words.
+    """
+
+    def __init__(self, ctx: ModContext, n: int):
+        self.ctx = ctx
+        self.hi = np.zeros(n, dtype=np.uint64)
+        self.lo = np.zeros(n, dtype=np.uint64)
+        self.terms = 0
+        self._slices = [slice(k, k + WIDE_SLICE) for k in range(0, n, WIDE_SLICE)]
+
+    def add(self, a: np.ndarray, b: np.ndarray) -> None:
+        """Add a * b for residues a, b mod q."""
+        if self.terms == self.ctx.wide_terms:
+            self._fold()
+        for s in self._slices:
+            _mac_wide(self.hi[s], self.lo[s], a[s], b[s])
+        self.terms += 1
+
+    def _fold(self) -> None:
+        for s in self._slices:
+            self.lo[s] = self.ctx.reduce_pair(self.hi[s], self.lo[s])
+        self.hi.fill(0)
+        self.terms = 0
+
+    def residues(self) -> np.ndarray:
+        """The sum mod q, as canonical residues (the sum is spent)."""
+        self._fold()
+        return self.lo
 
 
 _CTX_CACHE: dict[int, ModContext] = {}

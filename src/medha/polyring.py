@@ -12,13 +12,17 @@ its last layer. Composing them is the identity with no permutation and no
 separate scaling pass.
 
 Both transforms reduce lazily (Harvey, "Faster arithmetic for
-number-theoretic transforms", 2014). Between layers the forward transform
-keeps its words in [0, 4q) and the inverse in [0, 2q); each twiddle product
-is kernels.mulmod_shoup_lazy, corrected once into [0, 2q). Only the end of
-the transform corrects to [0, q), two steps for the forward transform and
-one for the inverse, so every output word is the canonical residue: the
-bits are those of an exactly reduced butterfly network. The bounds hold for
-every modulus ModContext accepts (q < 2^62, so 4q fits a word).
+number-theoretic transforms", 2014); each twiddle product is
+kernels.mulmod_shoup_lazy, below 4q for any word. The forward transform
+tracks a bound b*q on its words from layer to layer. A layer adds at most
+4q, and it corrects only when the next bound would not fit a word: a
+54-bit modulus never corrects between layers, a 60-bit one every four or
+five layers, and a modulus near 2^62 every layer, as Harvey's fixed [0, 4q)
+does. The inverse keeps its words in [0, 2q), correcting each product once.
+Only the end of a transform reduces to [0, q), so every output word is the
+canonical residue: the bits are those of an exactly reduced butterfly
+network. The bounds hold for every modulus ModContext accepts (q < 2^62, so
+4q fits a word).
 """
 
 from __future__ import annotations
@@ -241,19 +245,26 @@ def _layer_views(f: np.ndarray, g: int, half: int, cols: int, consts: tuple):
 def ntt_forward(p: ResiduePoly) -> ResiduePoly:
     """Coefficient order in, bit-reversed evaluation order out.
 
-    Harvey's lazy butterflies: layer values stay in [0, 4q). Each layer
-    brings x into [0, 2q), takes t = y*w lazily and corrects it into
-    [0, 2q), and writes x + t and x + 2q - t. Two corrections at the end
-    leave canonical residues.
+    Harvey's lazy butterflies with a tracked bound: every word of a layer
+    is below b*q, and b starts at 1. A layer takes t = y*w lazily (below
+    4q for any word y) and writes x + t and x + 4q - t, below (b + 4)q.
+    Only when that would not fit a word does the layer first correct x
+    into [0, ceil(b/2) q), and then, if still needed, t into [0, 2q)
+    (writing x + 2q - t). Since q < 2^62, 4q fits, so those two
+    corrections always suffice. The end halves the bound until it is 1,
+    which leaves canonical residues.
     """
     if p.domain != "coeff":
         raise ValueError("ntt_forward expects a coefficient-domain polynomial")
     t = twiddle_table(p.q, p.n, p.twist)
-    qv = np.uint64(t.q.value)
+    q = t.q.value
+    qv = np.uint64(q)
     q2 = qv + qv
+    fits = (1 << 64) // q  # a bound b*q fits a word while b <= fits
     n = p.n
     rows = min(_ROWS, n)
     f = p.coeffs.copy()
+    b = 1
     cols = 1
     half = n // 2
     base = 1
@@ -266,15 +277,22 @@ def ntt_forward(p: ResiduePoly) -> ResiduePoly:
         x = a[:, 0]
         y = a[:, 1]
         u = mulmod_shoup_lazy(y, wv, wq, qv)
-        np.minimum(u, u - q2, out=u)
-        np.minimum(x, x - q2, out=x)
-        np.add(x, q2, out=y)
+        grow = 4
+        if b + grow > fits and b > 1:
+            b = (b + 1) // 2
+            np.minimum(x, x - np.uint64(b * q), out=x)
+        if b + grow > fits:
+            grow = 2
+            np.minimum(u, u - q2, out=u)
+        b += grow
+        np.add(x, np.uint64(grow * q), out=y)
         y -= u
         x += u
         base += g
         half //= 2
-    np.minimum(f, f - q2, out=f)
-    np.minimum(f, f - qv, out=f)
+    while b > 1:
+        b = (b + 1) // 2
+        np.minimum(f, f - np.uint64(b * q), out=f)
     return ResiduePoly(p.q, f.T.reshape(n), "eval", p.twist)
 
 

@@ -125,6 +125,8 @@ def load_ciphertext(path, pset: ParamSet) -> Ciphertext:
         raise SerializationError(f"ring degree {degree} does not match the parameter set")
     num, off = _decode_bigint(buf, off)
     den, off = _decode_bigint(buf, off)
+    if den == 0:
+        raise SerializationError("scale denominator is zero")
     if len(buf) != off + 2 * level * 8 * degree:
         raise SerializationError("container length does not match header")
     comps = []

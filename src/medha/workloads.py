@@ -99,6 +99,12 @@ def _logreg(pset: ParamSet) -> WorkloadSpec:
     """
     if pset.levels < 6:
         raise UnsupportedOpError("workload needs six levels")
+    # the scales below are fixed for Delta = 2^53 and ignore scale_bits, so
+    # any value other than the preset default is refused, not ignored
+    if pset.scale_bits != ParamSet.scale_bits:
+        raise UnsupportedOpError(
+            f"workload fixes its scale at 2^53; scale_bits {pset.scale_bits} is not supported"
+        )
     q = [Fraction(p.value) for p in pset.base.primes]
     delta = Fraction(1 << 53)
 

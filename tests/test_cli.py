@@ -112,6 +112,13 @@ def test_exit_code_unknown_workload(tmp_path):
     assert main(["--config", str(cfg), "--workload", "bootstrap"]) == 3
 
 
+def test_logreg_rejects_scale_bits_override(tmp_path, capsys):
+    # logreg fixes its own scale, so an override would be printed but not used
+    cfg = _write_config(tmp_path, {"param_set": "logreg", "scale_bits": 45})
+    assert main(["--config", str(cfg), "--workload", "logreg"]) == 3
+    assert "scale_bits 45" in capsys.readouterr().err
+
+
 def test_exit_code_corrupt_keys(tmp_path):
     keys = tmp_path / "keys"
     rc, raw = _run(tmp_path, "--workload", "add", "--keys", str(keys))

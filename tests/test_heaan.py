@@ -11,7 +11,7 @@ import pytest
 
 from medha import heaan
 from medha.archsim import compile_workload, execute_workload
-from medha.heaan import Ciphertext, Engine, _slot_index
+from medha.heaan import Ciphertext, Engine, KeySwitchKey, _centered_int64, _slot_index
 from medha.keys import (
     COMP_KSK_ERROR,
     COMP_KSK_UNIFORM,
@@ -21,7 +21,7 @@ from medha.keys import (
     sample_gaussian,
     stream_for,
 )
-from medha.polyring import dyadic, ntt_inverse, scalar_mul
+from medha.polyring import STANDARD, ResiduePoly, dyadic, ntt_inverse, scalar_mul
 from medha.ringsplit import forward_pair, split
 
 TOY = 64
@@ -185,6 +185,42 @@ def test_mult_relin_forward_transform_count(toy_split2, monkeypatch):
     top = eng.base.levels
     assert top == 9 and len(calls) == top * top + 2 * top == 99
     assert _rel_err(eng.decrypt(prod), vx * vy) < 2 ** -16
+
+
+@pytest.mark.parametrize("fill", ("max", "random"))
+def test_key_switch_matches_per_term_mac(toy_split2, fill):
+    # "max": every d limb and key word is q - 1, whose lift is -1 on every
+    # target, so each sum takes the largest terms there are; "random" words
+    # take the carry out of the low partial products as well
+    eng = toy_split2
+    base = eng.base
+    lvl = base.levels
+    rng = np.random.default_rng(60)
+
+    def full(m):
+        words = (np.full(eng.degree, m.value - 1, dtype=np.uint64) if fill == "max"
+                 else rng.integers(0, m.value, eng.degree, dtype=np.uint64))
+        return ResiduePoly(m, words, "eval", STANDARD)
+
+    d = [full(m) for m in base.primes]
+    ksk = KeySwitchKey(1, *[[[full(m) for m in base.all_moduli] for _ in range(lvl)]
+                            for _ in range(2)])
+    got0, got1 = eng._key_switch(d, ksk)
+
+    # reference: a reduced multiply-accumulate per term, rows outermost
+    ext = base.extended_moduli(lvl)
+    acc0, acc1 = [None] * len(ext), [None] * len(ext)
+    for i in range(lvl):
+        signed = _centered_int64(eng._limb_to_parent(d[i]), base.primes[i].value)
+        for j, m in enumerate(ext):
+            dl = eng._signed_to_limb(signed, m)
+            kind = "mac" if i else "mul"
+            acc0[j] = dyadic(kind, dl, ksk.secret[i][j], acc=acc0[j])
+            acc1[j] = dyadic(kind, dl, ksk.uniform[i][j], acc=acc1[j])
+    inv_p = base.inv[base.levels]
+    for got, acc in ((got0, acc0), (got1, acc1)):
+        want = eng._drop_last(acc, inv_p)
+        assert all(np.array_equal(g.coeffs, w.coeffs) for g, w in zip(got, want))
 
 
 def test_rescale_floor_raises(toy_native):

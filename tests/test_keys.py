@@ -14,7 +14,9 @@ from medha.keys import (
     HALF_MINUS,
     HALF_PLUS,
     LANE_CHUNK,
+    PACKED_MAX_LANES,
     TriviumLanes,
+    TriviumPacked,
     TriviumStream,
     component_tag,
     gen_secret,
@@ -113,6 +115,40 @@ def test_lane_samplers_match_scalar_samplers(seed, tag_seed, n_lanes, n_gauss_la
         [stream_for(seed, *tag) for tag in gaussian], n_gaussian)
     assert u_rows.shape == (n_lanes, n_uniform) and u_rows.dtype == np.uint64
     assert g_rows.shape == (n_gauss_lanes, n_gaussian) and g_rows.dtype == np.int64
+    for row, (tag, q) in zip(u_rows, uniform):
+        assert np.array_equal(row, sample_uniform_mod(stream_for(seed, *tag), n_uniform, q))
+    for row, tag in zip(g_rows, gaussian):
+        assert np.array_equal(row, sample_gaussian(stream_for(seed, *tag), n_gaussian))
+
+
+def test_packed_lanes_continue_each_stream():
+    rng = random.Random(44)
+    streams = [TriviumStream(rng.getrandbits(80), rng.getrandbits(80)) for _ in range(3)]
+    streams[2].next_words(5)
+    lanes = TriviumPacked(streams)
+    words = np.concatenate([lanes.next_words(4), lanes.next_words(3)], axis=1)
+    assert words.shape == (3, 7) and words.dtype == np.uint64
+    for row, s in zip(words, streams):
+        assert np.array_equal(row, s.next_words(7))
+
+
+# (uniform lanes, Gaussian lanes): an encryption's two Gaussian streams, one
+# lane, and the two lane counts on either side of the stepper crossover
+@pytest.mark.parametrize("n_uniform_lanes,n_gauss_lanes", [
+    (0, 2), (1, 0), (PACKED_MAX_LANES - 8, 8), (PACKED_MAX_LANES - 7, 8),
+])
+def test_both_lane_steppers_match_scalar_samplers(n_uniform_lanes, n_gauss_lanes):
+    rng = random.Random(n_uniform_lanes)
+    seed = rng.getrandbits(64)
+    uniform = [(_random_tag(rng), rng.choice(_MODULI)) for _ in range(n_uniform_lanes)]
+    gaussian = [_random_tag(rng) for _ in range(n_gauss_lanes)]
+    n_uniform = LANE_CHUNK // 2 + 3 if uniform else 0
+    n_gaussian = LANE_CHUNK + 5
+    u_rows, g_rows = sample_lanes(
+        [(stream_for(seed, *tag), q) for tag, q in uniform], n_uniform,
+        [stream_for(seed, *tag) for tag in gaussian], n_gaussian)
+    assert u_rows.shape == (n_uniform_lanes, n_uniform)
+    assert g_rows.shape == (n_gauss_lanes, n_gaussian)
     for row, (tag, q) in zip(u_rows, uniform):
         assert np.array_equal(row, sample_uniform_mod(stream_for(seed, *tag), n_uniform, q))
     for row, tag in zip(g_rows, gaussian):

@@ -37,15 +37,25 @@ def wrap(monkeypatch):
 
 
 def test_benchmark_wrappers_install_and_uninstall(wrap):
-    from medha import archsim, heaan, ringsplit
+    from medha import archsim, heaan, kernels, keys, polyring, ringsplit
 
     run = archsim._Executor.__dict__["run"]
+    # the names whose code the Trivium, key-switch and transform rewrites replaced
+    rewritten = [
+        (keys.TriviumStream, "next_words"),
+        (keys, "sample_gaussian"),
+        (kernels.ModContext, "mulmod"),
+        (polyring, "ntt_forward"),
+    ]
+    originals = [vars(owner)[attr] for owner, attr in rewritten]
     wrap.install(_NullRecorder())
     try:
         assert wrap._installed
         assert archsim._Executor.__dict__["run"].__wrapped__ is run
         assert ringsplit.forward_pair.__wrapped__ is not None
         assert heaan.Engine.__dict__["decrypt_to_centered"].__wrapped__ is not None
+        for (owner, attr), orig in zip(rewritten, originals):
+            assert vars(owner)[attr].__wrapped__ is orig, attr
     finally:
         wrap.uninstall()
     assert not wrap._installed

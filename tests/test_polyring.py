@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from medha import kernels
 from medha.modarith import PrimeModulus
 from medha.params import get_param_set
 from medha.polyring import (
@@ -262,3 +263,38 @@ def test_transforms_exact_at_lazy_bounds(qv, log_n, twist, fill, seed):
     # coefficients whose evaluations they are
     c = ntt_inverse(ResiduePoly(q, words, "eval", twist))
     assert _eval_oracle(q, n, twist, [int(x) for x in c.coeffs]) == ints
+
+
+def _exact_forward(q, n, twist, words):
+    """ntt_forward's butterfly network, reduced exactly at every layer."""
+    t = twiddle_table(q, n, twist)
+    c = kernels.ctx(q.value)
+    f = words.copy()
+    half = n // 2
+    while half:
+        g = n // (2 * half)  # layer constants are w[g : 2g]
+        a = f.reshape(g, 2, half)
+        x = a[:, 0].copy()
+        prod = c.mulmod(a[:, 1], t.w[g : 2 * g, None])
+        a[:, 0] = kernels.addmod(x, prod, c.qv)
+        a[:, 1] = kernels.submod(x, prod, c.qv)
+        half //= 2
+    return f
+
+
+# at 2^14 and 2^15 the tracked bound of a 54-bit modulus grows to 57q and 61q
+# before its one final reduction, and a 60-bit one corrects between layers
+@pytest.mark.parametrize("fill", ("zero", "max", "random"))
+@pytest.mark.parametrize("qv", (get_param_set("set2").base.primes[0].value,
+                                get_param_set("set2").base.primes[1].value,
+                                Q_NEAR_2_62))
+@pytest.mark.parametrize("log_n", (14, 15))
+def test_forward_transform_matches_exact_network_at_full_size(log_n, qv, fill):
+    q = PrimeModulus.from_value(qv)
+    n = 1 << log_n
+    if fill == "random":
+        words = np.random.default_rng(log_n).integers(0, qv, size=n, dtype=np.uint64)
+    else:
+        words = np.full(n, 0 if fill == "zero" else qv - 1, dtype=np.uint64)
+    got = ntt_forward(ResiduePoly(q, words, "coeff", STANDARD)).coeffs
+    assert np.array_equal(got, _exact_forward(q, n, STANDARD, words))

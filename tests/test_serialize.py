@@ -4,6 +4,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from medha.serialize import (
     _HEADER,
@@ -118,6 +120,62 @@ def test_rejects_truncation_and_junk(toy_set1, toy_native, tmp_path):
         path.write_bytes(bad)
         with pytest.raises(SerializationError):
             load_ciphertext(path, toy_set1)
+
+
+def test_rejects_zero_scale_denominator(toy_set1, toy_native, tmp_path):
+    path = _saved(toy_native, toy_set1, tmp_path)
+    raw = bytearray(path.read_bytes())
+    num_len = int.from_bytes(raw[_HEADER.size:_HEADER.size + 4], "little")
+    den_at = _HEADER.size + 4 + num_len + 4
+    assert raw[den_at - 4:den_at + 1] == b"\x01\x00\x00\x00\x01"  # scale 2^40 / 1
+    raw[den_at] = 0
+    path.write_bytes(raw)
+    with pytest.raises(SerializationError, match="denominator"):
+        load_ciphertext(path, toy_set1)
+
+
+@pytest.fixture(scope="module")
+def saved_files(set1, set2, toy_set1, toy_set2, toy_native, toy_split2, tmp_path_factory):
+    """A ciphertext and a relin key file of each toy engine, with their loaders."""
+    folder = tmp_path_factory.mktemp("saved")
+    rng = np.random.default_rng(27)
+    files = {}
+    for name, eng, ct_pset, ksk_pset in (("set1", toy_native, toy_set1, set1),
+                                         ("set2", toy_split2, toy_set2, set2)):
+        ct_path, ksk_path = folder / f"{name}.mdha", folder / f"{name}.mdhk"
+        save_ciphertext(ct_path, _rand_ct(eng, rng), ct_pset)
+        save_ksk(ksk_path, eng.relin_key, eng, ksk_pset)
+        files[f"{name}-ct"] = (ct_path.read_bytes(), lambda p, s=ct_pset: load_ciphertext(p, s))
+        files[f"{name}-ksk"] = (
+            ksk_path.read_bytes(), lambda p, e=eng, s=ksk_pset: load_ksk(p, e, s))
+    return folder, files
+
+
+# positions in the header and scale fields, or anywhere in the file
+_OFFSETS = st.one_of(st.integers(0, 47), st.integers(0, 1 << 20))
+
+
+@settings(max_examples=200)
+@given(which=st.sampled_from(["set1-ct", "set1-ksk", "set2-ct", "set2-ksk"]),
+       cut=st.booleans(), at=_OFFSETS, flip=st.integers(1, 255))
+@example(which="set2-ksk", cut=True, at=0, flip=1)
+def test_mutated_files_raise_only_serialization_errors(saved_files, which, cut, at, flip):
+    # a byte flip or truncation either still loads or is rejected as a
+    # malformed container; no other exception escapes the loaders
+    folder, files = saved_files
+    raw, load = files[which]
+    bad = bytearray(raw)
+    at %= len(raw)
+    if cut:
+        del bad[at:]
+    else:
+        bad[at] ^= flip
+    path = folder / "mutated"
+    path.write_bytes(bad)
+    try:
+        load(path)
+    except SerializationError:
+        pass
 
 
 def test_rejects_out_of_range_level(toy_set1, toy_native, tmp_path):
