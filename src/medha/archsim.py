@@ -91,6 +91,12 @@ PIPE_RING = "ring"
 PIPE_NONE = "none"
 
 _SYNC_OPS = (SYNC_PIPES, SYNC_CTRL, END)
+_PIPE = {
+    **dict.fromkeys((NTT, INTT, CWISE, SCALE_QINV, SPLIT, JOIN, AUTO), PIPE_MAIN),
+    DYADIC: PIPE_DYADIC,
+    BCAST: PIPE_RING,
+    **dict.fromkeys(_SYNC_OPS, PIPE_NONE),
+}
 
 
 class ArchSimError(Exception):
@@ -151,23 +157,12 @@ class CostModel:
     split_move_cycles: int = 345  # movement surcharge per minus-half destination
 
     def cost(self, ins: Instruction) -> int:
-        base = {
-            NTT: self.ntt,
-            INTT: self.intt,
-            CWISE: self.cwise,
-            SCALE_QINV: self.scale_qinv,
-            DYADIC: self.dyadic,
-            BCAST: self.bcast * ins.words,
-            SPLIT: self.split,
-            JOIN: self.join,
-            AUTO: self.auto * ins.words,
-            SYNC_PIPES: 0,
-            SYNC_CTRL: 0,
-            END: 0,
-        }[ins.op]
-        if ins.half == "m":
-            base += self.split_move_cycles
-        return base
+        """The field named after the opcode, per residue polynomial carried
+        (only BCAST and AUTO carry more than one); barriers cost nothing."""
+        if ins.op in _SYNC_OPS:
+            return 0
+        base = getattr(self, ins.op.lower()) * ins.words
+        return base + self.split_move_cycles if ins.half == "m" else base
 
 
 def calibrate_split_move(cost: CostModel, target_add_cycles: int) -> int:
@@ -252,7 +247,8 @@ class _Builder:
     start edges, so the simulator never has to guess: read-after-write
     edges point at the last writer of each source slot, write-after-read
     edges at every reader since that write, write-after-write at the
-    previous writer.
+    previous writer. Slots are never freed within an op, so its high-water
+    mark on an RPAU is the number of distinct slots touched there.
     """
 
     def __init__(self, machine: MachineConfig, op_seq: int):
@@ -262,8 +258,7 @@ class _Builder:
         self.uid = 0
         self.last_write: dict[tuple[int, int], int] = {}
         self.readers: dict[tuple[int, int], list[int]] = {}
-        self.live: dict[int, set[int]] = {}
-        self.peak: dict[int, int] = {}
+        self.touched: dict[int, set[int]] = {}
         self.sync_seq = 0
 
     # -- slot lifecycle -----------------------------------------------------
@@ -273,15 +268,7 @@ class _Builder:
             raise MemoryBudgetError(
                 f"slot {slot} exceeds the {self.machine.rpm_slots}-slot RPM bank"
             )
-        s = self.live.setdefault(rpau, set())
-        if slot not in s:
-            s.add(slot)
-            self.peak[rpau] = max(self.peak.get(rpau, 0), len(s))
-            if len(s) > self.machine.rpm_slots:
-                raise MemoryBudgetError(
-                    f"rpau {rpau} needs {len(s)} live slots; "
-                    f"budget is {self.machine.rpm_slots}"
-                )
+        self.touched.setdefault(rpau, set()).add(slot)
 
     def preload(self, rpaus: Sequence[int], slots: Sequence[int]):
         for r in rpaus:
@@ -293,7 +280,6 @@ class _Builder:
     def emit(
         self,
         op: str,
-        pipe: str,
         ctrl: int,
         rpaus: Sequence[int],
         dst: Sequence[int] = (),
@@ -326,7 +312,7 @@ class _Builder:
                 deps.add(w)
             deps.update(self.readers.get(ref, ()))
         ins = Instruction(
-            op=op, pipe=pipe, ctrl=ctrl, rpaus=rpaus, dst=tuple(dst),
+            op=op, pipe=_PIPE[op], ctrl=ctrl, rpaus=rpaus, dst=tuple(dst),
             src=tuple(src), kind=kind, words=words, half=half, meta=meta,
             uid=self.uid, deps=tuple(sorted(deps)), op_seq=self.op_seq,
         )
@@ -353,13 +339,6 @@ class _Builder:
             )
             self.uid += 1
 
-    def finish(self, kind, name, inputs, outputs, functional=True, **meta) -> OpProgram:
-        return OpProgram(
-            kind=kind, name=name, streams=self.streams, inputs=inputs,
-            outputs=outputs, meta=meta, high_water=dict(self.peak),
-            functional=functional,
-        )
-
 
 # ---------------------------------------------------------------------------
 # compilation
@@ -382,17 +361,23 @@ def _pt_binding(rpaus, slots):
     return {"kind": "pt", "components": [[(r, tuple(slots)) for r in rpaus]]}
 
 
+def _slot_terms(slots) -> tuple:
+    return tuple(("slot", s) for s in slots)
+
+
 class _OpCompiler:
     """Shared context for compiling one high-level operation."""
 
-    def __init__(self, pset: ParamSet, machine: MachineConfig, level: int, op_seq: int):
+    def __init__(self, pset: ParamSet, machine: MachineConfig, level: int, op_seq: int,
+                 op: str, name: str):
         if level < 1 or level > pset.levels:
             raise UnsupportedOpError(f"level {level} outside 1..{pset.levels}")
         if pset.levels + 1 > machine.n_rpaus:
             raise UnsupportedOpError("parameter set needs more RPAUs than built")
         self.pset = pset
-        self.machine = machine
         self.level = level
+        self.op = op
+        self.name = name
         self.split = pset.mode == "split"
         self.b = _Builder(machine, op_seq)
         self.limbs = _limb_rpaus(level)
@@ -414,23 +399,25 @@ class _OpCompiler:
         self.b.preload(rpaus, slots)
         self.b.sync(SYNC_CTRL, op_start=True)
 
-    def close(self, kind, name, inputs, outputs, functional=True, **meta) -> OpProgram:
+    def close(self, inputs, outputs, functional=True, **meta) -> OpProgram:
         """Drain both controllers, rendezvous, and package the op."""
         self.b.sync(SYNC_PIPES)
         self.b.sync(SYNC_CTRL)
-        return self.b.finish(kind, name, inputs, outputs, functional,
-                             level=self.level, **meta)
+        return self.program(inputs, outputs, functional, level=self.level, **meta)
 
-    # receive-buffer rotation ------------------------------------------------
+    def program(self, inputs, outputs, functional=True, **meta) -> OpProgram:
+        return OpProgram(
+            kind=self.op, name=self.name, streams=self.b.streams, inputs=inputs,
+            outputs=outputs, meta=meta, functional=functional,
+            high_water={r: len(s) for r, s in self.b.touched.items()},
+        )
 
     def recv_slots(self, ring: Sequence[int]) -> tuple[int, ...]:
-        if not self.split:
-            s = ring[self._recv_seq % len(ring)]
-            self._recv_seq += 1
-            return (s,)
-        k = (2 * self._recv_seq) % len(ring)
+        """The next receive buffer: as many consecutive ring slots as a limb has."""
+        width = len(self.slots(0))
+        k = width * self._recv_seq
         self._recv_seq += 1
-        return (ring[k], ring[(k + 1) % len(ring)])
+        return tuple(ring[(k + j) % len(ring)] for j in range(width))
 
     # instruction helpers ----------------------------------------------------
 
@@ -438,54 +425,32 @@ class _OpCompiler:
         """Minus-half marker for the h-th slot of a limb."""
         return "m" if (self.split and h == 1) else ""
 
-    def cwise(self, ctrl, rpaus, kind, dst, srcs):
+    def per_half(self, op, ctrl, rpaus, dst, srcs=None, kind="", **meta):
+        """One `op` per slot of `dst`, reading the same slot of each source
+        (in place without sources); a mac also reads the slot it adds onto."""
         for h, d in enumerate(dst):
-            self.b.emit(
-                CWISE, PIPE_MAIN, ctrl, rpaus, dst=(d,),
-                src=tuple(("slot", s[h]) for s in srcs), kind=kind, half=self.half(h),
-            )
-
-    def dyadic_op(self, ctrl, rpaus, kind, dst, srcs):
-        for h, d in enumerate(dst):
-            terms = [("slot", s[h]) for s in srcs]
+            terms = _slot_terms(s[h] for s in (srcs or (dst,)))
             if kind == "mac":
-                terms.append(("slot", d))
-            self.b.emit(
-                DYADIC, PIPE_DYADIC, ctrl, rpaus, dst=(d,), src=tuple(terms),
-                kind=kind, half=self.half(h),
-            )
-
-    def transform(self, op, ctrl, rpaus, slots):
-        for h, s in enumerate(slots):
-            self.b.emit(
-                op, PIPE_MAIN, ctrl, rpaus, dst=(s,), src=(("slot", s),), half=self.half(h),
-            )
-
-    def scale_qinv(self, ctrl, rpaus, slots, drop_idx):
-        for h, s in enumerate(slots):
-            self.b.emit(
-                SCALE_QINV, PIPE_MAIN, ctrl, rpaus, dst=(s,), src=(("slot", s),),
-                half=self.half(h), drop_idx=drop_idx,
-            )
+                terms += (("slot", d),)
+            self.b.emit(op, ctrl, rpaus, dst=(d,), src=terms, kind=kind,
+                        half=self.half(h), **meta)
 
     def to_coeff(self, ctrl, rpaus, slots):
         """Evaluation limb to parent-ring coefficients, in place."""
-        self.transform(INTT, ctrl, rpaus, slots)
+        self.per_half(INTT, ctrl, rpaus, slots)
         if self.split:
-            self.b.emit(JOIN, PIPE_MAIN, ctrl, rpaus, dst=slots,
-                        src=tuple(("slot", s) for s in slots))
+            self.b.emit(JOIN, ctrl, rpaus, dst=slots, src=_slot_terms(slots))
 
     def to_eval(self, ctrl, rpaus, slots):
         """Parent-ring coefficients to an evaluation limb, in place."""
         if self.split:
-            self.b.emit(SPLIT, PIPE_MAIN, ctrl, rpaus, dst=slots,
-                        src=tuple(("slot", s) for s in slots), half="m")
-        self.transform(NTT, ctrl, rpaus, slots)
+            self.b.emit(SPLIT, ctrl, rpaus, dst=slots, src=_slot_terms(slots), half="m")
+        self.per_half(NTT, ctrl, rpaus, slots)
 
     def bcast(self, ctrl, src_rpau, src_slots, receivers, recv):
         """Coefficients on src_rpau -> re-reduced evaluation limbs on receivers."""
         self.b.emit(
-            BCAST, PIPE_RING, ctrl, receivers, dst=recv,
+            BCAST, ctrl, receivers, dst=recv,
             src=tuple(("remote", src_rpau, s) for s in src_slots),
             words=len(src_slots),
         )
@@ -496,8 +461,8 @@ class _OpCompiler:
         self.to_coeff(ctrl, (drop_rpau,), acc_slots)
         recv = self.recv_slots(ring)
         self.bcast(ctrl, drop_rpau, acc_slots, receivers, recv)
-        self.cwise(ctrl, receivers, "sub", acc_slots, [acc_slots, recv])
-        self.scale_qinv(ctrl, receivers, acc_slots, drop_idx)
+        self.per_half(CWISE, ctrl, receivers, acc_slots, [acc_slots, recv], "sub")
+        self.per_half(SCALE_QINV, ctrl, receivers, acc_slots, drop_idx=drop_idx)
 
     def key_switch(self, src, acc0, acc1, ksk_id, recv_ring):
         """Hoisted key switch of the limbs in `src` into `acc0`/`acc1`.
@@ -516,40 +481,35 @@ class _OpCompiler:
                     terms = (("slot", r), ("ksk", ksk_id, comp, i))
                     if i:
                         terms += (("slot", acc[h]),)
-                    self.b.emit(DYADIC, PIPE_DYADIC, 1, self.all_r, dst=(acc[h],),
-                                src=terms, kind="mac" if i else "mul", half=self.half(h))
+                    self.b.emit(DYADIC, 1, self.all_r, dst=(acc[h],), src=terms,
+                                kind="mac" if i else "mul", half=self.half(h))
         for acc in (acc0, acc1):
             self.mod_down(0, acc, self.limbs, recv_ring, self.sp, self.pset.levels)
 
 
-def _compile_add(pset, machine, level, op_seq, name, sub=False) -> OpProgram:
-    c = _OpCompiler(pset, machine, level, op_seq)
+def _compile_add(c: _OpCompiler) -> OpProgram:
     x0, x1, y0, y1, o0, o1 = map(c.slots, range(6))
     c.open(c.limbs, x0 + x1 + y0 + y1)
-    kind = "sub" if sub else "add"
-    c.cwise(0, c.limbs, kind, o0, [x0, y0])
-    c.cwise(0, c.limbs, kind, o1, [x1, y1])
+    c.per_half(CWISE, 0, c.limbs, o0, [x0, y0], c.op)
+    c.per_half(CWISE, 0, c.limbs, o1, [x1, y1], c.op)
     return c.close(
-        kind, name,
         inputs={"x": _ct_binding(c.limbs, x0, x1), "y": _ct_binding(c.limbs, y0, y1)},
         outputs={"out": _ct_binding(c.limbs, o0, o1)},
     )
 
 
-def _compile_mult_plain(pset, machine, level, op_seq, name) -> OpProgram:
-    c = _OpCompiler(pset, machine, level, op_seq)
+def _compile_mult_plain(c: _OpCompiler) -> OpProgram:
     x0, x1, pt = map(c.slots, range(3))
     c.open(c.limbs, x0 + x1 + pt)
-    c.dyadic_op(1, c.limbs, "mul", x0, [x0, pt])
-    c.dyadic_op(1, c.limbs, "mul", x1, [x1, pt])
+    c.per_half(DYADIC, 1, c.limbs, x0, [x0, pt], "mul")
+    c.per_half(DYADIC, 1, c.limbs, x1, [x1, pt], "mul")
     return c.close(
-        "mult_plain", name,
         inputs={"x": _ct_binding(c.limbs, x0, x1), "pt": _pt_binding(c.limbs, pt)},
         outputs={"out": _ct_binding(c.limbs, x0, x1)},
     )
 
 
-def _compile_mult_relin(pset, machine, level, op_seq, name) -> OpProgram:
+def _compile_mult_relin(c: _OpCompiler) -> OpProgram:
     """Tensor product, key-switch of the quadratic part, and base merge.
 
     The dyadic controller owns the tensor products and the running
@@ -557,7 +517,6 @@ def _compile_mult_relin(pset, machine, level, op_seq, name) -> OpProgram:
     that walks the quadratic part through every output modulus, then the
     two sequential special-prime drops.
     """
-    c = _OpCompiler(pset, machine, level, op_seq)
     x0, x1, y0, y1, d2, d1 = map(c.slots, range(6))
     d0, acc0 = x0, x1                    # overwrite inputs as they go dead
     if c.split:
@@ -569,83 +528,77 @@ def _compile_mult_relin(pset, machine, level, op_seq, name) -> OpProgram:
     c.open(c.limbs, x0 + x1 + y0 + y1)
 
     # tensor product; the quadratic part first so the transform loop can start
-    c.dyadic_op(1, c.limbs, "mul", d2, [x1, y1])
-    c.dyadic_op(1, c.limbs, "mul", d1, [x0, y1])
-    c.dyadic_op(1, c.limbs, "mac", d1, [x1, y0])
-    c.dyadic_op(1, c.limbs, "mul", d0, [x0, y0])
+    c.per_half(DYADIC, 1, c.limbs, d2, [x1, y1], "mul")
+    c.per_half(DYADIC, 1, c.limbs, d1, [x0, y1], "mul")
+    c.per_half(DYADIC, 1, c.limbs, d1, [x1, y0], "mac")
+    c.per_half(DYADIC, 1, c.limbs, d0, [x0, y0], "mul")
 
     c.key_switch(d2, acc0, acc1, RELIN_KSK_ID, recv_ring)
-    c.cwise(0, c.limbs, "add", d0, [d0, acc0])
-    c.cwise(0, c.limbs, "add", d1, [d1, acc1])
+    c.per_half(CWISE, 0, c.limbs, d0, [d0, acc0], "add")
+    c.per_half(CWISE, 0, c.limbs, d1, [d1, acc1], "add")
     return c.close(
-        "mult_relin", name,
         inputs={"x": _ct_binding(c.limbs, x0, x1), "y": _ct_binding(c.limbs, y0, y1)},
         outputs={"out": _ct_binding(c.limbs, d0, d1)},
     )
 
 
-def _compile_rescale_like(pset, machine, level, op_seq, name, drop_special) -> OpProgram:
+def _compile_rescale_like(c: _OpCompiler) -> OpProgram:
     """Drop one limb from both components and divide it out (two branches:
-    the dropped limb's RPAU transforms and broadcasts, the rest receive)."""
-    c = _OpCompiler(pset, machine, level, op_seq)
+    the dropped limb's RPAU transforms and broadcasts, the rest receive).
+    A moddown drops the special prime; a rescale drops the top limb."""
     c0, c1 = c.slots(0), c.slots(1)
     ring = (c.slots(2) + c.slots(3))[: (3 if c.split else 2)]
+    drop_special = c.op == "moddown"
     if drop_special:
-        drop_rpau, drop_idx, keep = c.sp, pset.levels, c.limbs
+        drop_rpau, drop_idx, keep = c.sp, c.pset.levels, c.limbs
         src_rpaus = c.all_r
     else:
-        drop_rpau, drop_idx, keep = level - 1, level - 1, _limb_rpaus(level - 1)
+        drop_rpau, drop_idx, keep = c.level - 1, c.level - 1, _limb_rpaus(c.level - 1)
         src_rpaus = c.limbs
     c.open(src_rpaus, c0 + c1)
     for comp in (c0, c1):
         c.mod_down(0, comp, keep, ring, drop_rpau, drop_idx)
     return c.close(
-        "moddown" if drop_special else "rescale", name,
         inputs={"x": _ct_binding(src_rpaus, c0, c1)},
         outputs={"out": _ct_binding(keep, c0, c1)},
         functional=not drop_special,
     )
 
 
-def _compile_rotate(pset, machine, level, op_seq, name, steps) -> OpProgram:
+def _compile_rotate(c: _OpCompiler, steps: int) -> OpProgram:
     """Galois map of both components, then key-switch the mapped c1."""
-    steps %= pset.slots  # the key id, as in Engine.rotate
+    steps %= c.pset.slots  # the key id, as in Engine.rotate
     if steps == 0:
         raise UnsupportedOpError("rotation by a multiple of the slot count has no key")
-    c = _OpCompiler(pset, machine, level, op_seq)
     c0, c1, a0, a1 = map(c.slots, range(4))
     acc0, acc1 = c0, c1                   # inputs dead once mapped
     recv_ring = (c.slots(4) + c.slots(5))[: (3 if c.split else 2)]
-    g = pow(5, steps, 2 * pset.degree)
+    g = pow(5, steps, 2 * c.pset.degree)
     c.open(c.limbs, c0 + c1)
     for src, dst in ((c0, a0), (c1, a1)):
         if c.split:
             # the map crosses the half-ring boundary, so walk each component
             # through full-ring coefficients and back
             c.to_coeff(0, c.limbs, src)
-            c.b.emit(AUTO, PIPE_MAIN, 0, c.limbs, dst=dst,
-                     src=tuple(("slot", s) for s in src), words=2, g=g,
+            c.b.emit(AUTO, 0, c.limbs, dst=dst, src=_slot_terms(src), words=2, g=g,
                      coeff_domain=True)
             c.to_eval(0, c.limbs, dst)
         else:
-            c.b.emit(AUTO, PIPE_MAIN, 0, c.limbs, dst=dst,
-                     src=tuple(("slot", s) for s in src), g=g)
+            c.b.emit(AUTO, 0, c.limbs, dst=dst, src=_slot_terms(src), g=g)
     c.key_switch(a1, acc0, acc1, steps, recv_ring)
-    c.cwise(0, c.limbs, "add", a0, [a0, acc0])
+    c.per_half(CWISE, 0, c.limbs, a0, [a0, acc0], "add")
     return c.close(
-        "rotate", name,
         inputs={"x": _ct_binding(c.limbs, c0, c1)},
         outputs={"out": _ct_binding(c.limbs, a0, acc1)},
         steps=steps, galois=g,
     )
 
 
-def _compile_ntt_bench(pset, machine, op_seq) -> OpProgram:
-    c = _OpCompiler(pset, machine, pset.levels, op_seq)
+def _compile_ntt_bench(c: _OpCompiler) -> OpProgram:
     s = c.slots(0)[:1]
     c.b.preload((0,), s)
-    c.b.emit(NTT, PIPE_MAIN, 0, (0,), dst=s, src=(("slot", s[0]),))
-    return c.b.finish("ntt", "ntt", inputs={}, outputs={}, functional=False)
+    c.b.emit(NTT, 0, (0,), dst=s, src=_slot_terms(s))
+    return c.program(inputs={}, outputs={}, functional=False)
 
 
 # ---------------------------------------------------------------------------
@@ -654,24 +607,16 @@ def _compile_ntt_bench(pset, machine, op_seq) -> OpProgram:
 def compile_op(pset: ParamSet, op: str, level: Optional[int] = None,
                machine: Optional[MachineConfig] = None, op_seq: int = 0,
                name: Optional[str] = None, steps: int = 1) -> OpProgram:
-    machine = machine or MachineConfig()
+    build = {
+        "add": _compile_add, "sub": _compile_add,
+        "mult_plain": _compile_mult_plain, "mult_relin": _compile_mult_relin,
+        "rescale": _compile_rescale_like, "moddown": _compile_rescale_like,
+        "rotate": lambda c: _compile_rotate(c, steps), "ntt": _compile_ntt_bench,
+    }.get(op)
+    if build is None:
+        raise UnsupportedOpError(f"unknown operation {op!r}")
     level = pset.levels if level is None else level
-    name = name or op
-    if op in ("add", "sub"):
-        return _compile_add(pset, machine, level, op_seq, name, sub=op == "sub")
-    if op == "mult_plain":
-        return _compile_mult_plain(pset, machine, level, op_seq, name)
-    if op == "mult_relin":
-        return _compile_mult_relin(pset, machine, level, op_seq, name)
-    if op == "rescale":
-        return _compile_rescale_like(pset, machine, level, op_seq, name, False)
-    if op == "moddown":
-        return _compile_rescale_like(pset, machine, level, op_seq, name, True)
-    if op == "rotate":
-        return _compile_rotate(pset, machine, level, op_seq, name, steps)
-    if op == "ntt":
-        return _compile_ntt_bench(pset, machine, op_seq)
-    raise UnsupportedOpError(f"unknown operation {op!r}")
+    return build(_OpCompiler(pset, machine or MachineConfig(), level, op_seq, op, name or op))
 
 
 def compile_workload(pset: ParamSet, ops: Sequence[dict],
@@ -775,39 +720,31 @@ def simulate(program: Program, cost: Optional[CostModel] = None,
                     f"controllers deadlocked in {opp.name} at "
                     f"instructions {ptr[0]}/{len(streams[0])} and {ptr[1]}/{len(streams[1])}"
                 )
+            # a rendezvous retires both controllers' SYNC_CTRL together; one
+            # that opens an op holds them for the dispatch overhead, which
+            # the histogram does not count as instruction cycles
             ins = streams[who][ptr[who]]
-            if ins.op == SYNC_CTRL:
-                other = 1 - who
-                partner = streams[other][ptr[other]]
-                dur = cost.op_overhead if ins.meta.get("op_start") else 0
-                for c, i2 in ((who, ins), (other, partner)):
-                    started[i2.uid] = best
-                    retired[i2.uid] = best + dur
-                    fence[c] = best + dur
-                    own_retire[c] = max(own_retire[c], best + dur)
-                    ptr[c] += 1
-                _bump_hist(histogram, SYNC_CTRL, 0, 2)
-                op_t1 = max(op_t1, best + dur)
-                if op_t0 is None:
-                    op_t0 = best
-                continue
-            dur = 0 if ins.op in _SYNC_OPS else cost.cost(ins)
-            start = best
-            retire = start + dur
-            started[ins.uid] = start
-            retired[ins.uid] = retire
-            ptr[who] += 1
-            if ins.op in (SYNC_PIPES, END):
-                fence[who] = retire
-            else:
-                last_start[who] = start
-                for k in _resources(ins, serial):
-                    pipe_free[k] = retire
-                busy[ins.pipe] += dur
-            own_retire[who] = max(own_retire[who], retire)
-            _bump_hist(histogram, ins.op, dur, 1)
+            group = [who, 1 - who] if ins.op == SYNC_CTRL else [who]
+            cycles = cost.cost(ins)
+            retire = best + cycles + (cost.op_overhead if ins.meta.get("op_start") else 0)
+            for c in group:
+                i = streams[c][ptr[c]]
+                ptr[c] += 1
+                started[i.uid] = best
+                retired[i.uid] = retire
+                own_retire[c] = max(own_retire[c], retire)
+                if i.op in _SYNC_OPS:
+                    fence[c] = retire
+                else:
+                    last_start[c] = best
+                    for k in _resources(i, serial):
+                        pipe_free[k] = retire
+                    busy[i.pipe] += cycles
+                h = histogram.setdefault(i.op, {"count": 0, "cycles": 0})
+                h["count"] += 1
+                h["cycles"] += cycles
             if op_t0 is None:
-                op_t0 = start
+                op_t0 = best
             op_t1 = max(op_t1, retire)
 
         # high-level ops execute back to back: later ops wait for the bar
@@ -830,12 +767,6 @@ def simulate(program: Program, cost: Optional[CostModel] = None,
         instruction_count=program.instruction_count,
         clock_mhz=clock_mhz or program.machine.clock_mhz,
     )
-
-
-def _bump_hist(histogram, op, cycles, count):
-    h = histogram.setdefault(op, {"count": 0, "cycles": 0})
-    h["count"] += count
-    h["cycles"] += cycles
 
 
 def _critical_path(program: Program, per_op: dict, limit: int = 48) -> list[str]:
@@ -945,83 +876,68 @@ def _exec_order(streams) -> list[Instruction]:
         for c in (0, 1):
             while ptr[c] < len(streams[c]):
                 ins = streams[c][ptr[c]]
-                if ins.op in _SYNC_OPS:
-                    ptr[c] += 1
-                    progress = True
-                    continue
-                if all(d in done for d in ins.deps):
+                if ins.op not in _SYNC_OPS:
+                    if not all(d in done for d in ins.deps):
+                        break
                     out.append(ins)
                     done.add(ins.uid)
-                    ptr[c] += 1
-                    progress = True
-                    continue
-                break
+                ptr[c] += 1
+                progress = True
         if not progress:
             raise DependencyCycleError("functional execution deadlocked")
     return out
 
 
+def _eval_parts(limb: ResiduePoly, k: int) -> tuple[ResiduePoly, ...]:
+    """The k slot parts of an evaluation limb: the limb itself, or views of
+    its plus and minus half-ring evaluations."""
+    if k == 1:
+        return (limb,)
+    pair = eval_halves(limb)
+    return pair.plus, pair.minus
+
+
 class _Executor:
     def __init__(self, engine, program: Program):
         self.eng = engine
-        self.pset = program.pset
-        self.machine = program.machine
         self.base = engine.base
-        self.split = program.pset.mode == "split"
+        self.parts = 2 if program.pset.mode == "split" else 1
+        # RPAU i holds limb i; the special RPAU holds the special prime
+        levels = self.base.levels
+        self.mod_idx = {r: r for r in range(levels)} | {program.machine.special_rpau: levels}
 
-    def rpau_modulus_idx(self, rpau: int) -> int:
-        if rpau == self.machine.special_rpau:
-            return self.base.levels
-        return rpau
-
-    def rpau_q(self, rpau: int) -> PrimeModulus:
-        return self.base.all_moduli[self.rpau_modulus_idx(rpau)]
-
-    def ksk_operand(self, ksk_id, comp, i, rpau, half):
-        key = self.eng.relin_key if ksk_id == 0 else self.eng.rotation_keys[ksk_id]
-        grid = key.secret if comp == 0 else key.uniform
-        limb = grid[i][self.rpau_modulus_idx(rpau)]
-        if not self.split:
-            return limb
-        pair = eval_halves(limb)
-        return pair.minus if half == "m" else pair.plus
+    def operand(self, state, term, rpau, half):
+        """A source slot's polynomial, or the key part for the same half."""
+        if term[0] == "slot":
+            return state[(rpau, term[1])]
+        _, ksk_id, comp, i = term
+        key = self.eng.relin_key if ksk_id == RELIN_KSK_ID else self.eng.rotation_keys[ksk_id]
+        limb = (key.secret if comp == 0 else key.uniform)[i][self.mod_idx[rpau]]
+        return _eval_parts(limb, self.parts)[half == "m"]
 
     def run(self, opp: OpProgram, state: dict) -> None:
         for ins in _exec_order(opp.streams):
-            self.step(ins, state, opp)
+            self.step(ins, state)
 
-    def step(self, ins: Instruction, state: dict, opp: OpProgram) -> None:
+    def step(self, ins: Instruction, state: dict) -> None:
         if ins.op in (NTT, INTT):
-            fwd = ins.op == NTT
+            fn = ntt_forward if ins.op == NTT else ntt_inverse
             for r in ins.rpaus:
-                x = state[(r, ins.dst[0])]
-                state[(r, ins.dst[0])] = ntt_forward(x) if fwd else ntt_inverse(x)
+                state[(r, ins.dst[0])] = fn(state[(r, ins.dst[0])])
         elif ins.op in (CWISE, DYADIC):
             for r in ins.rpaus:
-                ops = []
-                acc = None
-                for term in ins.src:
-                    if term[0] == "slot":
-                        ops.append(state[(r, term[1])])
-                    elif term[0] == "ksk":
-                        ops.append(self.ksk_operand(*term[1:], rpau=r, half=ins.half))
-                if ins.kind == "mac":
-                    acc = ops.pop()
-                a, bb = ops
-                state[(r, ins.dst[0])] = dyadic(ins.kind, a, bb, acc)
+                ops = [self.operand(state, t, r, ins.half) for t in ins.src]
+                acc = ops.pop() if ins.kind == "mac" else None
+                state[(r, ins.dst[0])] = dyadic(ins.kind, *ops, acc)
         elif ins.op == SCALE_QINV:
-            drop = ins.meta["drop_idx"]
+            inv = self.base.inv[ins.meta["drop_idx"]]
             for r in ins.rpaus:
-                j = self.rpau_modulus_idx(r)
-                state[(r, ins.dst[0])] = scalar_mul(
-                    state[(r, ins.dst[0])], self.base.inv[drop][j]
-                )
+                state[(r, ins.dst[0])] = scalar_mul(state[(r, ins.dst[0])], inv[self.mod_idx[r]])
         elif ins.op == BCAST:
-            src_r = ins.src[0][1]
-            x = _gather(state, src_r, [t[2] for t in ins.src])
+            x = _gather(state, ins.src[0][1], [t[2] for t in ins.src])
             signed = _centered_int64(x.coeffs, x.q.value)
             for r in ins.rpaus:
-                q_r = self.rpau_q(r)
+                q_r = self.base.all_moduli[self.mod_idx[r]]
                 res = signed_to_residues(signed, q_r.value)
                 _scatter(state, r, ins.dst, ResiduePoly(q_r, res, "coeff", STANDARD))
         elif ins.op == SPLIT:
@@ -1043,37 +959,24 @@ class _Executor:
 
 
 def _seed_binding(state, binding, value):
-    if binding["kind"] == "ct":
-        comps = [value.c0, value.c1]
-    else:
-        comps = [value.limbs]
+    comps = [value.c0, value.c1] if binding["kind"] == "ct" else [value.limbs]
     for comp, places in zip(comps, binding["components"]):
         if len(comp) != len(places):
             raise ArchSimError(
                 f"operand has {len(comp)} limbs; the op is compiled for {len(places)}"
             )
         for limb, (rpau, slots) in zip(comp, places):
-            if len(slots) == 2:
-                pair = eval_halves(limb)
-                state[(rpau, slots[0])] = pair.plus.copy()
-                state[(rpau, slots[1])] = pair.minus.copy()
-            else:
-                state[(rpau, slots[0])] = limb.copy()
+            for s, part in zip(slots, _eval_parts(limb, len(slots))):
+                state[(rpau, s)] = part.copy()
 
 
 def _read_ct(state, binding, scale) -> Ciphertext:
-    comps = []
-    for places in binding["components"]:
-        limbs = []
-        for rpau, slots in places:
-            if len(slots) == 2:
-                limbs.append(
-                    eval_whole(SplitPair(state[(rpau, slots[0])], state[(rpau, slots[1])]))
-                )
-            else:
-                limbs.append(state[(rpau, slots[0])])
-        comps.append(limbs)
-    return Ciphertext(comps[0], comps[1], scale)
+    def limb(rpau, slots):
+        parts = [state[(rpau, s)] for s in slots]
+        return eval_whole(SplitPair(*parts)) if len(parts) == 2 else parts[0]
+
+    c0, c1 = ([limb(*place) for place in places] for places in binding["components"])
+    return Ciphertext(c0, c1, scale)
 
 
 def execute_workload(engine, program: Program, variables: dict) -> dict:
@@ -1090,23 +993,19 @@ def execute_workload(engine, program: Program, variables: dict) -> dict:
             continue
         names = opp.meta.get("vars", {})
         state: dict = {}
-        ct_x = variables[names.get("x", "x")] if "x" in opp.inputs else None
-        for var, binding in opp.inputs.items():
-            _seed_binding(state, binding, variables[names.get(var, var)])
-        ex.run(opp, state)
-        out_name = names.get("out", "out")
-        if opp.kind in ("add", "sub"):
-            y = variables[names.get("y", "y")]
-            scale = ct_x.scale
-            if y.scale != scale:
+        operands = [variables[names.get(var, var)] for var in opp.inputs]
+        for binding, value in zip(opp.inputs.values(), operands):
+            _seed_binding(state, binding, value)
+        # a sum keeps its operands' common scale, a product multiplies them
+        # and a rescale divides by the dropped prime
+        scale = operands[0].scale
+        for other in operands[1:]:
+            if opp.kind not in ("add", "sub"):
+                scale = scale * other.scale
+            elif other.scale != scale:
                 raise ArchSimError("operand scales differ")
-        elif opp.kind == "mult_relin":
-            scale = ct_x.scale * variables[names.get("y", "y")].scale
-        elif opp.kind == "mult_plain":
-            scale = ct_x.scale * variables[names.get("pt", "pt")].scale
-        elif opp.kind == "rescale":
-            scale = ct_x.scale / engine.base.primes[opp.meta["level"] - 1].value
-        else:
-            scale = ct_x.scale
-        variables[out_name] = _read_ct(state, opp.outputs["out"], scale)
+        if opp.kind == "rescale":
+            scale = scale / engine.base.primes[opp.meta["level"] - 1].value
+        ex.run(opp, state)
+        variables[names.get("out", "out")] = _read_ct(state, opp.outputs["out"], scale)
     return variables

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from .archsim import (
+    ArchSimError,
     CostModel,
     MachineConfig,
     UnsupportedOpError,
@@ -31,7 +32,14 @@ from .archsim import (
     simulate,
 )
 from .heaan import Engine
-from .params import ConfigError, ParamSet, get_param_set, load_param_config, param_set_names
+from .params import (
+    ConfigError,
+    ParamSet,
+    get_param_set,
+    load_param_config,
+    param_set_names,
+    valid_clock,
+)
 from .serialize import SerializationError, load_ksk, save_ksk
 from .workloads import get_workload, workload_names
 
@@ -40,6 +48,13 @@ def _seed(text: str) -> int:
     value = int(text)
     if not 0 <= value < 1 << 64:
         raise argparse.ArgumentTypeError(f"{value} is outside [0, 2^64)")
+    return value
+
+
+def _clock(text: str) -> float:
+    value = float(text)
+    if not valid_clock(value):
+        raise argparse.ArgumentTypeError(f"{text} is not a finite clock rate above 0")
     return value
 
 
@@ -58,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="expansion and data seed, in [0, 2^64)")
     ap.add_argument("--simulate", action="store_true",
                     help="attach the cycle-model report")
-    ap.add_argument("--clock-mhz", type=float, default=None,
+    ap.add_argument("--clock-mhz", type=_clock, default=None,
                     help="override the modeled clock")
     ap.add_argument("--calibrate-costs", type=Path, default=None,
                     help="JSON with a measured set2_add_cycles total")
@@ -82,9 +97,12 @@ def _load_cost_model(path: Path | None) -> CostModel:
     if not isinstance(raw, dict) or "set2_add_cycles" not in raw:
         raise ConfigError("calibration file must carry set2_add_cycles")
     target = raw["set2_add_cycles"]
-    if not isinstance(target, int) or target <= 0:
+    if isinstance(target, bool) or not isinstance(target, int) or target <= 0:
         raise ConfigError("set2_add_cycles must be a positive integer")
-    cost.split_move_cycles = calibrate_split_move(cost, target)
+    try:
+        cost.split_move_cycles = calibrate_split_move(cost, target)
+    except ArchSimError as e:
+        raise ConfigError(f"set2_add_cycles {target}: {e}") from e
     return cost
 
 
@@ -111,7 +129,8 @@ def _sync_keys(engine: Engine, pset: ParamSet, directory: Path, steps) -> dict:
 def _run(args) -> dict:
     pset = load_param_config(args.config) if args.config else get_param_set(args.param_set)
     cost = _load_cost_model(args.calibrate_costs)
-    machine = MachineConfig(clock_mhz=args.clock_mhz or pset.clock_mhz)
+    clock = pset.clock_mhz if args.clock_mhz is None else args.clock_mhz
+    machine = MachineConfig(clock_mhz=clock)
     wl = get_workload(pset, args.workload)
     program = compile_workload(pset, wl.ops, machine=machine)
 

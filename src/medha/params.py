@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -23,6 +24,12 @@ HW_DEGREE = 1 << 14  # transform size the arithmetic units are built for
 
 class ConfigError(ValueError):
     """Raised for malformed or inconsistent parameter configuration."""
+
+
+def valid_clock(mhz) -> bool:
+    """A clock rate is a finite number above 0; a bool is not a number here."""
+    return (isinstance(mhz, (int, float)) and not isinstance(mhz, bool)
+            and math.isfinite(mhz) and mhz > 0)
 
 
 @dataclass(frozen=True)
@@ -38,6 +45,12 @@ class ParamSet:
     def __post_init__(self):
         if self.mode not in ("native", "split"):
             raise ConfigError(f"unknown mode {self.mode!r}")
+        if (isinstance(self.scale_bits, bool) or not isinstance(self.scale_bits, int)
+                or self.scale_bits < 1):
+            raise ConfigError(f"scale_bits must be an integer >= 1, got {self.scale_bits!r}")
+        if not valid_clock(self.clock_mhz):
+            raise ConfigError(f"clock_mhz must be a finite number > 0, got {self.clock_mhz!r}")
+        object.__setattr__(self, "clock_mhz", float(self.clock_mhz))
         if self.degree & (self.degree - 1) or self.degree < 16:
             raise ConfigError("degree must be a power of two >= 16")
         if self.hw_degree > HW_DEGREE:
@@ -148,8 +161,7 @@ def load_param_config(path: str) -> ParamSet:
             degree=int(doc["degree"]),
             log_pq=int(doc["log_pq"]),
             mode=str(doc["mode"]),
-            scale_bits=int(doc.get("scale_bits", 40)),
-            clock_mhz=float(doc.get("clock_mhz", 200.0)),
+            **{k: doc[k] for k in ("scale_bits", "clock_mhz") if k in doc},
         )
     except ConfigError:
         raise

@@ -402,3 +402,68 @@ def test_compiled_streams_pinned(pset_name):
     for name, want in _STREAM_DIGESTS[pset_name].items():
         _, prog = _bench_program(pset, name)
         assert _program_digest(prog) == want, name
+
+
+def _simulation_digest(prog) -> str:
+    """SHA-256 over what the CLI's --simulate section reports of a program."""
+    rep = simulate(prog)
+    doc = (rep.total_cycles, rep.per_pipe_busy, rep.op_histogram, rep.per_op,
+           rep.critical_path[-8:], dual_issue_savings(prog), memory_audit(prog))
+    return hashlib.sha256(repr(_canon(doc)).encode()).hexdigest()[:16]
+
+
+_SIMULATION_DIGESTS = {
+    "set1": {
+        "add": "6f2ae2949169c171", "sub": "aeda3d1d2457035c",
+        "mult_relin": "cc2aa8da9db33d7d", "rescale": "825a6bf430af94ea",
+        "moddown": "11edcdf4e3a48e98", "rotate": "d50de72b75616ec6",
+        "mult_plain": "abc0c9a05b3ef78e", "ntt": "7196206f20b1d362",
+        "empty": "8f132297b9e4da5f", "logreg": "6a9363bf0a552e6c",
+    },
+    "set2": {
+        "add": "c87613317f864dd2", "sub": "79b79f399e3db974",
+        "mult_relin": "b517abb941ee5688", "rescale": "ab850396308e5e6b",
+        "moddown": "4fd828ef8e410d92", "rotate": "d76c64db08fdd40b",
+        "mult_plain": "0c4b08be246a18de", "ntt": "7196206f20b1d362",
+        "empty": "8f132297b9e4da5f", "logreg": "fc7f7e8ffa1a2148",
+    },
+    "logreg": {
+        "add": "c0e0bdb93ceae0a3", "sub": "20a6565fd804532b",
+        "mult_relin": "4ed8d96d57493bb7", "rescale": "f48609ac4086e581",
+        "moddown": "6ca84b73f4867f5c", "rotate": "d2c77340d81883e1",
+        "mult_plain": "8d8edcfa7c29a13e", "ntt": "7196206f20b1d362",
+        "empty": "8f132297b9e4da5f", "logreg": "35445e8931350922",
+    },
+}
+
+
+@pytest.mark.parametrize("pset_name", sorted(_SIMULATION_DIGESTS))
+def test_simulation_reports_pinned(pset_name):
+    # totals alone miss cycles moved between pipes, ops or opcodes; these
+    # digests cover the per-pipe, per-opcode and per-op splits, the tail of
+    # the critical path, the dual-issue comparison and the memory audit
+    pset = get_param_set(pset_name)
+    assert set(_SIMULATION_DIGESTS[pset_name]) == set(workload_names())
+    for name, want in _SIMULATION_DIGESTS[pset_name].items():
+        _, prog = _bench_program(pset, name)
+        assert _simulation_digest(prog) == want, name
+
+
+def test_rendezvous_overhead_not_counted_as_instruction_cycles(set1):
+    # an op-opening SYNC_CTRL holds both controllers for the dispatch
+    # overhead, but the histogram charges barriers no cycles
+    _, prog = _bench_program(set1, "add")
+    rep = simulate(prog)
+    assert rep.op_histogram["SYNC_CTRL"] == {"count": 4, "cycles": 0}
+    # the two additions run back to back on the main pipe
+    assert rep.total_cycles == CostModel().op_overhead + rep.op_histogram["CWISE"]["cycles"]
+
+
+def test_sum_of_operands_at_different_scales_rejected(set1, toy_native):
+    vals = np.linspace(-1.0, 1.0, toy_native.slots)
+    x = toy_native.encrypt(toy_native.encode(vals, set1.scale))
+    y = toy_native.encrypt(toy_native.encode(vals, set1.scale * 2))
+    prog = compile_workload(set1, [{"op": "add", "x": "x", "y": "y", "out": "out"}])
+    with pytest.raises(ArchSimError, match="operand scales differ"):
+        execute_workload(toy_native, prog, {"x": x, "y": y})
+    assert execute_workload(toy_native, prog, {"x": x, "y": x})["out"].scale == x.scale

@@ -169,3 +169,45 @@ def test_stdout_default(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["tool"] == "medha"
     assert doc["param_set"]["degree"] == 64
+
+
+@pytest.mark.parametrize("target", [100, True])
+def test_calibration_target_rejected(tmp_path, capsys, target):
+    # 100 is below the 2,176-cycle surcharge-free split addition; true is
+    # not a cycle count even though Python counts it as an int
+    calib = _write_config(tmp_path, {"set2_add_cycles": target}, "calib.json")
+    cfg = _write_config(tmp_path, TINY_SPLIT)
+    assert main(["--config", str(cfg), "--workload", "add", "--simulate",
+                 "--calibrate-costs", str(calib)]) == 2
+    assert "set2_add_cycles" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("clock", ["0", "-100", "nan", "inf", "fast"])
+def test_clock_flag_must_be_finite_and_positive(tmp_path, capsys, clock):
+    cfg = _write_config(tmp_path, TINY_NATIVE)
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "--workload", "add", "--simulate",
+              "--clock-mhz", clock])
+    assert exc.value.code == 2
+    assert "--clock-mhz" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("clock_mhz", 0), ("clock_mhz", -100.0), ("clock_mhz", True), ("clock_mhz", "200"),
+    ("scale_bits", -1), ("scale_bits", 0), ("scale_bits", True), ("scale_bits", "40"),
+    ("scale_bits", 40.5),
+])
+def test_config_tuning_values_rejected(tmp_path, capsys, key, value):
+    for doc in ({**TINY_NATIVE, key: value}, {"param_set": "set1", key: value}):
+        cfg = _write_config(tmp_path, doc)
+        assert main(["--config", str(cfg), "--workload", "add"]) == 2, doc
+        assert key in capsys.readouterr().err
+
+
+def test_config_clock_reported_as_given(tmp_path):
+    rc, raw = _run(tmp_path, "--workload", "add", "--simulate",
+                   config={**TINY_NATIVE, "clock_mhz": 400})
+    assert rc == 0
+    sim = json.loads(raw)["simulation"]
+    assert sim["clock_mhz"] == 400.0
+    assert sim["latency_us"] == pytest.approx(1_152 / 400.0)
