@@ -3,7 +3,7 @@
 Every function returns canonical residues in [0, q), with q < 2^62, and
 everything here is exact. Products that need 128 bits are synthesized from
 32-bit partials; reductions use Shoup multiplication when one operand is a
-precomputed constant and a two-word decomposition otherwise.
+precomputed constant and one Barrett step (`ModContext.mulmod`) otherwise.
 
 Lazy Shoup product. `mulmod_shoup_lazy` returns r = a*w - hi*q, where hi
 is built from three 32x32 partials of a and the companion w' =
@@ -13,7 +13,9 @@ to less than 3, so hi is at most 2 below floor(a*w'/2^64). The exact high
 word leaves r < 2q for any 64-bit a; the estimate leaves r < 4q, which
 fits a word because q < 2^62. The transforms in polyring keep their
 butterfly values below a bound they track and reduce to [0, q) only at the
-end, so every product there stays lazy.
+end, so every product there stays lazy. They pass the companion's halves,
+laid out once per table, and buffers for the product and its one
+temporary, so a layer allocates nothing.
 
 Wide sums. A sum of products a*b mod q (the key-switch inner product)
 need not reduce every term: `WideSum` adds each 128-bit product to
@@ -64,25 +66,33 @@ def shoup(w: int, q: int) -> int:
     return (w << 64) // q
 
 
-def mulmod_shoup_lazy(a: np.ndarray, w, w_shoup, q: np.uint64) -> np.ndarray:
+def shoup_halves(w_shoup):
+    """The low and high 32-bit halves of a Shoup companion, as
+    mulmod_shoup_lazy takes them."""
+    return w_shoup & _M32, w_shoup >> _S32
+
+
+def mulmod_shoup_lazy(a: np.ndarray, w, w_shoup, q: np.uint64, out=None, tmp=None) -> np.ndarray:
     """A word in [0, 4q) congruent to a * w mod q, for any 64-bit a.
 
-    w < q is a constant with companion w_shoup = shoup(w, q); both may be
-    arrays that broadcast against a.
+    w < q is a constant with companion w_shoup = shoup(w, q), given whole
+    or as its halves shoup_halves(w_shoup); both may be arrays that
+    broadcast against a. The product is written to out, and tmp is
+    overwritten; each is allocated when not given, and neither may
+    overlap a.
     """
-    wl = w_shoup & _M32
-    wh = w_shoup >> _S32
-    ah = a >> _S32
-    hi = ah * wl
+    wl, wh = w_shoup if isinstance(w_shoup, tuple) else shoup_halves(w_shoup)
+    r = np.right_shift(a, _S32, out=out)
+    hi = np.multiply(r, wl, out=tmp)
     hi >>= _S32
-    t = a & _M32
-    t *= wh
-    t >>= _S32
-    hi += t
-    ah *= wh
-    hi += ah
+    r *= wh
+    hi += r
+    np.bitwise_and(a, _M32, out=r)
+    r *= wh
+    r >>= _S32
+    hi += r
     hi *= q
-    r = a * w
+    np.multiply(a, w, out=r)
     r -= hi  # both products wrap mod 2^64; the difference is exact
     return r
 
@@ -123,32 +133,71 @@ class ModContext:
             raise ValueError("modulus out of supported range")
         self.q = q
         self.qv = np.uint64(q)
-        self.r64 = (1 << 64) % q
-        self.r64v = np.uint64(self.r64)
-        self.r64_shoup = np.uint64(shoup(self.r64, q))
-        self.u64 = np.uint64((1 << 64) // q)
+        r64 = (1 << 64) % q
+        self.r64v = np.uint64(r64)
+        self.r64_halves = shoup_halves(np.uint64(shoup(r64, q)))
+        self.u64_halves = shoup_halves(np.uint64((1 << 64) // q))
+        # Barrett: c = x >> (L - 2) and m = floor(2^(62 + L) / q), L the
+        # bit length of q
+        bits = q.bit_length()
+        self.barrett_shifts = (np.uint64(66 - bits), np.uint64(bits - 2))
+        self.barrett_m = np.uint64((1 << (62 + bits)) // q)
         # how many products of two residues fit below 2^128 on top of a residue
         self.wide_terms = ((1 << 128) - q) // (q - 1) ** 2
 
     def reduce_word(self, lo: np.ndarray) -> np.ndarray:
         """lo mod q for full uint64 words: a Shoup product by 1, since
         shoup(1, q) is floor(2^64 / q)."""
-        return mulmod_shoup(lo, np.uint64(1), self.u64, self.qv)
+        return mulmod_shoup(lo, np.uint64(1), self.u64_halves, self.qv)
 
     def reduce_pair(self, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
         """(hi * 2^64 + lo) mod q."""
-        m1 = mulmod_shoup(hi, self.r64v, self.r64_shoup, self.qv)
+        m1 = mulmod_shoup(hi, self.r64v, self.r64_halves, self.qv)
         m2 = self.reduce_word(lo)
         return addmod(m1, m2, self.qv)
 
     def mulmod(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """General elementwise a * b mod q."""
-        return self.reduce_pair(mulhi64(a, b), a * b)
+        """a * b mod q, elementwise, for residues a, b < q.
+
+        One Barrett step on the 128-bit product x < q^2 < 2^(2L): with
+        c = x >> (L - 2) < 2^(L + 2) and m = floor(2^(62 + L) / q) < 2^63,
+        the exact high word of c * m is at most 2 below floor(x / q), since
+        c * m / 2^64 exceeds x / q - x / 2^(62 + L) - 2^(L - 2) / q, and
+        x / 2^(62 + L) < 1 and 2^(L - 2) / q <= 1/2. So r < 3q, and two
+        corrections leave the residue. 1-D operands run in slices of
+        MUL_SLICE words.
+        """
+        if a.ndim == b.ndim == 1 and len(a) > MUL_SLICE:
+            out = np.empty(len(a), dtype=np.uint64)
+            for k in range(0, len(a), MUL_SLICE):
+                s = slice(k, k + MUL_SLICE)
+                out[s] = self._barrett(a[s], b[s])
+            return out
+        return self._barrett(a, b)
+
+    def _barrett(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        up, down = self.barrett_shifts
+        lo = a * b
+        c = mulhi64(a, b)
+        c <<= up
+        c |= lo >> down
+        r = mulhi64(c, self.barrett_m)
+        r *= self.qv
+        np.subtract(lo, r, out=r)
+        np.minimum(r, r - (self.qv + self.qv), out=r)
+        np.minimum(r, r - self.qv, out=r)
+        return r
 
     def mulmod_scalar(self, a: np.ndarray, w: int) -> np.ndarray:
         """a * w mod q with w a runtime constant."""
         w %= self.q
-        return mulmod_shoup(a, np.uint64(w), np.uint64(shoup(w, self.q)), self.qv)
+        return mulmod_shoup(a, np.uint64(w), shoup_halves(np.uint64(shoup(w, self.q))), self.qv)
+
+
+# Words per slice of a general product. Its temporaries then stay at
+# 64 KB: a 2^15-word product in one piece took 1.4-1.8 ms, in 2^13-word
+# slices 0.6-0.8 ms.
+MUL_SLICE = 1 << 13
 
 
 # Words per slice of a wide sum. A 2^15-word temporary is 256 KB, and at

@@ -324,7 +324,16 @@ def sample_lanes(
 
 
 def signed_to_residues(x: np.ndarray, q: int) -> np.ndarray:
-    """Signed int64 coefficients into canonical residues mod q."""
+    """Signed int64 coefficients into canonical residues mod q.
+
+    When every word lies within one modulus (|x| < q), as a centred limb
+    lifted into a modulus at least as wide does, no division is needed: a
+    negative x read as a word is 2^64 + x, which adding q wraps down to
+    x + q, the smaller of the two; a nonnegative x is already the residue.
+    """
+    if x.size and -q < x.min() and x.max() < q:
+        r = x.view(np.uint64)
+        return np.minimum(r, r + np.uint64(q))
     return (x % np.int64(q)).astype(np.uint64)
 
 

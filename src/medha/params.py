@@ -43,10 +43,14 @@ class ParamSet:
     base: RnsBase = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
+        for key, kind in (("name", str), ("mode", str), ("degree", int), ("log_pq", int),
+                          ("scale_bits", int)):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigError(f"{key} must be of type {kind.__name__}, got {value!r}")
         if self.mode not in ("native", "split"):
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if (isinstance(self.scale_bits, bool) or not isinstance(self.scale_bits, int)
-                or self.scale_bits < 1):
+        if self.scale_bits < 1:
             raise ConfigError(f"scale_bits must be an integer >= 1, got {self.scale_bits!r}")
         if not valid_clock(self.clock_mhz):
             raise ConfigError(f"clock_mhz must be a finite number > 0, got {self.clock_mhz!r}")
@@ -156,13 +160,7 @@ def load_param_config(path: str) -> ParamSet:
         missing = {"name", "degree", "log_pq", "mode"} - set(doc)
         if missing:
             raise ConfigError(f"config missing keys: {sorted(missing)}")
-        return ParamSet(
-            name=str(doc["name"]),
-            degree=int(doc["degree"]),
-            log_pq=int(doc["log_pq"]),
-            mode=str(doc["mode"]),
-            **{k: doc[k] for k in ("scale_bits", "clock_mhz") if k in doc},
-        )
+        return ParamSet(**{k: doc[k] for k in _CONFIG_KEYS - {"sigma", "param_set"} if k in doc})
     except ConfigError:
         raise
     except (TypeError, ValueError) as e:

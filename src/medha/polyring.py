@@ -18,11 +18,31 @@ tracks a bound b*q on its words from layer to layer. A layer adds at most
 4q, and it corrects only when the next bound would not fit a word: a
 54-bit modulus never corrects between layers, a 60-bit one every four or
 five layers, and a modulus near 2^62 every layer, as Harvey's fixed [0, 4q)
-does. The inverse keeps its words in [0, 2q), correcting each product once.
-Only the end of a transform reduces to [0, q), so every output word is the
+does. The inverse tracks one too: its sums double the bound and its
+products reset their half below 4q, so at 2^14 a 54-bit modulus corrects
+its sums in layers 9 to 13 of 14, a 60-bit one from the third layer on,
+and a modulus above 2^61 also corrects every product. Only the end of a transform reduces to [0, q), so every output word is the
 canonical residue: the bits are those of an exactly reduced butterfly
 network. The bounds hold for every modulus ModContext accepts (q < 2^62, so
 4q fits a word).
+
+Layout. Layers whose butterfly span is at least _ROWS (64) words run on
+the words in natural order; the narrower ones run on a transposed copy
+(row r holds words r, r + 64, r + 128, ...), so their NumPy calls run over
+rows of n / 64 contiguous words. Each TwiddleTable lays out every layer's
+constants once, in the shape the layer broadcasts them, (k, 1, cols): w and
+the two 32-bit halves of its Shoup companion, contiguous. A transform
+writes its lazy products and corrections with out= into one scratch block
+of n words, reused by every layer.
+
+Unbuffered calls. Where an operand is broadcast or strided and its
+contiguous run is shorter than the ufunc buffer (8192 elements by
+default), NumPy copies it through that buffer, and a layer call ran
+1.6-2.6x slower per word than a flat one. Each transform therefore sets
+np.setbufsize(_ROWS), the shortest run of its layer views at n >= 2^12,
+and restores the caller's size in a finally, so NumPy's state outside a
+transform does not change. The size is context-local in NumPy 2 and
+thread-global in NumPy 1.x, which requires a multiple of 16; 64 is both.
 """
 
 from __future__ import annotations
@@ -33,7 +53,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .kernels import addmod, mulmod_shoup_lazy, negmod, shoup, submod
+from .kernels import addmod, mulmod_shoup_lazy, negmod, shoup, shoup_halves, submod
 from .modarith import PrimeModulus, find_root_of_unity, inv_mod
 
 MIN_N = 8
@@ -121,6 +141,13 @@ def _bitrev_array(n: int) -> np.ndarray:
     return r
 
 
+# Layers whose butterfly span is at most _ROWS / 2 run on a transposed copy
+# of the words, and a transform sets the ufunc buffer to _ROWS words (see
+# the module docstring): natural layers then run over spans of at least 64
+# words, transposed ones over n / 64 columns. 64 and 128 measured alike.
+_ROWS = 64
+
+
 class TwiddleTable:
     """Butterfly constants for one (q, n, psi), grown from per-stage seeds.
 
@@ -148,10 +175,9 @@ class TwiddleTable:
         for s in range(self.logn):
             w[1 << s : 2 << s] = self.regenerate_stage(s)
         self.w = w
-        self.w_shoup = self._shoup_arr(w)
         n_inv = inv_mod(n, qv)
         self.n_inv = np.uint64(n_inv)
-        self.n_inv_shoup = np.uint64(shoup(n_inv, qv))
+        self.n_inv_halves = shoup_halves(np.uint64(shoup(n_inv, qv)))
         # w[k]^-1 = (psi^-1)^bitrev(k), so the inverse table is just a second
         # seed chain. Stage 0, the inverse transform's last layer, also
         # carries the n^-1 scaling.
@@ -173,12 +199,28 @@ class TwiddleTable:
                 winv[1 << s : 2 << s] = self.regenerate_stage(s)
         finally:
             self.stage_seeds = saved
-        self.winv = winv
-        self.winv_shoup = self._shoup_arr(winv)
+        self.forward = self._layers(w)
+        self.inverse = self._layers(winv)
 
-    def _shoup_arr(self, arr: np.ndarray) -> np.ndarray:
+    def _layers(self, consts: np.ndarray) -> list:
+        """(w, wl, wh) for each layer, g = 1, 2, ..., n/2: the layer's
+        constants consts[g : 2g] and the halves of their companions, each
+        contiguous and shaped (k, 1, cols) as the layer broadcasts them."""
+        n = self.n
+        wide = n // min(_ROWS, n)  # columns of a transposed layer
         qv = self.q.value
-        return np.array([shoup(int(x), qv) for x in arr], dtype=np.uint64)
+        halves = shoup_halves(np.array([shoup(x, qv) for x in consts.tolist()], dtype=np.uint64))
+        laid = [np.empty(n, dtype=np.uint64) for _ in range(3)]
+        layers = []
+        for s in range(self.logn):
+            g = 1 << s
+            cols = wide if g >= wide else 1
+            views = []
+            for src, dst in zip((consts, *halves), laid):
+                dst[g : 2 * g].reshape(g // cols, cols)[...] = src[g : 2 * g].reshape(cols, -1).T
+                views.append(dst[g : 2 * g].reshape(g // cols, 1, cols))
+            layers.append(tuple(views))
+        return layers
 
     def regenerate_stage(self, s: int) -> np.ndarray:
         """Stage constants from the stored seed pair, multiplications only."""
@@ -226,20 +268,13 @@ def twiddle_table(q: PrimeModulus, n: int, twist: RingTwist) -> TwiddleTable:
     return t
 
 
-# Layers whose butterfly span is at most _ROWS / 2 run on a transposed copy
-# of the words: row r holds words r, r + _ROWS, r + 2 * _ROWS, ..., so every
-# NumPy call in those layers runs over whole rows of n / _ROWS contiguous
-# words instead of thousands of runs of one to sixteen. At 2^14 this took
-# the forward transform from about 2.5 to 1.7 ms on a 2-core Xeon VM.
-_ROWS = 32
-
-
-def _layer_views(f: np.ndarray, g: int, half: int, cols: int, consts: tuple):
-    """A layer of g butterfly groups of span half, on words laid out in cols
-    columns: the (k, 2, half, cols) view of f and a (k, 1, cols) view of each
-    length-g constant array, with k = g / cols."""
-    k = g // cols
-    return f.reshape(k, 2, half, cols), [c.reshape(cols, k).T.reshape(k, 1, cols) for c in consts]
+def _settle(f: np.ndarray, b: int, q: int, tmp: np.ndarray) -> None:
+    """Halve a bound b*q on the words of f until they are canonical
+    residues, in place; tmp is a scratch array of f's shape."""
+    while b > 1:
+        b = (b + 1) // 2
+        np.subtract(f, np.uint64(b * q), out=tmp)
+        np.minimum(f, tmp, out=f)
 
 
 def ntt_forward(p: ResiduePoly) -> ResiduePoly:
@@ -262,37 +297,37 @@ def ntt_forward(p: ResiduePoly) -> ResiduePoly:
     q2 = qv + qv
     fits = (1 << 64) // q  # a bound b*q fits a word while b <= fits
     n = p.n
-    rows = min(_ROWS, n)
     f = p.coeffs.copy()
+    scratch = np.empty(n, dtype=np.uint64)
     b = 1
-    cols = 1
-    half = n // 2
-    base = 1
-    while half:
-        if 2 * half == rows:
-            cols = n // rows
-            f = f.reshape(cols, rows).T.copy()
-        g = n // (2 * half)
-        a, (wv, wq) = _layer_views(f, g, half, cols, (t.w[base : base + g], t.w_shoup[base : base + g]))
-        x = a[:, 0]
-        y = a[:, 1]
-        u = mulmod_shoup_lazy(y, wv, wq, qv)
-        grow = 4
-        if b + grow > fits and b > 1:
-            b = (b + 1) // 2
-            np.minimum(x, x - np.uint64(b * q), out=x)
-        if b + grow > fits:
-            grow = 2
-            np.minimum(u, u - q2, out=u)
-        b += grow
-        np.add(x, np.uint64(grow * q), out=y)
-        y -= u
-        x += u
-        base += g
-        half //= 2
-    while b > 1:
-        b = (b + 1) // 2
-        np.minimum(f, f - np.uint64(b * q), out=f)
+    bufsize = np.setbufsize(_ROWS)
+    try:
+        for w, wl, wh in t.forward:
+            k, _, cols = w.shape
+            if cols > 1 and f.ndim == 1:
+                f = f.reshape(cols, n // cols).T.copy()
+            half = n // (2 * k * cols)
+            a = f.reshape(k, 2, half, cols)
+            x = a[:, 0]
+            y = a[:, 1]
+            u, tmp = scratch.reshape(2, k, half, cols)
+            mulmod_shoup_lazy(y, w, (wl, wh), qv, out=u, tmp=tmp)
+            grow = 4
+            if b + grow > fits and b > 1:
+                b = (b + 1) // 2
+                np.subtract(x, np.uint64(b * q), out=tmp)
+                np.minimum(x, tmp, out=x)
+            if b + grow > fits:
+                grow = 2
+                np.subtract(u, q2, out=tmp)
+                np.minimum(u, tmp, out=u)
+            b += grow
+            np.add(x, np.uint64(grow * q), out=y)
+            y -= u
+            x += u
+        _settle(f, b, q, scratch.reshape(f.shape))
+    finally:
+        np.setbufsize(bufsize)
     return ResiduePoly(p.q, f.T.reshape(n), "eval", p.twist)
 
 
@@ -301,38 +336,64 @@ def ntt_inverse(p: ResiduePoly) -> ResiduePoly:
 
     Decimation-in-frequency. The n^-1 scaling is folded into the last
     layer: its sums are multiplied by n^-1 and its differences by a constant
-    that carries it, so no separate scaling pass remains. Layer values stay
-    in [0, 2q): s = u + v is corrected once into [0, 2q), d = u + 2q - v is
-    multiplied lazily by its constant and corrected once, and one
-    correction at the end leaves canonical residues.
+    that carries it, so no separate scaling pass remains.
+
+    Lazy, with a tracked bound like the forward transform: every word of a
+    layer is below b*q, and b starts at 1. A layer writes s = u + v and
+    d = u + bq - v, both below 2bq, and replaces d by its lazy product
+    with the layer constant, below 4q. So the next bound is max(2b, 4),
+    and the sums are corrected back below bq only when twice that bound
+    would not fit a word, which keeps d in a word. Above 2^61 (8q does not
+    fit) the products are corrected into [0, 2q) as well, and the bound
+    stays at 2. The last layer leaves every word below 4q, and two
+    corrections leave canonical residues.
     """
     if p.domain != "eval":
         raise ValueError("ntt_inverse expects an evaluation-domain polynomial")
     t = twiddle_table(p.q, p.n, p.twist)
-    qv = np.uint64(t.q.value)
+    q = t.q.value
+    qv = np.uint64(q)
     q2 = qv + qv
+    fits = (1 << 64) // q  # a bound b*q fits a word while b <= fits
+    prod_b = 4 if fits >= 8 else 2  # the bound of a layer's products
     n = p.n
     rows = min(_ROWS, n)
-    cols = n // rows
-    f = p.coeffs.reshape(cols, rows).T.copy()
-    half = 1
-    while half < n:
-        if half == rows:
-            f = f.T.reshape(n)
-            cols = 1
-        g = n // (2 * half)
-        a, (wv, wq) = _layer_views(f, g, half, cols, (t.winv[g : 2 * g], t.winv_shoup[g : 2 * g]))
-        u = a[:, 0]
-        v = a[:, 1]
-        d = u + q2
-        d -= v
-        u += v
-        s = u if g > 1 else mulmod_shoup_lazy(u, t.n_inv, t.n_inv_shoup, qv)
-        np.minimum(s, s - q2, out=u)
-        d = mulmod_shoup_lazy(d, wv, wq, qv)
-        np.minimum(d, d - q2, out=v)
-        half *= 2
-    np.minimum(f, f - qv, out=f)
+    f = p.coeffs.reshape(n // rows, rows).T.copy()
+    scratch = np.empty(n, dtype=np.uint64)
+    b = 1
+    bufsize = np.setbufsize(_ROWS)
+    try:
+        for w, wl, wh in reversed(t.inverse):
+            k, _, cols = w.shape
+            if cols == 1 and f.ndim == 2:
+                f = f.T.reshape(n)
+            half = n // (2 * k * cols)
+            a = f.reshape(k, 2, half, cols)
+            u = a[:, 0]
+            v = a[:, 1]
+            d, s = scratch.reshape(2, k, half, cols)
+            np.add(u, np.uint64(b * q), out=d)
+            d -= v
+            if k * cols == 1:  # the last layer: the sums take n^-1 too
+                np.add(u, v, out=s)
+                mulmod_shoup_lazy(d, w, (wl, wh), qv, out=v, tmp=u)
+                mulmod_shoup_lazy(s, t.n_inv, t.n_inv_halves, qv, out=u, tmp=d)
+                b = 4
+                continue
+            u += v
+            if 4 * b > fits:
+                np.subtract(u, np.uint64(b * q), out=s)
+                np.minimum(u, s, out=u)
+            else:
+                b *= 2
+            mulmod_shoup_lazy(d, w, (wl, wh), qv, out=v, tmp=s)
+            if prod_b == 2:
+                np.subtract(v, q2, out=s)
+                np.minimum(v, s, out=v)
+            b = max(b, prod_b)
+        _settle(f, b, q, scratch.reshape(f.shape))
+    finally:
+        np.setbufsize(bufsize)
     return ResiduePoly(p.q, f.T.reshape(n), "coeff", p.twist)
 
 

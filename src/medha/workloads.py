@@ -168,7 +168,8 @@ def _logreg(pset: ParamSet) -> WorkloadSpec:
         rng = np.random.default_rng(seed)
         n = engine.slots
         vx = _rand_real(rng, n, 0.5)
-        variables = {"x": engine.encrypt(engine.encode(vx, delta))}
+        # the ops are compiled for level 6, whatever the set's top level
+        variables = {"x": engine.encrypt(engine.encode(vx, delta, level=6))}
         plain = {"x": vx}
         for name, (scale, level, mag) in pt_scales.items():
             v = _rand_real(rng, n, mag)

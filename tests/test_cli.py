@@ -211,3 +211,25 @@ def test_config_clock_reported_as_given(tmp_path):
     sim = json.loads(raw)["simulation"]
     assert sim["clock_mhz"] == 400.0
     assert sim["latency_us"] == pytest.approx(1_152 / 400.0)
+
+
+@pytest.mark.parametrize("config", [TINY_NATIVE, TINY_SPLIT])
+def test_logreg_runs_on_deeper_sets(tmp_path, config):
+    # logreg's ops are compiled for level 6; these sets have 7 and 9 levels
+    rc, raw = _run(tmp_path, "--workload", "logreg", config=config)
+    assert rc == 0
+    functional = json.loads(raw)["functional"]
+    assert functional["executed"] is True
+    assert functional["output_level"] == 1
+    assert functional["max_rel_error"] < 1e-6
+
+
+@pytest.mark.parametrize("key, value", [
+    ("degree", 64.9), ("degree", "64"), ("degree", True),
+    ("log_pq", 438.7), ("log_pq", "438"), ("log_pq", True),
+    ("name", 5), ("name", None), ("mode", ["native"]), ("mode", 1),
+])
+def test_config_full_form_types_rejected(tmp_path, capsys, key, value):
+    cfg = _write_config(tmp_path, {**TINY_NATIVE, key: value})
+    assert main(["--config", str(cfg), "--workload", "add"]) == 2
+    assert key in capsys.readouterr().err

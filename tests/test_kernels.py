@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from medha.kernels import (
+    MUL_SLICE,
     WIDE_SLICE,
     ModContext,
     WideSum,
@@ -14,6 +15,7 @@ from medha.kernels import (
     mulmod_shoup_lazy,
     negmod,
     shoup,
+    shoup_halves,
     submod,
 )
 
@@ -148,3 +150,50 @@ def test_ctx_cache_and_range():
         ModContext(2)
     with pytest.raises(ValueError):
         ModContext(1 << 62)
+
+
+def _check_mulmod(q, rng):
+    """0, 1 and q - 1 against each other, over lengths below, at and past
+    a slice and not divisible by it, and a broadcast column."""
+    c = ctx(q)
+    edges = np.array([0, 1, q - 1], dtype=np.uint64)
+    a = np.repeat(edges, 3)
+    b = np.tile(edges, 3)
+    assert np.array_equal(_as_int(c.mulmod(a, b)), _as_int(a) * _as_int(b) % q)
+    for n in (7, MUL_SLICE, 2 * MUL_SLICE + 3):
+        a, b = _edge_operands(rng, q, n)
+        a[-3:] = b[-3:] = q - 1
+        assert np.array_equal(_as_int(c.mulmod(a, b)), _as_int(a) * _as_int(b) % q)
+    a = rng.integers(0, q, size=(4, 9), dtype=np.uint64)
+    col = rng.integers(0, q, size=(4, 1), dtype=np.uint64)
+    assert np.array_equal(_as_int(c.mulmod(a, col)), _as_int(a) * _as_int(col) % q)
+
+
+@pytest.mark.parametrize("q", (3, 17, (1 << 31) - 1) + NEAR_2_62)
+def test_barrett_mulmod_small_and_wide_moduli(q):
+    _check_mulmod(q, np.random.default_rng(q % 1009))
+
+
+def test_barrett_mulmod_preset_moduli(set1, set2, logreg_pset):
+    rng = np.random.default_rng(19)
+    moduli = {m.value for s in (set1, set2, logreg_pset) for m in s.base.all_moduli}
+    for q in sorted(moduli):
+        _check_mulmod(q, rng)
+
+
+@pytest.mark.parametrize("q", NEAR_2_62)
+def test_lazy_product_halves_and_buffers(q):
+    # the halves give the product the whole companion gives, written into
+    # the output buffer and broadcast along a middle axis as a layer does
+    rng = np.random.default_rng(20)
+    words = _rand_u64(rng, 4 * 8 * 16).reshape(4, 8, 16)
+    w = rng.integers(0, q, size=(4, 1, 16), dtype=np.uint64)
+    ws = np.array([shoup(int(x), q) for x in w.ravel()], dtype=np.uint64).reshape(w.shape)
+    qv = np.uint64(q)
+    whole = mulmod_shoup_lazy(words, w, ws, qv)
+    out, tmp = np.empty((2,) + words.shape, dtype=np.uint64)
+    got = mulmod_shoup_lazy(words, w, shoup_halves(ws), qv, out=out, tmp=tmp)
+    assert got is out
+    assert np.array_equal(got, whole)
+    assert np.all(_as_int(got) < 4 * q)
+    assert np.array_equal(_as_int(got) % q, _as_int(words) * _as_int(w) % q)

@@ -256,3 +256,21 @@ def test_gen_secret_deterministic():
     assert set(np.unique(a.coeffs)) <= {-1, 0, 1}
     c = gen_secret(78, 256)
     assert not np.array_equal(a.coeffs, c.coeffs)
+
+
+def test_signed_to_residues_both_paths_match_python_ints(set2):
+    # words within one modulus take the division-free path; a q0 row
+    # centred and lifted into a 54-bit target does not fit and takes `%`
+    q0 = set2.base.primes[0].value
+    target = set2.base.primes[1].value
+    within = np.array([-target + 1, -1, 0, 1, target - 1], dtype=np.int64)
+    edges = np.array([-target, -1, 0, target - 1, target], dtype=np.int64)
+    rng = np.random.default_rng(41)
+    lift = rng.integers(-(q0 // 2), q0 // 2 + 1, size=4096, dtype=np.int64)
+    lift[:2] = (-(q0 // 2), q0 // 2)
+    assert np.abs(lift).max() >= target
+    singles = [np.array([v], dtype=np.int64) for v in edges]
+    for x in (within, edges, lift, *singles):
+        got = signed_to_residues(x, target)
+        assert got.dtype == np.uint64
+        assert [int(v) for v in got] == [int(v) % target for v in x]

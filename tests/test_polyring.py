@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medha import kernels
+from medha import kernels, polyring
 from medha.modarith import PrimeModulus
 from medha.params import get_param_set
 from medha.polyring import (
@@ -298,3 +298,125 @@ def test_forward_transform_matches_exact_network_at_full_size(log_n, qv, fill):
         words = np.full(n, 0 if fill == "zero" else qv - 1, dtype=np.uint64)
     got = ntt_forward(ResiduePoly(q, words, "coeff", STANDARD)).coeffs
     assert np.array_equal(got, _exact_forward(q, n, STANDARD, words))
+
+
+# the forward transform is pinned to the exact network above, so round trips
+# through it in both directions pin the inverse
+@pytest.mark.parametrize("fill", ("zero", "max", "random"))
+@pytest.mark.parametrize("qv", (get_param_set("set2").base.primes[0].value,
+                                get_param_set("set2").base.primes[1].value,
+                                Q_NEAR_2_62))
+@pytest.mark.parametrize("log_n", (14, 15))
+def test_inverse_transform_round_trips_at_full_size(log_n, qv, fill):
+    q = PrimeModulus.from_value(qv)
+    n = 1 << log_n
+    if fill == "random":
+        words = np.random.default_rng(log_n + 1).integers(0, qv, size=n, dtype=np.uint64)
+    else:
+        words = np.full(n, 0 if fill == "zero" else qv - 1, dtype=np.uint64)
+    back = ntt_inverse(ntt_forward(ResiduePoly(q, words, "coeff", STANDARD)))
+    assert np.array_equal(back.coeffs, words)
+    again = ntt_forward(ntt_inverse(ResiduePoly(q, words, "eval", STANDARD)))
+    assert np.array_equal(again.coeffs, words)
+
+
+@pytest.mark.parametrize("log_n", (3, 6, 12, 14))
+@pytest.mark.parametrize("twist", ALL_TWISTS)
+def test_laid_out_constants_equal_flat_table(log_n, twist):
+    # layer g holds w[g : 2g] (and the inverse w[g : 2g]^-1, times n^-1 at
+    # g = 1), contiguous, in (k, 1, cols) layout with constant j of the layer
+    # at [j % k, 0, j // k], and the two halves of each constant's companion
+    q = PrimeModulus.from_value(Q_NEAR_2_62)
+    n = 1 << log_n
+    t = twiddle_table(q, n, twist)
+    qv = q.value
+    n_inv = pow(n, -1, qv)
+    assert len(t.forward) == len(t.inverse) == log_n
+    for s in range(log_n):
+        g = 1 << s
+        flat_w = [int(x) for x in t.w[g : 2 * g]]
+        flat_inv = [pow(x, -1, qv) * (n_inv if g == 1 else 1) % qv for x in flat_w]
+        for layer, flat in ((t.forward[s], flat_w), (t.inverse[s], flat_inv)):
+            w, wl, wh = layer
+            k, one, cols = w.shape
+            assert one == 1 and k * cols == g
+            assert cols == (max(n // 64, 1) if g >= n // 64 else 1)
+            for arr in layer:
+                assert arr.shape == w.shape and arr.flags.c_contiguous
+            order = w.reshape(k, cols).T.reshape(g)
+            assert [int(x) for x in order] == flat
+            companions = ((wh << np.uint64(32)) | wl).reshape(k, cols).T.reshape(g)
+            assert [int(x) for x in companions] == [(x << 64) // qv for x in flat]
+
+
+def test_transforms_restore_the_callers_buffer_size(set1, monkeypatch):
+    q = set1.base.primes[0]
+    p = _rand_poly(np.random.default_rng(30), q, 1 << 10)
+    default = np.getbufsize()
+    f = ntt_forward(p)
+    ntt_inverse(f)
+    assert np.getbufsize() == default
+    with pytest.raises(ValueError):
+        ntt_inverse(p)
+    with pytest.raises(ValueError):
+        ntt_forward(f)
+    assert np.getbufsize() == default
+    old = np.setbufsize(4096)
+    try:
+        assert np.array_equal(ntt_inverse(ntt_forward(p)).coeffs, p.coeffs)
+        assert np.getbufsize() == 4096
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("interrupted")
+
+        monkeypatch.setattr(polyring, "mulmod_shoup_lazy", fail)
+        for fn, x in ((ntt_forward, p), (ntt_inverse, f)):
+            with pytest.raises(RuntimeError):
+                fn(x)
+            assert np.getbufsize() == 4096
+    finally:
+        np.setbufsize(old)
+
+
+@pytest.mark.parametrize("fill", ("zero", "max", "random"))
+@pytest.mark.parametrize("log_n", (3, 4, 5))
+def test_transforms_without_a_full_run_match_oracle(log_n, fill):
+    # below n = 64 no layer has a 64-word run, so every layer is transposed
+    # with one column
+    n = 1 << log_n
+    for qv in LAZY_MODULI:
+        q = PrimeModulus.from_value(qv)
+        for twist in ALL_TWISTS:
+            if fill == "random":
+                words = np.random.default_rng(qv % 991).integers(0, qv, size=n, dtype=np.uint64)
+            else:
+                words = np.full(n, 0 if fill == "zero" else qv - 1, dtype=np.uint64)
+            ints = [int(x) for x in words]
+            f = ntt_forward(ResiduePoly(q, words, "coeff", twist))
+            assert [int(x) for x in f.coeffs] == _eval_oracle(q, n, twist, ints)
+            c = ntt_inverse(ResiduePoly(q, words, "eval", twist))
+            assert _eval_oracle(q, n, twist, [int(x) for x in c.coeffs]) == ints
+
+
+# NTT-friendly primes (q = 1 mod 2^17) whose word headroom 2^64 // q is 7,
+# 8, 15 and 16: either side of where the inverse stops correcting its
+# products (8q fits a word), and two headrooms whose forward corrections
+# fall on different layers
+BOUND_CLASS_MODULI = (0x2000000000460001, 0x1C71C71C71CC0001,
+                      0x10000000006E0001, 0x0F0F0F0F0F4C0001)
+
+
+@pytest.mark.parametrize("fill", ("max", "random"))
+@pytest.mark.parametrize("qv", BOUND_CLASS_MODULI)
+def test_transforms_exact_across_bound_classes(qv, fill):
+    q = PrimeModulus.from_value(qv)
+    n = 1 << 12
+    if fill == "random":
+        words = np.random.default_rng(qv % 997).integers(0, qv, size=n, dtype=np.uint64)
+    else:
+        words = np.full(n, qv - 1, dtype=np.uint64)
+    f = ntt_forward(ResiduePoly(q, words, "coeff", STANDARD))
+    assert np.array_equal(f.coeffs, _exact_forward(q, n, STANDARD, words))
+    assert np.array_equal(ntt_inverse(f).coeffs, words)
+    again = ntt_forward(ntt_inverse(ResiduePoly(q, words, "eval", STANDARD)))
+    assert np.array_equal(again.coeffs, words)
