@@ -19,6 +19,7 @@ pipelined hardware sequences them.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -101,20 +102,15 @@ class KeySwitchKey:
     secret: list
 
 
-_SLOT_INDEX_CACHE: dict[int, np.ndarray] = {}
-
-
+@functools.cache
 def _slot_index(degree: int) -> np.ndarray:
     """Evaluation-point index t_k with slot k at root exponent 5^k mod 2D."""
-    t = _SLOT_INDEX_CACHE.get(degree)
-    if t is None:
-        e = 1
-        idx = np.empty(degree // 2, dtype=np.int64)
-        for k in range(degree // 2):
-            idx[k] = (e - 1) >> 1
-            e = e * 5 % (2 * degree)
-        t = _SLOT_INDEX_CACHE[degree] = idx
-    return t
+    e = 1
+    idx = np.empty(degree // 2, dtype=np.int64)
+    for k in range(degree // 2):
+        idx[k] = (e - 1) >> 1
+        e = e * 5 % (2 * degree)
+    return idx
 
 
 def _centered_int64(res: np.ndarray, q: int) -> np.ndarray:
@@ -189,12 +185,6 @@ class Engine:
         grid = rows.reshape(len(uniform_tags), self.degree)
         limbs = [ResiduePoly(tag[0], v, "eval", STANDARD) for tag, v in zip(uniform_tags, grid)]
         return limbs, list(errs)
-
-    def _expand_uniform(
-        self, q: PrimeModulus, i: int, j: int, kind: int, ksk_id: int = 0
-    ) -> ResiduePoly:
-        """Uniform evaluation vector of one tag; the mode fixes its streams."""
-        return self._draw([(q, i, j, kind, ksk_id)])[0][0]
 
     def ksk_uniform(self, ksk_id: int, rows: int) -> list:
         """A switching key's uniform grid, regenerated in one batch."""

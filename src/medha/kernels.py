@@ -17,6 +17,10 @@ end, so every product there stays lazy. They pass the companion's halves,
 laid out once per table, and buffers for the product and its one
 temporary, so a layer allocates nothing.
 
+Companions. `ModContext.shoup` forms the companions of a whole table with
+no division: for a residue x < q and odd q, floor(x * 2^64 / q) is
+-r * q^-1 mod 2^64, where r = x * 2^64 mod q is one Shoup product.
+
 Wide sums. A sum of products a*b mod q (the key-switch inner product)
 need not reduce every term: `WideSum` adds each 128-bit product to
 unreduced (hi, lo) words and reduces once, with `ModContext.reduce_pair`.
@@ -29,6 +33,8 @@ with c = ceil(b/2) q it halves a bound b*q.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -193,6 +199,19 @@ class ModContext:
         w %= self.q
         return mulmod_shoup(a, np.uint64(w), shoup_halves(np.uint64(shoup(w, self.q))), self.qv)
 
+    def shoup(self, words: np.ndarray) -> np.ndarray:
+        """The Shoup companions floor(x * 2^64 / q) of residues x < q.
+
+        With r = x * 2^64 mod q, x * 2^64 = floor(x * 2^64 / q) * q + r, so
+        the companion is congruent to -r * q^-1 mod 2^64; q^-1 exists
+        because q is odd. Since x < q the companion is below 2^64, so that
+        residue is the companion itself, and no word is divided.
+        """
+        r = mulmod_shoup(words, self.r64v, self.r64_halves, self.qv)
+        np.negative(r, out=r)
+        r *= np.uint64(pow(self.q, -1, 1 << 64))
+        return r
+
 
 # Words per slice of a general product. Its temporaries then stay at
 # 64 KB: a 2^15-word product in one piece took 1.4-1.8 ms, in 2^13-word
@@ -272,11 +291,6 @@ class WideSum:
         return self.lo
 
 
-_CTX_CACHE: dict[int, ModContext] = {}
-
-
+@functools.cache
 def ctx(q: int) -> ModContext:
-    c = _CTX_CACHE.get(q)
-    if c is None:
-        c = _CTX_CACHE[q] = ModContext(q)
-    return c
+    return ModContext(q)

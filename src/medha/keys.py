@@ -101,10 +101,6 @@ class TriviumStream:
         # cells s286, s287, s288 start at 1; 18 * 64 = 1152 warm-up clocks
         self.a, self.b, self.c, _ = _clock(a, b, 7, M64, 18)
 
-    def next_word(self) -> int:
-        self.a, self.b, self.c, (word,) = _clock(self.a, self.b, self.c, M64, 1)
-        return word
-
     def next_words(self, count: int) -> np.ndarray:
         self.a, self.b, self.c, words = _clock(self.a, self.b, self.c, M64, count)
         return np.array(words, dtype=np.uint64)

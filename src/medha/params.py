@@ -10,6 +10,7 @@ the smaller base used by the regression workload.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -100,17 +101,13 @@ _PRESETS = {
     "logreg": dict(degree=1 << 14, log_pq=384, mode="native"),
 }
 
-_CACHE: dict[str, ParamSet] = {}
-
-
+@functools.cache
 def get_param_set(name: str) -> ParamSet:
     if name not in _PRESETS:
         raise ConfigError(
             f"unknown parameter set {name!r}; choose from {sorted(_PRESETS)}"
         )
-    if name not in _CACHE:
-        _CACHE[name] = ParamSet(name=name, **_PRESETS[name])
-    return _CACHE[name]
+    return ParamSet(name=name, **_PRESETS[name])
 
 
 def param_set_names() -> list[str]:

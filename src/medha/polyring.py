@@ -35,6 +35,16 @@ the two 32-bit halves of its Shoup companion, contiguous. A transform
 writes its lazy products and corrections with out= into one scratch block
 of n words, reused by every layer.
 
+Twiddle tables. A ring's constants are grown, as the accelerator generates
+its twiddles on the fly: stage s of the flat table starts from one seed
+word and doubles s times, each doubling one vector product of the words so
+far by a fixed power of gen (_grow). The inverse table is the same chain
+from psi^-1 and gen^-1. The companions come from one vector identity
+(ModContext.shoup), so no set-up step loops over words in Python, and a
+TwiddleTable keeps only its laid-out layers: 6n words per ring. The tests
+own the pow() construction of the flat table that the layers are checked
+against.
+
 Unbuffered calls. Where an operand is broadcast or strided and its
 contiguous run is shorter than the ufunc buffer (8192 elements by
 default), NumPy copies it through that buffer, and a layer call ran
@@ -47,6 +57,7 @@ thread-global in NumPy 1.x, which requires a multiple of 16; 64 is both.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -111,10 +122,10 @@ def zeta_4n(q: PrimeModulus, n: int) -> int:
 
 
 def psi_for(q: PrimeModulus, n: int, twist: RingTwist) -> tuple[int, int]:
-    """Twiddle bases (psi, psi_gen) for one ring.
+    """Twiddle bases (psi, gen) for one ring.
 
     psi^n equals the ring constant x^n is congruent to and seeds each stage;
-    psi_gen, the order-2n root shared by all three rings, steps between the
+    gen, the order-2n root shared by all three rings, steps between the
     constants within a stage.
     """
     _check_n(n)
@@ -133,11 +144,12 @@ def psi_for(q: PrimeModulus, n: int, twist: RingTwist) -> tuple[int, int]:
     return pow(z, 3, qv), gen
 
 
-def _bitrev_array(n: int) -> np.ndarray:
-    logn = n.bit_length() - 1
-    r = np.zeros(n, dtype=np.int64)
-    for i in range(1, n):
-        r[i] = (r[i >> 1] >> 1) | ((i & 1) << (logn - 1))
+@functools.cache
+def _bitrev(n: int) -> np.ndarray:
+    """The bit-reversal permutation of range(n), for n a power of two."""
+    r = np.zeros(1, dtype=np.int64)
+    while len(r) < n:
+        r = np.concatenate([2 * r, 2 * r + 1])
     return r
 
 
@@ -148,58 +160,52 @@ def _bitrev_array(n: int) -> np.ndarray:
 _ROWS = 64
 
 
-class TwiddleTable:
-    """Butterfly constants for one (q, n, psi), grown from per-stage seeds.
+def _grow(q: int, n: int, psi: int, gen: int) -> np.ndarray:
+    """The flat table of every stage s: w[2^s + t] =
+    psi^(n / 2^(s+1)) * gen^(2^(logn-s) bitrev(t, s)).
 
-    Stage s (s = 0 is the widest) needs the 2^s constants
-    w[2^s + t] = seed_s * gen_s^bitrev(t, s), with seed_s = psi^(n / 2^(s+1))
-    and gen_s = psi_gen^(2^(logn-s)). They are regenerated from those two
-    stored words per stage by pure multiplication chains; pow() appears only
-    in the seeds and in the reference table used to cross-check the chains.
+    Stage s starts from its one seed word psi^(n / 2^(s+1)) and doubles s
+    times: step j appends the stage's words so far times gen^(n / 2^(j+1)),
+    the factor that bit j of t contributes (bit s-1-j of bitrev(t, s)).
+    w[0] belongs to no stage and is 1.
+    """
+    c = kernels.ctx(q)
+    logn = n.bit_length() - 1
+    steps = [pow(gen, n >> (j + 1), q) for j in range(logn - 1)]
+    w = np.ones(n, dtype=np.uint64)
+    for s in range(logn):
+        g = 1 << s
+        w[g] = pow(psi, n >> (s + 1), q)
+        for j, h in enumerate(steps[:s]):
+            w[g + (1 << j) : g + (2 << j)] = c.mulmod_scalar(w[g : g + (1 << j)], h)
+    return w
+
+
+class TwiddleTable:
+    """Butterfly constants of one ring (q, n, twist), laid out per layer.
+
+    Stage s (s = 0 is the widest layer) multiplies by the 2^s constants
+    w[2^s + t] of the flat table that _grow makes from (psi, gen) =
+    psi_for(q, n, twist): one seed word per stage, then multiplication
+    chains, as the accelerator makes its twiddles. Since w[k]^-1 is the
+    same product of psi^-1 and gen^-1, the inverse table is the same chain
+    from those two words, with n^-1 folded into its one stage-0 word (the
+    inverse transform's last layer). Only the laid-out layers are kept;
+    the tests own the pow() construction of the flat table they are
+    checked against.
     """
 
-    def __init__(self, q: PrimeModulus, n: int, psi: int, psi_gen: Optional[int] = None):
-        _check_n(n)
+    def __init__(self, q: PrimeModulus, n: int, twist: RingTwist):
+        psi, gen = psi_for(q, n, twist)
+        qv = q.value
         self.q = q
         self.n = n
-        self.psi = psi
-        self.psi_gen = psi if psi_gen is None else psi_gen
-        self.logn = n.bit_length() - 1
-        qv = q.value
-        self.stage_seeds = [
-            (pow(psi, n >> (s + 1), qv), pow(self.psi_gen, 1 << (self.logn - s), qv))
-            for s in range(self.logn)
-        ]
-        w = np.empty(n, dtype=np.uint64)
-        w[0] = 1
-        for s in range(self.logn):
-            w[1 << s : 2 << s] = self.regenerate_stage(s)
-        self.w = w
         n_inv = inv_mod(n, qv)
         self.n_inv = np.uint64(n_inv)
         self.n_inv_halves = shoup_halves(np.uint64(shoup(n_inv, qv)))
-        # w[k]^-1 = (psi^-1)^bitrev(k), so the inverse table is just a second
-        # seed chain. Stage 0, the inverse transform's last layer, also
-        # carries the n^-1 scaling.
-        psi_inv = inv_mod(psi, qv)
-        gen_inv = inv_mod(self.psi_gen, qv)
-        inv_seeds = [
-            (
-                pow(psi_inv, n >> (s + 1), qv) * (n_inv if s == 0 else 1) % qv,
-                pow(gen_inv, 1 << (self.logn - s), qv),
-            )
-            for s in range(self.logn)
-        ]
-        winv = np.empty(n, dtype=np.uint64)
-        winv[0] = n_inv
-        saved = self.stage_seeds
-        try:
-            self.stage_seeds = inv_seeds
-            for s in range(self.logn):
-                winv[1 << s : 2 << s] = self.regenerate_stage(s)
-        finally:
-            self.stage_seeds = saved
-        self.forward = self._layers(w)
+        self.forward = self._layers(_grow(qv, n, psi, gen))
+        winv = _grow(qv, n, inv_mod(psi, qv), inv_mod(gen, qv))
+        winv[1] = int(winv[1]) * n_inv % qv
         self.inverse = self._layers(winv)
 
     def _layers(self, consts: np.ndarray) -> list:
@@ -208,11 +214,10 @@ class TwiddleTable:
         contiguous and shaped (k, 1, cols) as the layer broadcasts them."""
         n = self.n
         wide = n // min(_ROWS, n)  # columns of a transposed layer
-        qv = self.q.value
-        halves = shoup_halves(np.array([shoup(x, qv) for x in consts.tolist()], dtype=np.uint64))
+        halves = shoup_halves(kernels.ctx(self.q.value).shoup(consts))
         laid = [np.empty(n, dtype=np.uint64) for _ in range(3)]
         layers = []
-        for s in range(self.logn):
+        for s in range(n.bit_length() - 1):
             g = 1 << s
             cols = wide if g >= wide else 1
             views = []
@@ -222,50 +227,11 @@ class TwiddleTable:
             layers.append(tuple(views))
         return layers
 
-    def regenerate_stage(self, s: int) -> np.ndarray:
-        """Stage constants from the stored seed pair, multiplications only."""
-        qv = self.q.value
-        seed, gen = self.stage_seeds[s]
-        # h_j = gen^(2^(s-1-j)) by a downward squaring chain
-        chain = [gen]
-        for _ in range(s - 1):
-            chain.append(chain[-1] * chain[-1] % qv)
-        vals = [seed]
-        for h in reversed(chain[: max(s, 0)]):
-            vals = vals + [v * h % qv for v in vals]
-        return np.array(vals[: 1 << s], dtype=np.uint64)
 
-    def reference_stage(self, s: int) -> np.ndarray:
-        """Direct pow() construction of the same constants (test oracle)."""
-        qv = self.q.value
-        seed = pow(self.psi, self.n >> (s + 1), qv)
-        step = pow(self.psi_gen, 1 << (self.logn - s), qv)
-        br = _bitrev_array(1 << s) if s else np.zeros(1, dtype=np.int64)
-        return np.array(
-            [seed * pow(step, int(br[t]), qv) % qv for t in range(1 << s)],
-            dtype=np.uint64,
-        )
-
-
-_TWIDDLE_CACHE: dict[tuple[int, int, int, int], TwiddleTable] = {}
-_PSI_CACHE: dict[tuple[int, int, str], tuple[int, int]] = {}
-
-
-def _psi(q: PrimeModulus, n: int, twist: RingTwist) -> tuple[int, int]:
-    key = (q.value, n, twist.kind)
-    v = _PSI_CACHE.get(key)
-    if v is None:
-        v = _PSI_CACHE[key] = psi_for(q, n, twist)
-    return v
-
-
+@functools.cache
 def twiddle_table(q: PrimeModulus, n: int, twist: RingTwist) -> TwiddleTable:
-    psi, psi_gen = _psi(q, n, twist)
-    key = (q.value, n, psi, psi_gen)
-    t = _TWIDDLE_CACHE.get(key)
-    if t is None:
-        t = _TWIDDLE_CACHE[key] = TwiddleTable(q, n, psi, psi_gen)
-    return t
+    """The table of one ring, built once."""
+    return TwiddleTable(q, n, twist)
 
 
 def _settle(f: np.ndarray, b: int, q: int, tmp: np.ndarray) -> None:
@@ -429,17 +395,6 @@ def negacyclic_mul(a: ResiduePoly, b: ResiduePoly) -> ResiduePoly:
     return ntt_inverse(dyadic("mul", ntt_forward(a), ntt_forward(b)))
 
 
-_BITREV_CACHE: dict[int, np.ndarray] = {}
-_PERM_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
-def _bitrev(n: int) -> np.ndarray:
-    r = _BITREV_CACHE.get(n)
-    if r is None:
-        r = _BITREV_CACHE[n] = _bitrev_array(n)
-    return r
-
-
 def eval_exponents(n: int) -> np.ndarray:
     """Exponent e_k with eval slot k holding the value at psi^e_k."""
     return (2 * _bitrev(n) + 1) % (2 * n)
@@ -449,14 +404,13 @@ def automorphism_perm(n: int, g: int) -> np.ndarray:
     """Slot permutation realizing a(x) -> a(x^g) in the evaluation domain."""
     if g % 2 == 0:
         raise ValueError("Galois element must be odd")
-    key = (n, g % (2 * n))
-    p = _PERM_CACHE.get(key)
-    if p is None:
-        e = eval_exponents(n)
-        src_exp = (e * (g % (2 * n))) % (2 * n)
-        p = _bitrev(n)[(src_exp - 1) >> 1]
-        _PERM_CACHE[key] = p
-    return p
+    return _perm(n, g % (2 * n))
+
+
+@functools.cache
+def _perm(n: int, g: int) -> np.ndarray:
+    src_exp = (eval_exponents(n) * g) % (2 * n)
+    return _bitrev(n)[(src_exp - 1) >> 1]
 
 
 def automorphism(p: ResiduePoly, g: int) -> ResiduePoly:

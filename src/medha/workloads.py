@@ -44,7 +44,8 @@ def _bench_inputs(pset: ParamSet, which: str):
         if which in ("add", "sub", "mult_relin", "rescale", "rotate", "mult_plain"):
             out["x"] = engine.encrypt(engine.encode(vx, scale))
         if which in ("add", "sub", "mult_relin"):
-            out["y"] = engine.encrypt(engine.encode(vy, scale))
+            # a second encryption index: x and y must not share r, e0 and e1
+            out["y"] = engine.encrypt(engine.encode(vy, scale), enc_index=1)
         if which == "mult_plain":
             out["pt"] = engine.encode(vy, scale)
         if which == "add":

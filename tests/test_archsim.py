@@ -2,6 +2,7 @@
 
 import hashlib
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from medha.archsim import (
     memory_audit,
     simulate,
 )
-from medha.heaan import Engine
+from medha.heaan import Ciphertext, Engine
 from medha.params import get_param_set
 from medha.workloads import get_workload, workload_names
 
@@ -343,6 +344,24 @@ def test_logreg_functional_toy(logreg_pset):
     out = eng.decrypt(result[spec.output_var]).real
     err = np.max(np.abs(out - expected)) / np.max(np.abs(expected))
     assert err < 1e-6
+
+
+@pytest.mark.parametrize("pset_name", ("set1", "set2", "logreg"))
+def test_workload_inputs_encrypt_with_distinct_randomness(pset_name):
+    # two ciphertexts under one encryption index share r, e0 and e1: their
+    # c1 limbs are equal, and c0_x - c0_y decodes to x - y with no secret key
+    pset = get_param_set(pset_name)
+    eng = Engine(pset.base, TOY, pset.mode, seed=5)
+    eng.keygen()
+    for name in workload_names():
+        spec = get_workload(pset, name)
+        if spec.build_inputs is None:
+            continue
+        variables, _ = spec.build_inputs(eng, 3)
+        cts = [v for v in variables.values() if isinstance(v, Ciphertext)]
+        for a, b in combinations(cts, 2):
+            for la, lb in zip(a.c1, b.c1):
+                assert not np.array_equal(la.coeffs, lb.coeffs), name
 
 
 def _canon(x):

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from medha.cli import main
+from medha.params import get_param_set
 
 TINY_NATIVE = {"name": "tiny", "degree": 64, "log_pq": 438, "mode": "native"}
 TINY_SPLIT = {"name": "tinysplit", "degree": 64, "log_pq": 546, "mode": "split"}
@@ -110,6 +111,15 @@ def test_seed_outside_64_bits_is_a_usage_error(tmp_path, capsys):
 def test_exit_code_unknown_workload(tmp_path):
     cfg = _write_config(tmp_path, TINY_NATIVE)
     assert main(["--config", str(cfg), "--workload", "bootstrap"]) == 3
+
+
+def test_unknown_param_set_rejected_on_every_call(tmp_path, capsys):
+    # the preset lookup is memoized; an unknown name is refused every time
+    cfg = _write_config(tmp_path, {"param_set": "set3"})
+    for _ in range(2):
+        assert main(["--config", str(cfg), "--report", str(tmp_path / "r.out")]) == 2
+        assert "unknown parameter set 'set3'" in capsys.readouterr().err
+    assert get_param_set("set1") is get_param_set("set1")
 
 
 def test_logreg_rejects_scale_bits_override(tmp_path, capsys):

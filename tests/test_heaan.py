@@ -17,8 +17,12 @@ from medha.keys import (
     COMP_KSK_UNIFORM,
     COMP_PK_ERROR,
     COMP_PK_UNIFORM,
+    HALF_FULL,
+    HALF_MINUS,
+    HALF_PLUS,
     component_tag,
     sample_gaussian,
+    sample_uniform_mod,
     stream_for,
 )
 from medha.polyring import STANDARD, ResiduePoly, dyadic, ntt_inverse, scalar_mul
@@ -320,13 +324,25 @@ def test_split_engine_matches_half_ring_datapath(set2):
             assert np.array_equal(a.coeffs, b.coeffs)
 
 
+def _uniform(eng, q, i, j, kind, ksk_id=0):
+    """One tag's uniform evaluation vector from the scalar sampler: the plus
+    then the minus half-ring stream in split mode, one full-ring stream in
+    native mode."""
+    halves = (HALF_PLUS, HALF_MINUS) if eng.mode == "split" else (HALF_FULL,)
+    return np.concatenate([
+        sample_uniform_mod(stream_for(eng.seed, i, j, component_tag(kind, half, ksk_id)),
+                           eng.degree // len(halves), q.value)
+        for half in halves
+    ])
+
+
 def test_ksk_uniform_regenerated_from_seed(toy_native, toy_split):
     for eng in (toy_native, toy_split):
         ksk = eng.relin_key
         for i in (0, eng.base.levels - 1):
             for j, m in enumerate(eng.base.all_moduli):
-                regen = eng._expand_uniform(m, i, j, COMP_KSK_UNIFORM, ksk.ksk_id)
-                assert np.array_equal(regen.coeffs, ksk.uniform[i][j].coeffs)
+                regen = _uniform(eng, m, i, j, COMP_KSK_UNIFORM, ksk.ksk_id)
+                assert np.array_equal(regen, ksk.uniform[i][j].coeffs)
 
 
 def _same(a, b):
@@ -344,7 +360,7 @@ def test_every_key_row_matches_per_limb_streams(toy_native, toy_split):
 
         e = error(0, COMP_PK_ERROR)
         for i, m in enumerate(eng.base.primes):
-            assert _same(eng.pk_a[i], eng._expand_uniform(m, i, 0, COMP_PK_UNIFORM))
+            assert np.array_equal(eng.pk_a[i].coeffs, _uniform(eng, m, i, 0, COMP_PK_UNIFORM))
             b_plus_as = dyadic("mac", eng.pk_a[i], eng._s_grid[i], acc=eng.pk_b[i])
             assert _same(b_plus_as, eng._signed_to_limb(e, m))
         keys = [eng.relin_key] + [eng.rotation_keys[k] for k in sorted(eng.rotation_keys)]
@@ -355,7 +371,7 @@ def test_every_key_row_matches_per_limb_streams(toy_native, toy_split):
                 e = error(i, COMP_KSK_ERROR, ksk.ksk_id)
                 for j, m in enumerate(eng.base.all_moduli):
                     u = ksk.uniform[i][j]
-                    assert _same(u, eng._expand_uniform(m, i, j, COMP_KSK_UNIFORM, ksk.ksk_id))
+                    assert np.array_equal(u.coeffs, _uniform(eng, m, i, j, COMP_KSK_UNIFORM, ksk.ksk_id))
                     pt = scalar_mul(target[j], eng.base.p_qtilde[i][j])
                     k_plus_us = dyadic("mac", u, eng._s_grid[j], acc=ksk.secret[i][j])
                     assert _same(dyadic("sub", k_plus_us, pt), eng._signed_to_limb(e, m))

@@ -18,6 +18,7 @@ from medha.kernels import (
     shoup_halves,
     submod,
 )
+from medha.params import get_param_set
 
 
 def _rand_u64(rng, n):
@@ -39,6 +40,14 @@ def test_mulhi64_matches_bigint():
     assert np.array_equal(_as_int(mulhi64(a, w)), (_as_int(a) * int(w)) >> 64)
 
 
+# odd moduli from the smallest up, every preset prime, and the two largest
+# that ModContext accepts
+COMPANION_MODULI = sorted(
+    {3, 17, (1 << 31) - 1, (1 << 62) - 57, (1 << 62) - (1 << 16) + 1}
+    | {m.value for s in ("set1", "set2", "logreg") for m in get_param_set(s).base.all_moduli}
+)
+
+
 def test_mulmod_shoup_matches_bigint(set1):
     rng = np.random.default_rng(12)
     for m in set1.base.all_moduli[:3]:
@@ -47,6 +56,11 @@ def test_mulmod_shoup_matches_bigint(set1):
         for w in (1, 2, q - 1, 0x123456789AB % q):
             got = mulmod_shoup(a, np.uint64(w), np.uint64(shoup(w, q)), np.uint64(q))
             assert np.array_equal(_as_int(got), (_as_int(a) * w) % q)
+    # the vector companions of a whole table equal the divided ones
+    for q in COMPANION_MODULI:
+        words = rng.integers(0, q, size=64, dtype=np.uint64)
+        words[:3] = (0, 1, q - 1)
+        assert [int(x) for x in ctx(q).shoup(words)] == [shoup(int(x), q) for x in words]
 
 
 def test_add_sub_neg_mod(set1):

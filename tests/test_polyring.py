@@ -1,5 +1,7 @@
 """Transforms, twiddle generation and ring arithmetic in all three twists."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -145,14 +147,6 @@ def test_mul_identity_and_x_shift(set1):
     assert np.array_equal(shifted[1:], a.coeffs[: n - 1])
 
 
-def test_twiddle_stage_regeneration_matches_reference(set1):
-    q = set1.base.primes[4]
-    for twist in ALL_TWISTS:
-        t = twiddle_table(q, 64, twist)
-        for s in range(6):
-            assert np.array_equal(t.regenerate_stage(s), t.reference_stage(s))
-
-
 def test_automorphism_eval_coeff_agree(set1):
     rng = np.random.default_rng(25)
     q = set1.base.primes[0]
@@ -265,9 +259,26 @@ def test_transforms_exact_at_lazy_bounds(qv, log_n, twist, fill, seed):
     assert _eval_oracle(q, n, twist, [int(x) for x in c.coeffs]) == ints
 
 
+@functools.cache
+def _flat_table(q, n, twist):
+    """The flat twiddle table by pow(): stage s holds w[2^s + t] =
+    psi^(n / 2^(s+1)) * gen^(2^(logn-s) bitrev(t, s)), and w[0] = 1."""
+    qv = q.value
+    psi, gen = psi_for(q, n, twist)
+    logn = n.bit_length() - 1
+    w = [1]
+    for s in range(logn):
+        step = pow(gen, 1 << (logn - s), qv)
+        seed = pow(psi, n >> (s + 1), qv)
+        for t in range(1 << s):
+            rev = int(format(t, f"0{s}b")[::-1], 2) if s else 0
+            w.append(seed * pow(step, rev, qv) % qv)
+    return np.array(w, dtype=np.uint64)
+
+
 def _exact_forward(q, n, twist, words):
     """ntt_forward's butterfly network, reduced exactly at every layer."""
-    t = twiddle_table(q, n, twist)
+    w = _flat_table(q, n, twist)
     c = kernels.ctx(q.value)
     f = words.copy()
     half = n // 2
@@ -275,7 +286,7 @@ def _exact_forward(q, n, twist, words):
         g = n // (2 * half)  # layer constants are w[g : 2g]
         a = f.reshape(g, 2, half)
         x = a[:, 0].copy()
-        prod = c.mulmod(a[:, 1], t.w[g : 2 * g, None])
+        prod = c.mulmod(a[:, 1], w[g : 2 * g, None])
         a[:, 0] = kernels.addmod(x, prod, c.qv)
         a[:, 1] = kernels.submod(x, prod, c.qv)
         half //= 2
@@ -320,21 +331,26 @@ def test_inverse_transform_round_trips_at_full_size(log_n, qv, fill):
     assert np.array_equal(again.coeffs, words)
 
 
-@pytest.mark.parametrize("log_n", (3, 6, 12, 14))
+# every stage of a 54-bit set1 prime at n = 64, and the near-2^62 prime up
+# to 2^14
+@pytest.mark.parametrize("qv, log_n", [
+    *((Q_NEAR_2_62, k) for k in (3, 6, 12, 14)),
+    (get_param_set("set1").base.primes[4].value, 6),
+], ids=("3", "6", "12", "14", "set1-q4-6"))
 @pytest.mark.parametrize("twist", ALL_TWISTS)
-def test_laid_out_constants_equal_flat_table(log_n, twist):
+def test_laid_out_constants_equal_flat_table(qv, log_n, twist):
     # layer g holds w[g : 2g] (and the inverse w[g : 2g]^-1, times n^-1 at
     # g = 1), contiguous, in (k, 1, cols) layout with constant j of the layer
     # at [j % k, 0, j // k], and the two halves of each constant's companion
-    q = PrimeModulus.from_value(Q_NEAR_2_62)
+    q = PrimeModulus.from_value(qv)
     n = 1 << log_n
     t = twiddle_table(q, n, twist)
-    qv = q.value
+    flat_table = _flat_table(q, n, twist)
     n_inv = pow(n, -1, qv)
     assert len(t.forward) == len(t.inverse) == log_n
     for s in range(log_n):
         g = 1 << s
-        flat_w = [int(x) for x in t.w[g : 2 * g]]
+        flat_w = [int(x) for x in flat_table[g : 2 * g]]
         flat_inv = [pow(x, -1, qv) * (n_inv if g == 1 else 1) % qv for x in flat_w]
         for layer, flat in ((t.forward[s], flat_w), (t.inverse[s], flat_inv)):
             w, wl, wh = layer
