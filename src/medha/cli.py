@@ -114,6 +114,10 @@ def _sync_keys(engine: Engine, pset: ParamSet, directory: Path, steps) -> dict:
         path = directory / fname
         if path.exists():
             key = load_ksk(path, engine, pset)
+            if key.ksk_id != ksk_id:
+                raise SerializationError(
+                    f"{path} holds key id {key.ksk_id}, expected {ksk_id}"
+                )
             if ksk_id == 0:
                 engine.relin_key = key
             else:
@@ -142,18 +146,15 @@ def _run(args) -> dict:
 
     functional = {"executed": False, "output_var": wl.output_var,
                   "max_rel_error": None, "output_level": None}
-    if wl.build_inputs is not None and wl.output_var is not None:
+    if wl.build_inputs is not None:
         variables, expected = wl.build_inputs(engine, args.seed)
         result = execute_workload(engine, program, variables)
         out = result[wl.output_var]
         functional["executed"] = True
         functional["output_level"] = out.level
-        if expected is not None:
-            got = engine.decrypt(out).real
-            denom = max(float(np.max(np.abs(expected))), 1e-30)
-            functional["max_rel_error"] = float(
-                np.max(np.abs(got - expected)) / denom
-            )
+        got = engine.decrypt(out).real
+        denom = max(float(np.max(np.abs(expected))), 1e-30)
+        functional["max_rel_error"] = float(np.max(np.abs(got - expected)) / denom)
 
     report = {
         "tool": "medha",

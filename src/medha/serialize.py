@@ -61,11 +61,21 @@ def _limb_bytes(limb: ResiduePoly) -> bytes:
     return limb.coeffs.astype("<u8").tobytes()
 
 
-def _read_limb(buf: memoryview, off: int, q, degree: int):
-    coeffs = np.frombuffer(buf[off:off + 8 * degree], dtype="<u8").astype(np.uint64)
-    if np.any(coeffs >= np.uint64(q.value)):
-        raise SerializationError(f"limb word is not a residue mod {q.value}")
-    return ResiduePoly(q, coeffs, "eval", STANDARD), off + 8 * degree
+def _read_grid(buf: memoryview, off: int, rows: int, moduli, degree: int) -> list:
+    """`rows` rows of one limb per modulus, which must end the container."""
+    if len(buf) != off + rows * len(moduli) * 8 * degree:
+        raise SerializationError("container length does not match header")
+    grid = []
+    for _ in range(rows):
+        row = []
+        for q in moduli:
+            coeffs = np.frombuffer(buf, "<u8", degree, off).astype(np.uint64)
+            if np.any(coeffs >= np.uint64(q.value)):
+                raise SerializationError(f"limb word is not a residue mod {q.value}")
+            row.append(ResiduePoly(q, coeffs, "eval", STANDARD))
+            off += 8 * degree
+        grid.append(row)
+    return grid
 
 
 def _encode_bigint(x: int) -> bytes:
@@ -127,18 +137,8 @@ def load_ciphertext(path, pset: ParamSet) -> Ciphertext:
     den, off = _decode_bigint(buf, off)
     if den == 0:
         raise SerializationError("scale denominator is zero")
-    if len(buf) != off + 2 * level * 8 * degree:
-        raise SerializationError("container length does not match header")
-    comps = []
-    for _ in range(2):
-        limbs = []
-        for i in range(level):
-            limb, off = _read_limb(buf, off, pset.base.primes[i], degree)
-            limbs.append(limb)
-        comps.append(limbs)
-    if off != len(buf):
-        raise SerializationError("trailing bytes after payload")
-    return Ciphertext(comps[0], comps[1], Fraction(num, den))
+    c0, c1 = _read_grid(buf, off, 2, pset.base.primes[:level], degree)
+    return Ciphertext(c0, c1, Fraction(num, den))
 
 
 def save_ksk(path, ksk: KeySwitchKey, engine: Engine, pset: ParamSet) -> None:
@@ -166,16 +166,7 @@ def load_ksk(path, engine: Engine, pset: ParamSet) -> KeySwitchKey:
     off += struct.calcsize("<HQ")
     if seed != engine.seed:
         raise HashError("expansion seed does not match the engine")
-    base = engine.base
-    if len(buf) != off + rows * len(base.all_moduli) * 8 * degree:
-        raise SerializationError("container length does not match header")
-    secret = []
-    for _ in range(rows):
-        srow = []
-        for m in base.all_moduli:
-            limb, off = _read_limb(buf, off, m, engine.degree)
-            srow.append(limb)
-        secret.append(srow)
-    if off != len(buf):
-        raise SerializationError("trailing bytes after payload")
+    if rows != engine.base.levels:
+        raise SerializationError(f"{rows} key rows, expected {engine.base.levels}")
+    secret = _read_grid(buf, off, rows, engine.base.all_moduli, degree)
     return KeySwitchKey(ksk_id, engine.ksk_uniform(ksk_id, rows), secret)

@@ -1,9 +1,11 @@
 """Ready-made evaluation workloads for the latency model and the CLI.
 
 Each workload is a list of high-level op specs plus an input builder that
-produces real ciphertexts for the functional path and a plain-arithmetic
-reference for end-to-end error reporting. The op specs carry explicit
-levels, so a workload is also a worked example of level scheduling.
+produces real ciphertexts for the functional path. Everything else is read
+off the op list: the plain-arithmetic reference for end-to-end error
+reporting (`plain_values`), the rotation keys and the output variable. The
+op specs carry explicit levels, so a workload is also a worked example of
+level scheduling.
 """
 
 from __future__ import annotations
@@ -22,49 +24,73 @@ from .params import ParamSet
 class WorkloadSpec:
     name: str
     ops: list
-    rotation_steps: tuple = ()
-    output_var: Optional[str] = None
     build_inputs: Optional[Callable] = None   # (engine, seed) -> (vars, expected)
-    notes: str = ""
+
+    @property
+    def rotation_steps(self) -> tuple:
+        """The steps of the rotate ops, in order of first use."""
+        return tuple(dict.fromkeys(op["steps"] for op in self.ops if op["op"] == "rotate"))
+
+    @property
+    def output_var(self) -> Optional[str]:
+        """The last op's output when the workload runs functionally, else None."""
+        return self.ops[-1]["out"] if self.build_inputs is not None else None
+
+
+_PLAIN = {
+    "add": lambda v, op: v[op["x"]] + v[op["y"]],
+    "sub": lambda v, op: v[op["x"]] - v[op["y"]],
+    "mult_relin": lambda v, op: v[op["x"]] * v[op["y"]],
+    "mult_plain": lambda v, op: v[op["x"]] * v[op["pt"]],
+    "rotate": lambda v, op: np.roll(v[op["x"]], -op["steps"]),
+    "rescale": lambda v, op: v[op["x"]],
+    "moddown": lambda v, op: v[op["x"]],
+}
+
+
+def plain_values(ops: list, values: dict) -> dict:
+    """Evaluate an op list on plain slot vectors; returns every variable.
+
+    `values` maps each input name (ciphertext or plaintext operand) to its
+    slot vector. Rescale and moddown change the scale and the level, not the
+    value, so they pass their input through.
+    """
+    out = dict(values)
+    for op in ops:
+        out[op["out"]] = _PLAIN[op["op"]](out, op)
+    return out
 
 
 def _rand_real(rng: np.random.Generator, n: int, mag: float) -> np.ndarray:
     return (rng.random(n) * 2.0 - 1.0) * mag
 
 
-def _bench_inputs(pset: ParamSet, which: str):
+def _bench_inputs(pset: ParamSet, ops: list):
+    (op,) = ops
+
     def build(engine, seed: int):
         rng = np.random.default_rng(seed)
         n = engine.slots
         scale = pset.scale
         vx = _rand_real(rng, n, 1.0)
         vy = _rand_real(rng, n, 1.0)
-        out: dict = {}
-        expected = None
-        if which in ("add", "sub", "mult_relin", "rescale", "rotate", "mult_plain"):
-            out["x"] = engine.encrypt(engine.encode(vx, scale))
-        if which in ("add", "sub", "mult_relin"):
+        x = op["x"]
+        variables = {x: engine.encrypt(engine.encode(vx, scale))}
+        plain = {x: vx}
+        if "y" in op:
             # a second encryption index: x and y must not share r, e0 and e1
-            out["y"] = engine.encrypt(engine.encode(vy, scale), enc_index=1)
-        if which == "mult_plain":
-            out["pt"] = engine.encode(vy, scale)
-        if which == "add":
-            expected = vx + vy
-        elif which == "sub":
-            expected = vx - vy
-        elif which == "mult_relin":
-            expected = vx * vy
-        elif which == "rescale":
+            variables[op["y"]] = engine.encrypt(engine.encode(vy, scale), enc_index=1)
+            plain[op["y"]] = vy
+        if "pt" in op:
+            variables[op["pt"]] = engine.encode(vy, scale)
+            plain[op["pt"]] = vy
+        if op["op"] == "rescale":
             # lift the input to scale*q_top so dropping the top prime
             # lands back on the working scale
             drop = engine.drop_scale(engine.base.levels)
-            out["x"] = engine.mult_plain(out["x"], engine.encode(vy, drop))
-            expected = vx * vy
-        elif which == "rotate":
-            expected = np.roll(vx, -1)
-        elif which == "mult_plain":
-            expected = vx * vy
-        return out, expected
+            variables[x] = engine.mult_plain(variables[x], engine.encode(vy, drop))
+            plain[x] = vx * vy
+        return variables, plain_values(ops, plain)[op["out"]]
 
     return build
 
@@ -78,14 +104,9 @@ def _bench(pset: ParamSet, op: str) -> WorkloadSpec:
         spec["pt"] = "pt"
     if op == "rotate":
         spec["steps"] = 1
-    functional = op not in ("moddown",)
-    return WorkloadSpec(
-        name=op,
-        ops=[spec],
-        rotation_steps=(1,) if op == "rotate" else (),
-        output_var="out" if functional else None,
-        build_inputs=_bench_inputs(pset, op) if functional else None,
-    )
+    ops = [spec]
+    build = _bench_inputs(pset, ops) if op != "moddown" else None
+    return WorkloadSpec(name=op, ops=ops, build_inputs=build)
 
 
 def _logreg(pset: ParamSet) -> WorkloadSpec:
@@ -176,30 +197,9 @@ def _logreg(pset: ParamSet) -> WorkloadSpec:
             v = _rand_real(rng, n, mag)
             variables[name] = engine.encode(v, scale, level=level)
             plain[name] = v
-        t0 = plain["x"] * plain["w0"]
-        s = t0.copy()
-        for k in range(1, 8):
-            s = s + np.roll(t0, -k)
-        a = s * s
-        b = s * plain["c1"]
-        c = a * b
-        d = a * plain["c2"]
-        e = c * d
-        f = c * plain["c3"]
-        g = e * f
-        h = e * plain["c4"]
-        j = f * plain["c5"]
-        expected = g + j + h
-        return variables, expected
+        return variables, plain_values(ops, plain)["out"]
 
-    return WorkloadSpec(
-        name="logreg",
-        ops=ops,
-        rotation_steps=tuple(range(1, 8)),
-        output_var="out",
-        build_inputs=build,
-        notes="rotation fold then coefficient-folded repeated squaring",
-    )
+    return WorkloadSpec(name="logreg", ops=ops, build_inputs=build)
 
 
 _BENCH_NAMES = ("add", "sub", "mult_relin", "rescale", "moddown", "rotate",

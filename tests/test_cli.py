@@ -156,6 +156,20 @@ def test_keys_roundtrip_through_directory(tmp_path):
     assert doc1["functional"] == doc2["functional"]
 
 
+def test_key_file_under_another_steps_name_rejected(tmp_path, capsys):
+    # loaded as step 2's key, the step-1 key in rot2.ksk would let the
+    # workload finish with a wrong result and exit 0
+    keys = tmp_path / "keys"
+    rc, raw = _run(tmp_path, "--workload", "logreg", "--keys", str(keys))
+    assert rc == 0
+    assert "rot2.ksk" in json.loads(raw)["keys"]["saved"]
+    (keys / "rot2.ksk").write_bytes((keys / "rot1.ksk").read_bytes())
+    cfg = _write_config(tmp_path, TINY_NATIVE)
+    assert main(["--config", str(cfg), "--workload", "logreg",
+                 "--keys", str(keys)]) == 4
+    assert "key id 1, expected 2" in capsys.readouterr().err
+
+
 def test_csv_and_table_formats(tmp_path):
     rc, raw = _run(tmp_path, "--workload", "add", "--format", "csv")
     assert rc == 0

@@ -1,6 +1,7 @@
 """Container format: roundtrips, corruption detection, seed-expanded keys."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -268,6 +269,17 @@ def test_ksk_rejects_wrong_degree(set1, toy_native, tmp_path):
     other = Engine(set1.base, 2 * TOY, "native", seed=5)
     with pytest.raises(HashError, match="degree"):
         load_ksk(path, other, set1)
+
+
+@pytest.mark.parametrize("rows", [2, 8])
+def test_ksk_rejects_row_count_other_than_levels(set1, toy_native, tmp_path, rows):
+    # set1 has 7 levels; a 2-row relin key would fail later, in mult_relin
+    key = toy_native.relin_key
+    secret = (key.secret * 2)[:rows]
+    path = tmp_path / "relin.mdhk"
+    save_ksk(path, replace(key, secret=secret), toy_native, set1)
+    with pytest.raises(SerializationError, match="rows"):
+        load_ksk(path, toy_native, set1)
 
 
 # SHA-256 of a rotated ciphertext file and of the rotation-1 key file for
