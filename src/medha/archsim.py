@@ -48,6 +48,7 @@ plus and minus slots and reads the halves back as one limb.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -967,7 +968,7 @@ def _seed_binding(state, binding, value):
             )
         for limb, (rpau, slots) in zip(comp, places):
             for s, part in zip(slots, _eval_parts(limb, len(slots))):
-                state[(rpau, s)] = part.copy()
+                state[(rpau, s)] = part
 
 
 def _read_ct(state, binding, scale) -> Ciphertext:
@@ -982,18 +983,29 @@ def _read_ct(state, binding, scale) -> Ciphertext:
 def execute_workload(engine, program: Program, variables: dict) -> dict:
     """Run every compiled op on real ciphertext data.
 
-    `variables` maps var names to Ciphertext/Plaintext values and is
-    updated with each op's output; the result is the final mapping. Ops
-    compiled latency-only (functional=False) are skipped.
+    `variables` maps var names to Ciphertext/Plaintext values. The result
+    maps every name to its newest value, except a temporary: a name that
+    one op writes and the caller does not supply. A temporary is dropped
+    as soon as its last reader has run, so the live set stays small; a
+    name written again (a chain's accumulator) frees its older value as it
+    is overwritten. Ops compiled latency-only (functional=False) are
+    skipped.
     """
     ex = _Executor(engine, program)
-    variables = dict(variables)
-    for opp in program.ops:
-        if not opp.functional:
-            continue
-        names = opp.meta.get("vars", {})
+    ops = [(seq, opp, opp.meta.get("vars", {}))
+           for seq, opp in enumerate(program.ops) if opp.functional]
+    writes = Counter(names.get("out", "out") for _, _, names in ops)
+    drop_after = {}
+    for seq, opp, names in ops:
+        for var in opp.inputs:
+            name = names.get(var, var)
+            if writes[name] == 1 and name not in variables:
+                drop_after[name] = seq
+    live = dict(variables)
+    for seq, opp, names in ops:
         state: dict = {}
-        operands = [variables[names.get(var, var)] for var in opp.inputs]
+        reads = [names.get(var, var) for var in opp.inputs]
+        operands = [live[name] for name in reads]
         for binding, value in zip(opp.inputs.values(), operands):
             _seed_binding(state, binding, value)
         # a sum keeps its operands' common scale, a product multiplies them
@@ -1007,5 +1019,8 @@ def execute_workload(engine, program: Program, variables: dict) -> dict:
         if opp.kind == "rescale":
             scale = scale / engine.base.primes[opp.meta["level"] - 1].value
         ex.run(opp, state)
-        variables[names.get("out", "out")] = _read_ct(state, opp.outputs["out"], scale)
-    return variables
+        for name in reads:
+            if drop_after.get(name) == seq:
+                live.pop(name, None)
+        live[names.get("out", "out")] = _read_ct(state, opp.outputs["out"], scale)
+    return live

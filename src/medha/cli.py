@@ -5,7 +5,8 @@ cycle model to the report. Reports are deterministic byte for byte for a
 fixed (configuration, seed) pair: stable key order, no timestamps, and
 integer-derived floats only.
 
-Exit codes: 0 success, 2 configuration error, 3 unsupported operation or
+Exit codes: 0 success, 2 configuration error (including a key directory
+or report path that cannot be used), 3 unsupported operation or
 workload, 4 serialization version or fingerprint mismatch.
 """
 
@@ -142,7 +143,10 @@ def _run(args) -> dict:
     engine.keygen(rotation_steps=wl.rotation_steps)
     keys_info = None
     if args.keys is not None:
-        keys_info = _sync_keys(engine, pset, args.keys, wl.rotation_steps)
+        try:
+            keys_info = _sync_keys(engine, pset, args.keys, wl.rotation_steps)
+        except OSError as e:
+            raise ConfigError(f"cannot use key directory {args.keys}: {e}") from e
 
     functional = {"executed": False, "output_var": wl.output_var,
                   "max_rel_error": None, "output_level": None}
@@ -242,7 +246,11 @@ def main(argv=None) -> int:
         return 4
     text = _render(report, args.fmt)
     if args.report is not None:
-        Path(args.report).write_bytes(text.encode())
+        try:
+            args.report.write_bytes(text.encode())
+        except OSError as e:
+            print(f"cannot write report: {e}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

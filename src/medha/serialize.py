@@ -19,13 +19,17 @@ carry the key id, the expansion seed, and only the secret half of the
 grid: the uniform half is regenerated from tagged streams on load, which
 is also why a key file is about half the size of its two-component
 equivalent.
+
+Both directions stream: a saver writes each limb straight from its array
+and a loader reads each limb into its own, so no whole-file buffer is
+built on either side.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 
@@ -39,6 +43,7 @@ KIND_CT = 1
 KIND_KSK = 2
 
 _HEADER = struct.Struct("<4sHBB8sHI")
+_KSK_FIELDS = struct.Struct("<HQ")   # key id, expansion seed
 
 
 class SerializationError(Exception):
@@ -57,23 +62,38 @@ def _mode_code(mode: str) -> int:
     return 1 if mode == "split" else 0
 
 
-def _limb_bytes(limb: ResiduePoly) -> bytes:
-    return limb.coeffs.astype("<u8").tobytes()
+def _write(path, head: bytes, grid) -> None:
+    """The header fields, then each limb's words straight from its array."""
+    with open(path, "wb") as f:
+        f.write(head)
+        for row in grid:
+            for limb in row:
+                f.write(np.ascontiguousarray(limb.coeffs, "<u8"))
 
 
-def _read_grid(buf: memoryview, off: int, rows: int, moduli, degree: int) -> list:
-    """`rows` rows of one limb per modulus, which must end the container."""
-    if len(buf) != off + rows * len(moduli) * 8 * degree:
+def _read(f, n: int) -> bytes:
+    raw = f.read(n)
+    if len(raw) != n:
+        raise SerializationError("truncated container")
+    return raw
+
+
+def _read_grid(f, rows: int, moduli, degree: int) -> list:
+    """`rows` rows of one limb per modulus, which must end the container;
+    each limb is read into its own array."""
+    if os.fstat(f.fileno()).st_size != f.tell() + rows * len(moduli) * 8 * degree:
         raise SerializationError("container length does not match header")
     grid = []
     for _ in range(rows):
         row = []
         for q in moduli:
-            coeffs = np.frombuffer(buf, "<u8", degree, off).astype(np.uint64)
+            coeffs = np.empty(degree, "<u8")
+            if f.readinto(coeffs) != coeffs.nbytes:
+                raise SerializationError("truncated container")
+            coeffs = coeffs.astype(np.uint64, copy=False)
             if np.any(coeffs >= np.uint64(q.value)):
                 raise SerializationError(f"limb word is not a residue mod {q.value}")
             row.append(ResiduePoly(q, coeffs, "eval", STANDARD))
-            off += 8 * degree
         grid.append(row)
     return grid
 
@@ -83,20 +103,16 @@ def _encode_bigint(x: int) -> bytes:
     return struct.pack("<I", len(raw)) + raw
 
 
-def _decode_bigint(buf: memoryview, off: int) -> tuple[int, int]:
-    if off + 4 > len(buf):
+def _read_bigint(f) -> int:
+    (n,) = struct.unpack("<I", _read(f, 4))
+    # checked before reading, so a corrupt length cannot ask for gigabytes
+    if f.tell() + n > os.fstat(f.fileno()).st_size:
         raise SerializationError("truncated container")
-    (n,) = struct.unpack_from("<I", buf, off)
-    off += 4
-    if off + n > len(buf):
-        raise SerializationError("truncated container")
-    return int.from_bytes(bytes(buf[off:off + n]), "little"), off + n
+    return int.from_bytes(_read(f, n), "little")
 
 
-def _check_header(buf: memoryview, kind: int, pset: ParamSet) -> tuple[int, int, int]:
-    if len(buf) < _HEADER.size:
-        raise SerializationError("truncated container")
-    magic, version, k, mode, h, level, degree = _HEADER.unpack_from(buf, 0)
+def _check_header(f, kind: int, pset: ParamSet) -> tuple[int, int]:
+    magic, version, k, mode, h, level, degree = _HEADER.unpack(_read(f, _HEADER.size))
     if magic != MAGIC:
         raise SerializationError("not a recognized container")
     if version != VERSION:
@@ -109,64 +125,51 @@ def _check_header(buf: memoryview, kind: int, pset: ParamSet) -> tuple[int, int,
         raise HashError("parameter-set fingerprint mismatch")
     if degree < 8 or degree & (degree - 1):
         raise SerializationError(f"bad ring degree {degree}")
-    return level, degree, _HEADER.size
+    return level, degree
 
 
 def save_ciphertext(path, ct: Ciphertext, pset: ParamSet) -> None:
     scale = Fraction(ct.scale)
-    parts = [
+    head = b"".join([
         _HEADER.pack(MAGIC, VERSION, KIND_CT, _mode_code(pset.mode),
                      pset.param_hash(), ct.level, ct.c0[0].n),
         _encode_bigint(scale.numerator),
         _encode_bigint(scale.denominator),
-    ]
-    for comp in (ct.c0, ct.c1):
-        for limb in comp:
-            parts.append(_limb_bytes(limb))
-    Path(path).write_bytes(b"".join(parts))
+    ])
+    _write(path, head, (ct.c0, ct.c1))
 
 
 def load_ciphertext(path, pset: ParamSet) -> Ciphertext:
-    buf = memoryview(Path(path).read_bytes())
-    level, degree, off = _check_header(buf, KIND_CT, pset)
-    if level < 1 or level > pset.levels:
-        raise SerializationError(f"level {level} out of range")
-    if degree != pset.degree:
-        raise SerializationError(f"ring degree {degree} does not match the parameter set")
-    num, off = _decode_bigint(buf, off)
-    den, off = _decode_bigint(buf, off)
-    if den == 0:
-        raise SerializationError("scale denominator is zero")
-    c0, c1 = _read_grid(buf, off, 2, pset.base.primes[:level], degree)
+    with open(path, "rb") as f:
+        level, degree = _check_header(f, KIND_CT, pset)
+        if level < 1 or level > pset.levels:
+            raise SerializationError(f"level {level} out of range")
+        if degree != pset.degree:
+            raise SerializationError(f"ring degree {degree} does not match the parameter set")
+        num = _read_bigint(f)
+        den = _read_bigint(f)
+        if den == 0:
+            raise SerializationError("scale denominator is zero")
+        c0, c1 = _read_grid(f, 2, pset.base.primes[:level], degree)
     return Ciphertext(c0, c1, Fraction(num, den))
 
 
 def save_ksk(path, ksk: KeySwitchKey, engine: Engine, pset: ParamSet) -> None:
-    rows = len(ksk.secret)
-    parts = [
-        _HEADER.pack(MAGIC, VERSION, KIND_KSK, _mode_code(pset.mode),
-                     pset.param_hash(), rows, engine.degree),
-        struct.pack("<HQ", ksk.ksk_id, engine.seed),
-    ]
-    for row in ksk.secret:
-        for limb in row:
-            parts.append(_limb_bytes(limb))
-    Path(path).write_bytes(b"".join(parts))
+    head = _HEADER.pack(MAGIC, VERSION, KIND_KSK, _mode_code(pset.mode),
+                        pset.param_hash(), len(ksk.secret), engine.degree)
+    _write(path, head + _KSK_FIELDS.pack(ksk.ksk_id, engine.seed), ksk.secret)
 
 
 def load_ksk(path, engine: Engine, pset: ParamSet) -> KeySwitchKey:
     """Read the secret half and regenerate the uniform half from the seed."""
-    buf = memoryview(Path(path).read_bytes())
-    rows, degree, off = _check_header(buf, KIND_KSK, pset)
-    if degree != engine.degree:
-        raise HashError("stored ring degree does not match the engine")
-    if off + struct.calcsize("<HQ") > len(buf):
-        raise SerializationError("truncated container")
-    ksk_id, seed = struct.unpack_from("<HQ", buf, off)
-    off += struct.calcsize("<HQ")
-    if seed != engine.seed:
-        raise HashError("expansion seed does not match the engine")
-    if rows != engine.base.levels:
-        raise SerializationError(f"{rows} key rows, expected {engine.base.levels}")
-    secret = _read_grid(buf, off, rows, engine.base.all_moduli, degree)
+    with open(path, "rb") as f:
+        rows, degree = _check_header(f, KIND_KSK, pset)
+        if degree != engine.degree:
+            raise HashError("stored ring degree does not match the engine")
+        ksk_id, seed = _KSK_FIELDS.unpack(_read(f, _KSK_FIELDS.size))
+        if seed != engine.seed:
+            raise HashError("expansion seed does not match the engine")
+        if rows != engine.base.levels:
+            raise SerializationError(f"{rows} key rows, expected {engine.base.levels}")
+        secret = _read_grid(f, rows, engine.base.all_moduli, degree)
     return KeySwitchKey(ksk_id, engine.ksk_uniform(ksk_id, rows), secret)

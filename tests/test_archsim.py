@@ -346,6 +346,68 @@ def test_logreg_functional_toy(logreg_pset):
     assert err < 1e-6
 
 
+def test_execute_workload_drops_temporaries(logreg_pset):
+    # every logreg intermediate is a temporary with a later reader but `i`
+    # (e * e, which no later op reads) and `out`
+    eng = Engine(logreg_pset.base, TOY, "native", seed=7)
+    spec = get_workload(logreg_pset, "logreg")
+    eng.keygen(rotation_steps=spec.rotation_steps)
+    variables, _ = spec.build_inputs(eng, 11)
+    result = execute_workload(eng, compile_workload(logreg_pset, spec.ops), variables)
+    assert set(result) == set(variables) | {"i", "out"}
+    assert all(result[name] is value for name, value in variables.items())
+
+
+def test_chain_rewriting_its_names_matches_engine(set2, toy_split2):
+    # split-chain's pattern: each level's product overwrites `m` and its
+    # rescale overwrites `ct`, the caller's own input name; both keep
+    # their newest value
+    eng = toy_split2
+    rng = np.random.default_rng(31)
+    levels = set2.levels
+    ops, variables = [], {}
+    for lvl in range(levels, 0, -1):
+        w = rng.uniform(-1.0, 1.0, eng.slots)
+        variables[f"w{lvl}"] = eng.encrypt(eng.encode(w, set2.scale, level=lvl), enc_index=lvl)
+        ops.append({"op": "mult_relin", "level": lvl, "x": "ct", "y": f"w{lvl}",
+                    "out": "m" if lvl > 1 else "out"})
+        if lvl > 1:
+            ops.append({"op": "rescale", "level": lvl, "x": "m", "out": "ct"})
+    ct = eng.encrypt(eng.encode(rng.uniform(-1.0, 1.0, eng.slots), set2.scale))
+    result = execute_workload(eng, compile_workload(set2, ops), {**variables, "ct": ct})
+    for lvl in range(levels, 1, -1):
+        m = eng.mult_relin(ct, variables[f"w{lvl}"])
+        ct = eng.rescale(m)
+    assert set(result) == set(variables) | {"ct", "m", "out"}
+    _same_ct(eng, result["m"], m)
+    _same_ct(eng, result["ct"], ct)
+    _same_ct(eng, result["out"], eng.mult_relin(ct, variables["w1"]))
+
+
+def _value_digest(value) -> str:
+    limbs = value.c0 + value.c1 if isinstance(value, Ciphertext) else value.limbs
+    h = hashlib.sha256()
+    for limb in limbs:
+        h.update(limb.coeffs.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("pset_name", ("set1", "set2", "logreg"))
+def test_execute_workload_leaves_inputs_untouched(pset_name):
+    # operand limbs are seeded into the executor without a copy, so no
+    # step may write into an array it did not allocate
+    pset = get_param_set(pset_name)
+    eng = Engine(pset.base, TOY, pset.mode, seed=5)
+    specs = [get_workload(pset, name) for name in workload_names()]
+    specs = [spec for spec in specs if spec.build_inputs is not None]
+    eng.keygen(rotation_steps=sorted({s for spec in specs for s in spec.rotation_steps}))
+    for spec in specs:
+        variables, _ = spec.build_inputs(eng, 3)
+        before = {name: _value_digest(v) for name, v in variables.items()}
+        execute_workload(eng, compile_workload(pset, spec.ops), variables)
+        assert {name: _value_digest(v) for name, v in variables.items()} == before, spec.name
+
+
 @pytest.mark.parametrize("pset_name", ("set1", "set2", "logreg"))
 def test_workload_inputs_encrypt_with_distinct_randomness(pset_name):
     # two ciphertexts under one encryption index share r, e0 and e1: their

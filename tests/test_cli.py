@@ -170,6 +170,36 @@ def test_key_file_under_another_steps_name_rejected(tmp_path, capsys):
     assert "key id 1, expected 2" in capsys.readouterr().err
 
 
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    return err
+
+
+def test_keys_path_that_is_a_file_is_a_configuration_error(tmp_path, capsys):
+    keys = tmp_path / "keys"
+    keys.write_text("not a directory")
+    cfg = _write_config(tmp_path, TINY_NATIVE)
+    assert main(["--config", str(cfg), "--workload", "add", "--keys", str(keys)]) == 2
+    assert "key directory" in _one_error_line(capsys)
+
+
+def test_key_path_that_is_a_directory_is_a_configuration_error(tmp_path, capsys):
+    keys = tmp_path / "keys"
+    (keys / "relin.ksk").mkdir(parents=True)
+    cfg = _write_config(tmp_path, TINY_NATIVE)
+    assert main(["--config", str(cfg), "--workload", "add", "--keys", str(keys)]) == 2
+    assert "relin.ksk" in _one_error_line(capsys)
+
+
+def test_report_into_missing_directory_is_a_configuration_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path, TINY_NATIVE)
+    report = tmp_path / "absent" / "report.json"
+    assert main(["--config", str(cfg), "--workload", "add", "--report", str(report)]) == 2
+    assert "cannot write report" in _one_error_line(capsys)
+    assert not report.parent.exists()
+
+
 def test_csv_and_table_formats(tmp_path):
     rc, raw = _run(tmp_path, "--workload", "add", "--format", "csv")
     assert rc == 0

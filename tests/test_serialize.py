@@ -1,6 +1,7 @@
 """Container format: roundtrips, corruption detection, seed-expanded keys."""
 
 import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -310,3 +311,49 @@ def test_ksk_file_smaller_than_two_grid_form(set1, toy_native, tmp_path):
     cols = len(set1.base.all_moduli)
     two_grids = _HEADER.size + 10 + 2 * rows * cols * 8 * TOY
     assert path.stat().st_size < 0.6 * two_grids
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes traced while `fn` runs, above what was traced before it.
+    NumPy reports its array data to tracemalloc, so this counts the words."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def wide_native(set1):
+    """A degree-1024 set1 engine: limbs large enough to outweigh fixed costs."""
+    eng = Engine(set1.base, 1024, "native", seed=5)
+    eng.keygen()
+    return eng, replace(set1, degree=1024)
+
+
+@pytest.mark.parametrize("kind", ["ksk", "ct"])
+def test_savers_stream_limbs(set1, wide_native, tmp_path, kind):
+    # a saver that built the file in memory first would peak near twice its size
+    eng, pset = wide_native
+    path = tmp_path / "saved"
+    if kind == "ksk":
+        peak = _traced_peak(lambda: save_ksk(path, eng.relin_key, eng, set1))
+    else:
+        ct = _rand_ct(eng, np.random.default_rng(28))
+        peak = _traced_peak(lambda: save_ciphertext(path, ct, pset))
+    assert peak < path.stat().st_size / 2, peak
+
+
+def test_load_ciphertext_reads_limbs_in_place(wide_native, tmp_path):
+    # reading the whole file and copying each limb out would peak near twice the grid
+    eng, pset = wide_native
+    path = tmp_path / "ct.mdha"
+    save_ciphertext(path, _rand_ct(eng, np.random.default_rng(29)), pset)
+    grid = 2 * pset.levels * pset.degree * 8
+    loaded = []
+    peak = _traced_peak(lambda: loaded.append(load_ciphertext(path, pset)))
+    assert loaded[0].level == pset.levels
+    assert peak < 1.5 * grid, peak
