@@ -273,9 +273,13 @@ class Engine:
                 k_row = []
                 for j, (m, u) in enumerate(zip(self.base.all_moduli, u_row)):
                     el = self._signed_to_limb(e, m)
-                    us = dyadic("mul", u, self._s_grid[j])
-                    pt = scalar_mul(target[j], self.base.p_qtilde[i][j])
-                    k_row.append(dyadic("add", dyadic("sub", el, us), pt))
+                    k = dyadic("sub", el, dyadic("mul", u, self._s_grid[j]))
+                    # P * qtilde_i is 0 mod every modulus but q_i, and adding
+                    # a zero limb changes no bit, so only q_i's term is added
+                    factor = self.base.p_qtilde[i][j]
+                    if factor:
+                        k = dyadic("add", k, scalar_mul(target[j], factor))
+                    k_row.append(k)
                 u_grid.append(u_row)
                 secret.append(k_row)
             keys.append(KeySwitchKey(ksk_id, u_grid, secret))

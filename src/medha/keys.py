@@ -16,8 +16,8 @@ steppers chosen by the batch's lane count. Up to PACKED_MAX_LANES streams
 streams sit 128 bits apart in one Python int per register, so one step of
 about 40 big-integer operations serves every lane. Key generation and key
 loading draw hundreds of streams at once, which step as NumPy lanes
-(`TriviumLanes`): a fixed number of NumPy calls per step, cheaper per lane
-only for wide batches (the crossover was measured at about 64 lanes). A
+(`TriviumLanes`): nine NumPy calls per step, cheaper per lane only for
+wide batches (the crossover was measured at about 26 lanes). A
 single `TriviumStream` is the one-lane case of the packed step, so the
 Python-int stepping lives in one function, `_clock`.
 
@@ -134,53 +134,75 @@ class TriviumLanes:
     """K Trivium streams stepped in lock-step, one NumPy lane per stream.
 
     Lane k continues streams[k] from its current state (the stream objects
-    themselves do not advance). Register r of the scalar class is held as
-    lo[r] | hi[r] << 64, and each step is the scalar 64-clock step written
-    as a fixed number of NumPy calls over all lanes at once, so lane k emits
-    exactly the words streams[k].next_words would.
+    themselves do not advance), and emits exactly the words
+    streams[k].next_words would. Register r of the scalar class enters its
+    new 64 bits at bit e = 29, 20, 47 (a, b, c), so it is held as two parts:
+    f, its newest 64 feedback bits (the register >> e, one word since the
+    registers are 93, 84 and 111 bits wide), and, per tap row m,
+    P[m] = (register mod 2^e) >> tap, the older bits' share of that tap's
+    window. Window m is then (f << (e - tap)) | P[m], and a step's new P is
+    the old f >> (64 - e + tap); every shift count is below 64. A step is
+    nine NumPy calls over all lanes at once, and z = t1 ^ t2 ^ t3 is formed
+    once per BLOCK steps from the stored t rows.
     """
 
-    # rows: the z tap, the two AND taps and the feedback tap, per register a, b, c
-    _TAPS = np.array([[27, 15, 45], [2, 2, 2], [1, 1, 1], [24, 6, 24]], dtype=np.uint64)
+    # rows: the register itself, the z tap, the two AND taps and the
+    # feedback tap; columns: registers a, b, c
+    _TAPS = np.array([[0, 0, 0], [27, 15, 45], [2, 2, 2], [1, 1, 1], [24, 6, 24]], dtype=np.uint64)
     # where each register's new 64 bits enter it
     _ENTRY = np.array([29, 20, 47], dtype=np.uint64)
+    BLOCK = 128  # steps whose t rows are kept before their z is formed
 
     def __init__(self, streams):
         k = len(streams)
-        regs = [r for s in streams for r in (s.a, s.b, s.c)]
-        self.lo = np.array([r & M64 for r in regs], dtype=np.uint64).reshape(k, 3).T.copy()
-        self.hi = np.array([r >> 64 for r in regs], dtype=np.uint64).reshape(k, 3).T.copy()
-        # shift counts spelled out per lane: NumPy shifts contiguous operands fastest
-        self._taps = np.repeat(self._TAPS[..., None], k, axis=2)
-        self._taps_hi = 64 - self._taps
-        self._entry = np.repeat(self._ENTRY[:, None], k, axis=1)
-        self._entry_hi = 64 - self._entry
-        self._win = np.empty_like(self._taps)
-        self._tmp = np.empty_like(self._taps)
+        regs = [(s.a, s.b, s.c) for s in streams]
+        entry = [int(e) for e in self._ENTRY]
+        self.f = np.array([[reg[r] >> e for reg in regs] for r, e in enumerate(entry)],
+                          dtype=np.uint64)
+        low = np.array([[reg[r] & ((1 << e) - 1) for reg in regs] for r, e in enumerate(entry)],
+                       dtype=np.uint64)
+        # Shift counts spelled out per lane and f copied once per tap row:
+        # NumPy shifts same-shape contiguous operands fastest, and one
+        # broadcast copy per step costs less than two broadcast shifts.
+        taps = np.repeat(self._TAPS[..., None], k, axis=2)
+        self._up = self._ENTRY[:, None] - taps
+        self._down = 64 - self._up
+        self._p = low >> taps
+        self._fs = np.repeat(self.f[None], len(taps), axis=0)
+        self._win = np.empty_like(taps)
         # rows c, a, b, c of the feedback terms, so rows 0..2 line up with a, b, c
         self._feed = np.empty((4, k), dtype=np.uint64)
+        self._t = np.empty((self.BLOCK, 3, k), dtype=np.uint64)
 
     def next_words(self, count: int) -> np.ndarray:
         """The next `count` words of every lane, as a (lanes, count) array."""
-        lo, hi, win, tmp, feed = self.lo, self.hi, self._win, self._tmp, self._feed
-        out = np.empty((count, lo.shape[1]), dtype=np.uint64)
-        t, g, g2, f = win
-        for k in range(count):
-            # win[m][r]: low 64 bits of register r shifted right by tap m
-            np.right_shift(lo, self._taps, out=win)
-            np.left_shift(hi, self._taps_hi, out=tmp)
-            np.bitwise_or(win, tmp, out=win)
-            np.bitwise_xor(t, lo, out=t)                # t1, t2, t3
-            np.bitwise_xor(t[0], t[1], out=out[k])
-            np.bitwise_xor(out[k], t[2], out=out[k])    # z
-            np.bitwise_and(g, g2, out=feed[1:])
-            np.bitwise_xor(feed[1:], t, out=feed[1:])
-            np.copyto(feed[0], feed[3])
-            np.bitwise_xor(feed[:3], f, out=f)          # fa, fb, fc
-            np.left_shift(f, self._entry, out=lo)
-            np.bitwise_or(lo, hi, out=lo)
-            np.right_shift(f, self._entry_hi, out=hi)
-        return np.ascontiguousarray(out.T)
+        f, fs, p, up, down, win = self.f, self._fs, self._p, self._up, self._down, self._win
+        w0, w1, w2, w3, w4 = win
+        feed, ts = self._feed, self._t
+        tail, head, first, last = feed[1:], feed[:3], feed[0], feed[3]
+        # ufuncs bound locally with a positional out, and copies written as
+        # slice assignments: at a few hundred lanes a call costs about as
+        # much as its arithmetic, so each lookup and wrapper shows
+        shl, shr, bor, bxor, band = (np.left_shift, np.right_shift, np.bitwise_or,
+                                     np.bitwise_xor, np.bitwise_and)
+        out = np.empty((f.shape[1], count), dtype=np.uint64)
+        for start in range(0, count, self.BLOCK):
+            block = ts[:count - start]
+            for t in block:
+                shl(fs, up, win)
+                bor(win, p, win)          # win[m][r]: register r's window at tap row m
+                bxor(w0, w1, t)           # t1, t2, t3
+                band(w2, w3, tail)
+                bxor(tail, t, tail)
+                first[...] = last
+                shr(fs, down, p)
+                bxor(head, w4, f)         # fa, fb, fc
+                fs[...] = f
+            z = block[:, 0]
+            bxor(z, block[:, 1], z)
+            bxor(z, block[:, 2], z)
+            out[:, start:start + len(block)] = z.T
+        return out
 
 
 def stream_for(seed: int, i: int, j: int, component: int) -> TriviumStream:
@@ -262,13 +284,16 @@ def sample_uniform_mod(stream: TriviumStream, n: int, q: int) -> np.ndarray:
     return out
 
 
-LANE_CHUNK = 512  # lock-step steps per round, which bounds the word buffer
+LANE_CHUNK = 256  # lock-step steps per round, which bounds the round's buffers
 
 # Batches of up to this many streams step as packed Python ints
 # (TriviumPacked), larger ones as NumPy lanes (TriviumLanes). Measured per
-# lane-word on a 2-core Xeon VM: packed 0.9 us at 2 lanes, 0.2-0.3 us from 16
-# lanes on; NumPy 5-10 us at 2 lanes, 0.3 us at 64 and 0.11-0.13 us at 256.
-PACKED_MAX_LANES = 64
+# step on a 2-core Xeon VM (median of 25 runs of 256 steps, in three
+# processes): packed 2.4-2.5 us at 2 lanes, 5.0-5.3 at 16, 5.9-6.9 at 24,
+# 6.5-7.2 at 28 and 8.3-9.2 at 32; NumPy 5.7-6.0 at 2 lanes, 6.4-6.6 at 16,
+# 6.3-7.0 at 24, 6.2-6.7 at 28, 6.6-7.0 at 32, 8.3-8.7 at 64, 12-13 at 180
+# and 21-22 at 391.
+PACKED_MAX_LANES = 26
 
 
 def sample_lanes(
@@ -284,7 +309,8 @@ def sample_lanes(
     which is exact because each result is a prefix of its stream's accepted
     words (see the module docstring). The streams themselves do not advance.
     A batch of at most PACKED_MAX_LANES streams steps as packed Python ints,
-    a larger one as NumPy lanes; both give the same words.
+    a larger one as NumPy lanes; both give the same words. Each round's
+    accepted candidates of every lane are compacted in one pass.
     """
     n_lanes = len(uniform)
     g_steps = n_gaussian if len(gaussian) else 0
@@ -294,11 +320,13 @@ def sample_lanes(
     lanes = (TriviumPacked if len(streams) <= PACKED_MAX_LANES else TriviumLanes)(streams)
     u_out = np.empty((n_lanes, n_uniform), dtype=np.uint64)
     g_out = np.empty((len(gaussian), n_gaussian), dtype=np.int64)
-    filled = [0] * n_lanes
+    flat = u_out.reshape(-1)
+    row_start = np.arange(n_lanes, dtype=np.int64) * n_uniform
+    filled = np.zeros(n_lanes, dtype=np.int64)
     drawn = 0
     while True:
         # about two candidates per residue, since acceptance is about 0.5
-        short = n_uniform - min(filled, default=n_uniform)
+        short = n_uniform - int(filled.min()) if n_lanes else 0
         steps = min(LANE_CHUNK, max(2 * short + 16 if short else 0, g_steps - drawn))
         if steps <= 0:
             return u_out, g_out
@@ -309,14 +337,21 @@ def sample_lanes(
                 np.searchsorted(_GAUSS_THR, words[n_lanes:, :take], side="right") - _GAUSS_BOUND
             )
             drawn += take
+        if not short:
+            continue
         cand = np.bitwise_and(words[:n_lanes], masks, out=words[:n_lanes])
         ok = cand < qs
-        for k in range(n_lanes):
-            need = n_uniform - filled[k]
-            if need:
-                good = cand[k][ok[k]][:need]
-                u_out[k, filled[k]:filled[k] + len(good)] = good
-                filled[k] += len(good)
+        got = np.count_nonzero(ok, axis=1)
+        need = n_uniform - filled
+        if (got > need).any():
+            # keep only each lane's first `need` accepted candidates
+            ok &= np.cumsum(ok, axis=1, dtype=np.int32) <= need[:, None]
+            got = np.minimum(got, need)
+        # lane k's accepted words, in order, land right after its filled prefix
+        dest = np.repeat(row_start + filled - (np.cumsum(got) - got), got)
+        dest += np.arange(len(dest))
+        flat[dest] = np.compress(ok.reshape(-1), cand)
+        filled += got
 
 
 def signed_to_residues(x: np.ndarray, q: int) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Keystream correctness against a bit-serial reference, and sampler behavior."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from medha.keys import (
@@ -80,14 +81,19 @@ def test_word_stream_matches_bit_serial_reference():
 
 
 def test_lanes_continue_each_stream():
+    # calls end on both sides of the stepper's block (1, 127, 129 and 300
+    # steps at a 128-step block), and the last one spans three blocks
     rng = random.Random(43)
-    streams = [TriviumStream(rng.getrandbits(80), rng.getrandbits(80)) for _ in range(5)]
-    streams[1].next_words(3)  # a lane starts wherever its stream stands
-    lanes = TriviumLanes(streams)
-    words = np.concatenate([lanes.next_words(7), lanes.next_words(2)], axis=1)
-    assert words.shape == (5, 9)
-    for row, s in zip(words, streams):
-        assert np.array_equal(row, s.next_words(9))
+    block = TriviumLanes.BLOCK
+    counts = [7, 2, 1, block - 1, block + 1, 2 * block + 44]
+    for n_lanes in (5, 2 * PACKED_MAX_LANES + 11):
+        streams = [TriviumStream(rng.getrandbits(80), rng.getrandbits(80)) for _ in range(n_lanes)]
+        streams[1].next_words(3)  # a lane starts wherever its stream stands
+        lanes = TriviumLanes(streams)
+        words = np.concatenate([lanes.next_words(c) for c in counts], axis=1)
+        assert words.shape == (n_lanes, sum(counts)) and words.dtype == np.uint64
+        for row, s in zip(words, streams):
+            assert np.array_equal(row, s.next_words(sum(counts)))
 
 
 _MODULI = [17] + sorted({m.value for name in ("set1", "set2")
@@ -100,13 +106,21 @@ def _random_tag(rng):
 
 @settings(max_examples=12)
 @given(seed=st.integers(0, (1 << 64) - 1), tag_seed=st.integers(0, (1 << 32) - 1),
-       n_lanes=st.integers(1, 64), n_gauss_lanes=st.integers(0, 8),
-       n_uniform=st.integers(1, LANE_CHUNK + 300),
+       n_lanes=st.integers(0, 3 * PACKED_MAX_LANES),
+       n_gauss_lanes=st.integers(0, PACKED_MAX_LANES + 8),
+       n_uniform=st.integers(1, 2 * LANE_CHUNK + 300),
        n_gaussian=st.integers(1, 2 * LANE_CHUNK + 100))
+# a Gaussian-only batch and a uniform-only one, each wider than the packed stepper
+@example(seed=1, tag_seed=2, n_lanes=0, n_gauss_lanes=PACKED_MAX_LANES + 8,
+         n_uniform=1, n_gaussian=LANE_CHUNK + 1)
+@example(seed=3, tag_seed=4, n_lanes=3 * PACKED_MAX_LANES, n_gauss_lanes=0,
+         n_uniform=LANE_CHUNK // 2 + 1, n_gaussian=1)
 def test_lane_samplers_match_scalar_samplers(seed, tag_seed, n_lanes, n_gauss_lanes,
                                              n_uniform, n_gaussian):
     # every lane gives exactly the scalar sampler's output for its stream,
-    # over several rejection rounds and lock-step chunks
+    # over several rejection rounds and lock-step rounds; moduli of unlike
+    # acceptance (17 takes 17/32 of its candidates) fill lanes in different
+    # rounds, so a round's per-lane clip runs too
     rng = random.Random(tag_seed)
     uniform = [(_random_tag(rng), rng.choice(_MODULI)) for _ in range(n_lanes)]
     gaussian = [_random_tag(rng) for _ in range(n_gauss_lanes)]
@@ -153,6 +167,29 @@ def test_both_lane_steppers_match_scalar_samplers(n_uniform_lanes, n_gauss_lanes
         assert np.array_equal(row, sample_uniform_mod(stream_for(seed, *tag), n_uniform, q))
     for row, tag in zip(g_rows, gaussian):
         assert np.array_equal(row, sample_gaussian(stream_for(seed, *tag), n_gaussian))
+
+
+def test_wide_batch_round_buffers_stay_bounded(set2):
+    # a set2 relin key's uniform grid: 9 rows x 10 moduli x 2 half-ring
+    # streams of 2^14 residues, the batch a key load regenerates. Beyond its
+    # result, the batch may hold no more than the 2,414,161 bytes it traced
+    # with 512-step rounds and a per-lane compaction loop (NumPy 2.4).
+    moduli = [m.value for m in set2.base.all_moduli]
+    n = set2.degree // 2
+    uniform = [(stream_for(0, i, j, component_tag(COMP_KSK_UNIFORM, half)), q)
+               for i in range(set2.base.levels) for j, q in enumerate(moduli)
+               for half in (HALF_PLUS, HALF_MINUS)]
+    assert len(uniform) == 180
+    tracemalloc.start()
+    try:
+        rows, _ = sample_lanes(uniform, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - rows.nbytes <= 2_414_161
+    for k in (0, 17, 179):
+        stream, q = uniform[k]
+        assert np.array_equal(rows[k], sample_uniform_mod(stream, n, q))
 
 
 def test_stream_for_matches_reference_tag_layout():
