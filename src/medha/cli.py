@@ -41,7 +41,7 @@ from .params import (
     param_set_names,
     valid_clock,
 )
-from .serialize import SerializationError, load_ksk, save_ksk
+from .serialize import SerializationError, read_ksk, save_ksk
 from .workloads import get_workload, workload_names
 
 
@@ -108,26 +108,24 @@ def _load_cost_model(path: Path | None) -> CostModel:
 
 
 def _sync_keys(engine: Engine, pset: ParamSet, directory: Path, steps) -> dict:
+    """Keygen that keeps the secret halves found in `directory`, saving the rest."""
     directory.mkdir(parents=True, exist_ok=True)
     info = {"directory": str(directory), "loaded": [], "saved": []}
-    wanted = [("relin.ksk", 0)] + [(f"rot{s}.ksk", s) for s in steps]
-    for fname, ksk_id in wanted:
+    stored, missing = {}, []
+    for fname, ksk_id in [("relin.ksk", 0)] + [(f"rot{s}.ksk", s) for s in steps]:
         path = directory / fname
-        if path.exists():
-            key = load_ksk(path, engine, pset)
-            if key.ksk_id != ksk_id:
-                raise SerializationError(
-                    f"{path} holds key id {key.ksk_id}, expected {ksk_id}"
-                )
-            if ksk_id == 0:
-                engine.relin_key = key
-            else:
-                engine.rotation_keys[ksk_id] = key
-            info["loaded"].append(fname)
-        else:
-            key = engine.relin_key if ksk_id == 0 else engine.rotation_keys[ksk_id]
-            save_ksk(path, key, engine, pset)
-            info["saved"].append(fname)
+        if not path.exists():
+            missing.append((path, ksk_id))
+            continue
+        file_id, stored[ksk_id] = read_ksk(path, engine, pset)
+        if file_id != ksk_id:
+            raise SerializationError(f"{path} holds key id {file_id}, expected {ksk_id}")
+        info["loaded"].append(fname)
+    engine.keygen(rotation_steps=steps, stored=stored)
+    for path, ksk_id in missing:
+        key = engine.relin_key if ksk_id == 0 else engine.rotation_keys[ksk_id]
+        save_ksk(path, key, engine, pset)
+        info["saved"].append(path.name)
     return info
 
 
@@ -140,9 +138,10 @@ def _run(args) -> dict:
     program = compile_workload(pset, wl.ops, machine=machine)
 
     engine = Engine(pset.base, pset.degree, pset.mode, seed=args.seed)
-    engine.keygen(rotation_steps=wl.rotation_steps)
     keys_info = None
-    if args.keys is not None:
+    if args.keys is None:
+        engine.keygen(rotation_steps=wl.rotation_steps)
+    else:
         try:
             keys_info = _sync_keys(engine, pset, args.keys, wl.rotation_steps)
         except OSError as e:

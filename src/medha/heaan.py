@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -93,8 +93,9 @@ class KeySwitchKey:
 
     uniform[i][j] and secret[i][j] index decomposition limb i (a base prime)
     and target modulus j (base primes then the special prime last). Only the
-    secret half carries information beyond the seed; the uniform half is
-    regenerated from tagged streams.
+    secret half carries information beyond the seed, so a key file stores only
+    that half; keygen draws a stored key's uniform half from tagged streams in
+    its one batch, as it does a new key's.
     """
 
     ksk_id: int
@@ -186,34 +187,26 @@ class Engine:
         limbs = [ResiduePoly(tag[0], v, "eval", STANDARD) for tag, v in zip(uniform_tags, grid)]
         return limbs, list(errs)
 
-    def ksk_uniform(self, ksk_id: int, rows: int) -> list:
-        """A switching key's uniform grid, regenerated in one batch."""
-        width = len(self.base.all_moduli)
-        limbs, _ = self._draw(self._ksk_uniform_tags(ksk_id, rows))
-        return [limbs[r * width:(r + 1) * width] for r in range(rows)]
-
-    def _ksk_uniform_tags(self, ksk_id: int, rows: int) -> list:
-        """Uniform tags of a key's grid, row-major over (row i, modulus j)."""
-        return [
-            (m, i, j, COMP_KSK_UNIFORM, ksk_id)
-            for i in range(rows)
-            for j, m in enumerate(self.base.all_moduli)
-        ]
-
     # ---- key generation ----
 
-    def keygen(self, rotation_steps: Sequence[int] = ()) -> None:
+    def keygen(
+        self, rotation_steps: Sequence[int] = (), stored: Mapping[int, list] = {}
+    ) -> None:
         """Secret, public, relinearization and rotation keys.
 
-        Every uniform and error stream of the call is drawn in one batch.
+        A key whose id `stored` maps to a secret half read from a file keeps
+        it. Every uniform and error stream of the call is drawn in one batch.
         """
+        ids = [RELIN_KSK_ID] + self._new_rotation_steps(rotation_steps)
+        stray = sorted(set(stored) - set(ids))
+        if stray:
+            raise ValueError(f"stored key ids {stray} are not among the keys {ids}")
         self.sk = krand.gen_secret(self.seed, self.degree)
         self._s_grid = [
             self._signed_to_limb(self.sk.coeffs, m) for m in self.base.all_moduli
         ]
         primes = self.base.primes
-        ids = [RELIN_KSK_ID] + self._new_rotation_steps(rotation_steps)
-        ksk_uniform, ksk_errors = self._ksk_tags(ids)
+        ksk_uniform, ksk_errors = self._ksk_tags(ids, stored)
         uniform, errors = self._draw(
             [(m, i, 0, COMP_PK_UNIFORM, 0) for i, m in enumerate(primes)] + ksk_uniform,
             [(0, COMP_PK_ERROR, 0)] + ksk_errors,
@@ -225,7 +218,7 @@ class Engine:
             dyadic("sub", self._signed_to_limb(errors[0], m), dyadic("mul", a, s))
             for m, a, s in zip(primes, self.pk_a, self._s_grid)
         ]
-        keys = self._build_ksks(ids, uniform[len(primes):], errors[1:])
+        keys = self._build_ksks(ids, uniform[len(primes):], errors[1:], stored)
         self.relin_key = keys[0]
         self.rotation_keys.update(zip(ids[1:], keys[1:]))
 
@@ -236,6 +229,12 @@ class Engine:
         uniform, errors = self._draw(*self._ksk_tags(ids))
         self.rotation_keys.update(zip(ids, self._build_ksks(ids, uniform, errors)))
 
+    def adopt_ksk(self, ksk_id: int, secret: list) -> KeySwitchKey:
+        """The key with a stored secret half, returned rather than installed."""
+        stored = {ksk_id: secret}
+        uniform, _ = self._draw(*self._ksk_tags([ksk_id], stored))
+        return self._build_ksks([ksk_id], uniform, [], stored)[0]
+
     def _new_rotation_steps(self, steps: Sequence[int]) -> list[int]:
         """Distinct nonzero steps mod slots that have no key yet, in order."""
         out: list[int] = []
@@ -245,11 +244,13 @@ class Engine:
                 out.append(step)
         return out
 
-    def _ksk_tags(self, ids: Sequence[int]) -> tuple[list, list]:
-        """Uniform and error tags of the switching keys `ids`, key by key."""
-        levels = self.base.levels
-        uniform = [t for k in ids for t in self._ksk_uniform_tags(k, levels)]
-        errors = [(i, COMP_KSK_ERROR, k) for k in ids for i in range(levels)]
+    def _ksk_tags(self, ids: Sequence[int], stored: Mapping = {}) -> tuple[list, list]:
+        """Key by key, the uniform tags of every key's grid, row-major over
+        (row i, modulus j), and the error tags of the keys not in `stored`."""
+        rows = range(self.base.levels)
+        moduli = list(enumerate(self.base.all_moduli))
+        uniform = [(m, i, j, COMP_KSK_UNIFORM, k) for k in ids for i in rows for j, m in moduli]
+        errors = [(i, COMP_KSK_ERROR, k) for k in ids if k not in stored for i in rows]
         return uniform, errors
 
     def _ksk_target(self, ksk_id: int) -> list:
@@ -259,31 +260,35 @@ class Engine:
         g = pow(5, ksk_id, 2 * self.degree)
         return [automorphism(x, g) for x in self._s_grid]
 
-    def _build_ksks(self, ids: Sequence[int], uniform: list, errors: list) -> list:
-        """Switching keys from their drawn limbs, in the order of the tags."""
+    def _build_ksks(
+        self, ids: Sequence[int], uniform: list, errors: list, stored: Mapping = {}
+    ) -> list:
+        """Switching keys from their drawn limbs, in the order of the tags.
+        A key in `stored` keeps its secret half and reads no error row."""
+        width = len(self.base.all_moduli)
         u_iter, e_iter = iter(uniform), iter(errors)
         keys = []
         for ksk_id in ids:
-            target = self._ksk_target(ksk_id)
-            u_grid: list = []
-            secret: list = []
-            for i in range(self.base.levels):
-                e = next(e_iter)
-                u_row = [next(u_iter) for _ in self.base.all_moduli]
-                k_row = []
-                for j, (m, u) in enumerate(zip(self.base.all_moduli, u_row)):
-                    el = self._signed_to_limb(e, m)
-                    k = dyadic("sub", el, dyadic("mul", u, self._s_grid[j]))
-                    # P * qtilde_i is 0 mod every modulus but q_i, and adding
-                    # a zero limb changes no bit, so only q_i's term is added
-                    factor = self.base.p_qtilde[i][j]
-                    if factor:
-                        k = dyadic("add", k, scalar_mul(target[j], factor))
-                    k_row.append(k)
-                u_grid.append(u_row)
-                secret.append(k_row)
+            u_grid = [[next(u_iter) for _ in range(width)] for _ in range(self.base.levels)]
+            secret = stored.get(ksk_id)
+            if secret is None:
+                target = self._ksk_target(ksk_id)
+                secret = [self._ksk_row(i, next(e_iter), u, target) for i, u in enumerate(u_grid)]
             keys.append(KeySwitchKey(ksk_id, u_grid, secret))
         return keys
+
+    def _ksk_row(self, i: int, e: np.ndarray, u_row: list, target: list) -> list:
+        """Row i of a new key's secret half: e - u s + P qtilde_i target."""
+        row = []
+        for j, (m, u) in enumerate(zip(self.base.all_moduli, u_row)):
+            k = dyadic("sub", self._signed_to_limb(e, m), dyadic("mul", u, self._s_grid[j]))
+            # P * qtilde_i is 0 mod every modulus but q_i, and adding a zero
+            # limb changes no bit, so only q_i's term is added
+            factor = self.base.p_qtilde[i][j]
+            if factor:
+                k = dyadic("add", k, scalar_mul(target[j], factor))
+            row.append(k)
+        return row
 
     # ---- encoding ----
 

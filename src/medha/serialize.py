@@ -16,9 +16,10 @@ limb, each limb its full-degree evaluation vector as u64 words (for a
 split parameter set, the plus half-ring evaluations then the minus ones).
 Every word must be a canonical residue of its limb's modulus. Key files
 carry the key id, the expansion seed, and only the secret half of the
-grid: the uniform half is regenerated from tagged streams on load, which
-is also why a key file is about half the size of its two-component
-equivalent.
+grid, which is why a key file is about half the size of its two-component
+equivalent. `read_ksk` returns a checked file's id and secret half; the
+uniform half is drawn from tagged streams, one key's by `load_ksk`, or
+every stored key's in the one batch of `Engine.keygen(stored=...)`.
 
 Both directions stream: a saver writes each limb straight from its array
 and a loader reads each limb into its own, so no whole-file buffer is
@@ -160,8 +161,8 @@ def save_ksk(path, ksk: KeySwitchKey, engine: Engine, pset: ParamSet) -> None:
     _write(path, head + _KSK_FIELDS.pack(ksk.ksk_id, engine.seed), ksk.secret)
 
 
-def load_ksk(path, engine: Engine, pset: ParamSet) -> KeySwitchKey:
-    """Read the secret half and regenerate the uniform half from the seed."""
+def read_ksk(path, engine: Engine, pset: ParamSet) -> tuple[int, list]:
+    """A key file's id and secret half, checked against the engine."""
     with open(path, "rb") as f:
         rows, degree = _check_header(f, KIND_KSK, pset)
         if degree != engine.degree:
@@ -171,5 +172,9 @@ def load_ksk(path, engine: Engine, pset: ParamSet) -> KeySwitchKey:
             raise HashError("expansion seed does not match the engine")
         if rows != engine.base.levels:
             raise SerializationError(f"{rows} key rows, expected {engine.base.levels}")
-        secret = _read_grid(f, rows, engine.base.all_moduli, degree)
-    return KeySwitchKey(ksk_id, engine.ksk_uniform(ksk_id, rows), secret)
+        return ksk_id, _read_grid(f, rows, engine.base.all_moduli, degree)
+
+
+def load_ksk(path, engine: Engine, pset: ParamSet) -> KeySwitchKey:
+    """Read the secret half and regenerate the uniform half from the seed."""
+    return engine.adopt_ksk(*read_ksk(path, engine, pset))

@@ -1,11 +1,14 @@
 """Command-line behavior: reports, formats, exit codes, key persistence."""
 
 import json
+import os
 
 import pytest
 
 from medha.cli import main
-from medha.params import get_param_set
+from medha.heaan import Engine
+from medha.keys import COMP_KSK_ERROR, COMP_KSK_UNIFORM
+from medha.params import get_param_set, load_param_config
 
 TINY_NATIVE = {"name": "tiny", "degree": 64, "log_pq": 438, "mode": "native"}
 TINY_SPLIT = {"name": "tinysplit", "degree": 64, "log_pq": 546, "mode": "split"}
@@ -287,3 +290,55 @@ def test_config_full_form_types_rejected(tmp_path, capsys, key, value):
     cfg = _write_config(tmp_path, {**TINY_NATIVE, key: value})
     assert main(["--config", str(cfg), "--workload", "add"]) == 2
     assert key in capsys.readouterr().err
+
+
+def test_warm_keys_draw_each_uniform_grid_once_and_build_no_secret_half(
+        tmp_path, monkeypatch):
+    keys = tmp_path / "keys"
+    rc1, raw1 = _run(tmp_path, "--workload", "logreg", "--keys", str(keys))
+    assert rc1 == 0
+    uniform, errors, targets = [], [], []
+    draw, target = Engine._draw, Engine._ksk_target
+
+    def spy_draw(self, uniform_tags, error_tags=()):
+        uniform.extend(uniform_tags)
+        errors.extend(error_tags)
+        return draw(self, uniform_tags, error_tags)
+
+    def spy_target(self, ksk_id):
+        targets.append(ksk_id)
+        return target(self, ksk_id)
+
+    monkeypatch.setattr(Engine, "_draw", spy_draw)
+    monkeypatch.setattr(Engine, "_ksk_target", spy_target)
+    rc2, raw2 = _run(tmp_path, "--workload", "logreg", "--keys", str(keys))
+    assert rc2 == 0
+    doc1, doc2 = json.loads(raw1), json.loads(raw2)
+    assert doc2["keys"]["saved"] == [] and doc2["keys"]["loaded"] == doc1["keys"]["saved"]
+    assert doc1["functional"] == doc2["functional"]
+    pset = load_param_config(tmp_path / "config.json")
+    ksk_ids = [0] + list(range(1, 8))
+    want = [(i, j, k) for k in ksk_ids for i in range(pset.levels)
+            for j in range(len(pset.base.all_moduli))]
+    drawn = [(i, j, k) for _, i, j, kind, k in uniform if kind == COMP_KSK_UNIFORM]
+    assert sorted(drawn) == sorted(want)
+    assert [t for t in errors if t[1] == COMP_KSK_ERROR] == []
+    assert targets == []
+
+
+def test_partly_warm_keys_load_present_and_save_only_missing(tmp_path):
+    keys = tmp_path / "keys"
+    rc1, raw1 = _run(tmp_path, "--workload", "rotate", "--keys", str(keys))
+    assert rc1 == 0
+    relin, rot1 = keys / "relin.ksk", keys / "rot1.ksk"
+    relin_bytes, rot1_bytes = relin.read_bytes(), rot1.read_bytes()
+    rot1.unlink()
+    # an old mtime, so that a rewrite shows even on a coarse clock
+    os.utime(relin, ns=(10**18, 10**18))
+    rc2, raw2 = _run(tmp_path, "--workload", "rotate", "--keys", str(keys))
+    assert rc2 == 0
+    doc1, doc2 = json.loads(raw1), json.loads(raw2)
+    assert doc2["keys"]["loaded"] == ["relin.ksk"] and doc2["keys"]["saved"] == ["rot1.ksk"]
+    assert doc1["functional"] == doc2["functional"]
+    assert rot1.read_bytes() == rot1_bytes
+    assert relin.read_bytes() == relin_bytes and relin.stat().st_mtime_ns == 10**18

@@ -298,6 +298,19 @@ def test_rotate_key_management(toy_native, set1):
         fresh.encrypt(fresh.encode(np.zeros(4), 1 << 40))
 
 
+def test_keygen_rejects_stored_key_it_would_not_make(toy_native, set1):
+    secret = toy_native.rotation_keys[1].secret
+    for steps, stored_id in (((1,), 3), ((1,), 1 + TOY // 2), ((), 1), ((0,), 0 + TOY // 2)):
+        fresh = Engine(set1.base, TOY, "native", seed=5)
+        with pytest.raises(ValueError, match=f"stored key ids \\[{stored_id}\\]"):
+            fresh.keygen(rotation_steps=steps, stored={stored_id: secret})
+        assert fresh.sk is None and fresh.relin_key is None
+    # a step is reduced mod slots before its stored key is matched
+    fresh = Engine(set1.base, TOY, "native", seed=5)
+    fresh.keygen(rotation_steps=(1 + TOY // 2,), stored={1: secret})
+    assert fresh.rotation_keys[1].secret is secret
+
+
 def test_split_engine_matches_half_ring_datapath(set2):
     # a split-mode limb is the full-degree evaluation vector; the half-ring
     # datapath (the executor on the set2 programs) must reproduce it bit for bit
@@ -349,11 +362,34 @@ def _same(a, b):
     return np.array_equal(a.coeffs, b.coeffs)
 
 
-def test_every_key_row_matches_per_limb_streams(toy_native, toy_split):
+def _keys(eng):
+    return [eng.relin_key] + [eng.rotation_keys[k] for k in sorted(eng.rotation_keys)]
+
+
+def _keygen_with_stored(first, stored_ids):
+    """An engine like `first` whose keygen keeps first's secret halves of
+    `stored_ids` and makes the other keys."""
+    eng = Engine(first.base, first.degree, first.mode, seed=first.seed)
+    stored = {k.ksk_id: k.secret for k in _keys(first) if k.ksk_id in stored_ids}
+    eng.keygen(rotation_steps=(1, 3), stored=stored)
+    for a, b in zip(_keys(first), _keys(eng), strict=True):
+        assert a.ksk_id == b.ksk_id
+        for grid_a, grid_b in ((a.uniform, b.uniform), (a.secret, b.secret)):
+            for row_a, row_b in zip(grid_a, grid_b, strict=True):
+                assert all(_same(x, y) for x, y in zip(row_a, row_b, strict=True))
+    return eng
+
+
+@pytest.mark.parametrize("stored_ids", [(), (0, 3), (0, 1, 3)])
+def test_every_key_row_matches_per_limb_streams(toy_native, toy_split, stored_ids):
     # keygen draws all of its streams in one lock-step batch; every uniform
     # limb must equal its own one-tag draw, and every secret limb must hide
-    # exactly the scalar sampler's error for its row
+    # exactly the scalar sampler's error for its row. A keygen handed some
+    # of those secret halves as stored keys gives the same keys.
     for eng in (toy_native, toy_split):
+        if stored_ids:
+            eng = _keygen_with_stored(eng, stored_ids)
+
         def error(i, kind, ksk_id=0):
             tag = component_tag(kind, ksk_id=ksk_id)
             return sample_gaussian(stream_for(eng.seed, i, 0, tag), eng.degree)
@@ -363,9 +399,8 @@ def test_every_key_row_matches_per_limb_streams(toy_native, toy_split):
             assert np.array_equal(eng.pk_a[i].coeffs, _uniform(eng, m, i, 0, COMP_PK_UNIFORM))
             b_plus_as = dyadic("mac", eng.pk_a[i], eng._s_grid[i], acc=eng.pk_b[i])
             assert _same(b_plus_as, eng._signed_to_limb(e, m))
-        keys = [eng.relin_key] + [eng.rotation_keys[k] for k in sorted(eng.rotation_keys)]
-        assert [k.ksk_id for k in keys] == [0, 1, 3]
-        for ksk in keys:
+        assert [k.ksk_id for k in _keys(eng)] == [0, 1, 3]
+        for ksk in _keys(eng):
             target = eng._ksk_target(ksk.ksk_id)
             for i in range(eng.base.levels):
                 e = error(i, COMP_KSK_ERROR, ksk.ksk_id)
