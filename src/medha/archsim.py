@@ -980,31 +980,79 @@ def _read_ct(state, binding, scale) -> Ciphertext:
     return Ciphertext(c0, c1, scale)
 
 
+def _run_order(ops: list, variables: dict) -> list[int]:
+    """The order execute_workload runs ops in, as indices into `ops`, a
+    list of (names read, name written) pairs.
+
+    A name is fixed when it never changes once it exists: one op writes it
+    and the caller does not supply it, or the caller supplies it and no op
+    writes it. An op is deferred when it writes a fixed name that a later
+    op reads and reads only fixed names, so it computes the same value
+    whenever it runs. A deferred op runs just before the first op that
+    reads its output, once its own deferred producers have run, in operand
+    order; every other op keeps its listed order. So a value is made next
+    to its reader and not held across unrelated ops.
+    """
+    writes = Counter(out for _, out in ops)
+    fixed = {name for name, k in writes.items() if k == 1 and name not in variables}
+    fixed |= {name for name in variables if not writes[name]}
+    first_reader: dict = {}
+    for i, (reads, _) in enumerate(ops):
+        for name in reads:
+            first_reader.setdefault(name, i)
+    producer = {
+        out: i for i, (reads, out) in enumerate(ops)
+        if out in fixed and first_reader.get(out, -1) > i and fixed.issuperset(reads)
+    }
+    deferred = set(producer.values())
+    order: list[int] = []
+    done: set = set()
+    for root in range(len(ops)):
+        if root in deferred:
+            continue
+        stack = [root]
+        while stack:
+            reads, _ = ops[stack[-1]]
+            todo = [producer[name] for name in reads
+                    if name in producer and producer[name] not in done]
+            if todo:
+                stack.append(todo[0])
+            else:
+                done.add(stack[-1])
+                order.append(stack.pop())
+    return order
+
+
 def execute_workload(engine, program: Program, variables: dict) -> dict:
     """Run every compiled op on real ciphertext data.
 
     `variables` maps var names to Ciphertext/Plaintext values. The result
     maps every name to its newest value, except a temporary: a name that
-    one op writes and the caller does not supply. A temporary is dropped
-    as soon as its last reader has run, so the live set stays small; a
-    name written again (a chain's accumulator) frees its older value as it
-    is overwritten. Ops compiled latency-only (functional=False) are
-    skipped.
+    one op writes and the caller does not supply. Ops run in _run_order:
+    an op whose inputs and output no other op changes runs just before its
+    first reader, so (on logreg) each rotation is added in before the next
+    one runs. A temporary is dropped as soon as its last reader in that
+    order has run, so the live set stays small; a name written again (a
+    chain's accumulator) frees its older value as it is overwritten. Ops
+    compiled latency-only (functional=False) are skipped.
     """
     ex = _Executor(engine, program)
-    ops = [(seq, opp, opp.meta.get("vars", {}))
-           for seq, opp in enumerate(program.ops) if opp.functional]
-    writes = Counter(names.get("out", "out") for _, _, names in ops)
+    ops = []
+    for opp in program.ops:
+        if opp.functional:
+            names = opp.meta.get("vars", {})
+            ops.append((opp, [names.get(var, var) for var in opp.inputs], names.get("out", "out")))
+    order = _run_order([(reads, out) for _, reads, out in ops], variables)
+    writes = Counter(out for _, _, out in ops)
     drop_after = {}
-    for seq, opp, names in ops:
-        for var in opp.inputs:
-            name = names.get(var, var)
+    for step, i in enumerate(order):
+        for name in ops[i][1]:
             if writes[name] == 1 and name not in variables:
-                drop_after[name] = seq
+                drop_after[name] = step
     live = dict(variables)
-    for seq, opp, names in ops:
+    for step, i in enumerate(order):
+        opp, reads, out = ops[i]
         state: dict = {}
-        reads = [names.get(var, var) for var in opp.inputs]
         operands = [live[name] for name in reads]
         for binding, value in zip(opp.inputs.values(), operands):
             _seed_binding(state, binding, value)
@@ -1020,7 +1068,7 @@ def execute_workload(engine, program: Program, variables: dict) -> dict:
             scale = scale / engine.base.primes[opp.meta["level"] - 1].value
         ex.run(opp, state)
         for name in reads:
-            if drop_after.get(name) == seq:
+            if drop_after.get(name) == step:
                 live.pop(name, None)
-        live[names.get("out", "out")] = _read_ct(state, opp.outputs["out"], scale)
+        live[out] = _read_ct(state, opp.outputs["out"], scale)
     return live

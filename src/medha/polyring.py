@@ -41,9 +41,11 @@ word and doubles s times, each doubling one vector product of the words so
 far by a fixed power of gen (_grow). The inverse table is the same chain
 from psi^-1 and gen^-1. The companions come from one vector identity
 (ModContext.shoup), so no set-up step loops over words in Python, and a
-TwiddleTable keeps only its laid-out layers: 6n words per ring. The tests
-own the pow() construction of the flat table that the layers are checked
-against.
+TwiddleTable keeps only its laid-out layers: 3n words per ring for the
+forward transform, and 3n more once the ring's first inverse transform
+builds the inverse layers. Work that only transforms forward (keygen, key
+loading, encoding, encryption) never builds them. The tests own the pow()
+construction of the flat table that the layers are checked against.
 
 Unbuffered calls. Where an operand is broadcast or strided and its
 contiguous run is shorter than the ufunc buffer (8192 elements by
@@ -193,6 +195,10 @@ class TwiddleTable:
     inverse transform's last layer). Only the laid-out layers are kept;
     the tests own the pow() construction of the flat table they are
     checked against.
+
+    The forward layers are built with the table, the inverse ones on the
+    first inverse transform of the ring (`inverse`, a cached property),
+    as the accelerator grows its twiddles only when it needs them.
     """
 
     def __init__(self, q: PrimeModulus, n: int, twist: RingTwist):
@@ -200,13 +206,22 @@ class TwiddleTable:
         qv = q.value
         self.q = q
         self.n = n
+        self._bases = (psi, gen)
         n_inv = inv_mod(n, qv)
         self.n_inv = np.uint64(n_inv)
         self.n_inv_halves = shoup_halves(np.uint64(shoup(n_inv, qv)))
         self.forward = self._layers(_grow(qv, n, psi, gen))
-        winv = _grow(qv, n, inv_mod(psi, qv), inv_mod(gen, qv))
-        winv[1] = int(winv[1]) * n_inv % qv
-        self.inverse = self._layers(winv)
+
+    @functools.cached_property
+    def inverse(self) -> list:
+        """The inverse transform's layers, built on first use: keygen, key
+        loading, encoding and encryption transform only forward, so until
+        a ring is first transformed back its table holds 3n words, not 6n."""
+        qv = self.q.value
+        psi, gen = self._bases
+        winv = _grow(qv, self.n, inv_mod(psi, qv), inv_mod(gen, qv))
+        winv[1] = int(winv[1]) * int(self.n_inv) % qv
+        return self._layers(winv)
 
     def _layers(self, consts: np.ndarray) -> list:
         """(w, wl, wh) for each layer, g = 1, 2, ..., n/2: the layer's

@@ -21,6 +21,8 @@ from medha.archsim import (
     Program,
     SYNC_CTRL,
     UnsupportedOpError,
+    _Executor,
+    _run_order,
     calibrate_split_move,
     compile_op,
     compile_workload,
@@ -358,7 +360,63 @@ def test_execute_workload_drops_temporaries(logreg_pset):
     assert all(result[name] is value for name, value in variables.items())
 
 
-def test_chain_rewriting_its_names_matches_engine(set2, toy_split2):
+def _spy_executed(monkeypatch):
+    """The OpPrograms _Executor.run is handed, in the order it runs them."""
+    ran = []
+    run = _Executor.run
+
+    def spy(self, opp, state):
+        ran.append(opp)
+        run(self, opp, state)
+
+    monkeypatch.setattr(_Executor, "run", spy)
+    return ran
+
+
+_ENGINE_OP = {
+    "add": lambda e, v, op: e.add(v[op["x"]], v[op["y"]]),
+    "mult_plain": lambda e, v, op: e.mult_plain(v[op["x"]], v[op["pt"]]),
+    "mult_relin": lambda e, v, op: e.mult_relin(v[op["x"]], v[op["y"]]),
+    "rescale": lambda e, v, op: e.rescale(v[op["x"]]),
+    "rotate": lambda e, v, op: e.rotate(v[op["x"]], op["steps"]),
+}
+
+
+def test_logreg_adds_each_rotation_before_the_next_runs(logreg_pset, monkeypatch):
+    # every logreg op reads and writes names that no other op changes, so
+    # each runs just before its first reader: r_k is added into s_k before
+    # r_(k+1) is made, and the output bits are the Engine's in listed order
+    eng = Engine(logreg_pset.base, TOY, "native", seed=7)
+    spec = get_workload(logreg_pset, "logreg")
+    eng.keygen(rotation_steps=spec.rotation_steps)
+    variables, _ = spec.build_inputs(eng, 11)
+    ran = _spy_executed(monkeypatch)
+    result = execute_workload(eng, compile_workload(logreg_pset, spec.ops), variables)
+    outs = [opp.meta["vars"]["out"] for opp in ran]
+    assert sorted(outs) == sorted(op["out"] for op in spec.ops)
+    rotations = [k for k, opp in enumerate(ran) if opp.kind == "rotate"]
+    assert len(rotations) == 7
+    for k in rotations:
+        assert ran[k + 1].kind == "add"
+        assert ran[k + 1].meta["vars"]["y"] == outs[k]
+    want = dict(variables)
+    for op in spec.ops:
+        want[op["out"]] = _ENGINE_OP[op["op"]](eng, want, op)
+    for name in ("i", "out"):
+        _same_ct(eng, result[name], want[name])
+
+
+def test_run_order_moves_only_ops_on_fixed_names():
+    # (names read, name written) per op. t and s are each written once and read only
+    # later, from names no op changes, so each runs just before its reader
+    ops = [(["a"], "t"), (["b"], "s"), (["s"], "u"), (["t", "a"], "out")]
+    assert _run_order(ops, {"a": 0, "b": 0}) == [1, 2, 0, 3]
+    # op 1 rewrites the caller's `a`, so op 0 must read it first
+    ops[1] = (["b"], "a")
+    assert _run_order(ops, {"a": 0, "b": 0}) == [0, 1, 2, 3]
+
+
+def test_chain_rewriting_its_names_matches_engine(set2, toy_split2, monkeypatch):
     # split-chain's pattern: each level's product overwrites `m` and its
     # rescale overwrites `ct`, the caller's own input name; both keep
     # their newest value
@@ -374,7 +432,10 @@ def test_chain_rewriting_its_names_matches_engine(set2, toy_split2):
         if lvl > 1:
             ops.append({"op": "rescale", "level": lvl, "x": "m", "out": "ct"})
     ct = eng.encrypt(eng.encode(rng.uniform(-1.0, 1.0, eng.slots), set2.scale))
+    ran = _spy_executed(monkeypatch)
     result = execute_workload(eng, compile_workload(set2, ops), {**variables, "ct": ct})
+    # every op reads a rewritten name, so none may move
+    assert [opp.meta["vars"]["out"] for opp in ran] == [op["out"] for op in ops]
     for lvl in range(levels, 1, -1):
         m = eng.mult_relin(ct, variables[f"w{lvl}"])
         ct = eng.rescale(m)

@@ -25,7 +25,7 @@ from medha.keys import (
     sample_uniform_mod,
     stream_for,
 )
-from medha.polyring import STANDARD, ResiduePoly, dyadic, ntt_inverse, scalar_mul
+from medha.polyring import STANDARD, ResiduePoly, dyadic, ntt_inverse, scalar_mul, twiddle_table
 from medha.ringsplit import forward_pair, split
 
 TOY = 64
@@ -439,3 +439,20 @@ def test_ciphertext_copy_is_deep(toy_native):
     dup.c0[0].coeffs[0] += np.uint64(1)
     assert dup.c0[0].coeffs[0] != ct.c0[0].coeffs[0]
     assert isinstance(dup, Ciphertext)
+
+
+def test_inverse_twiddle_layers_built_on_first_inverse_transform(set2):
+    # keygen and encryption transform only forward, so no ring holds its
+    # inverse layers until decryption first transforms back
+    twiddle_table.cache_clear()
+    eng = Engine(set2.base, TOY, "split", seed=9)
+    eng.keygen(rotation_steps=(1,))
+    ct = eng.encrypt(eng.encode(_rand_slots(np.random.default_rng(57), eng.slots), set2.scale))
+
+    def built(q):
+        return "inverse" in vars(twiddle_table(q, TOY, STANDARD))
+
+    assert not any(built(q) for q in eng.base.all_moduli)
+    eng.decrypt(ct)
+    assert ct.level == set2.levels
+    assert all(built(q) for q in eng.base.primes)
