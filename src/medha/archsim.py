@@ -44,23 +44,40 @@ dispatch order would catch none, as it starts such a reader only after
 its writer has started. In split mode the executor is where the
 half-ring datapath runs: it loads each full-degree engine limb into its
 plus and minus slots and reads the halves back as one limb.
+
+Replay computes what commutes with a Galois map once (hoisting; Halevi and
+Shoup, CRYPTO 2018). A native AUTO output is kept as the map g of its input
+limb x, and the INTT, BCAST and NTT that carry it through the key switch
+come from one decomposition of x: the centered lift of its coefficients,
+transformed under each modulus. An automorphism permutes residues and
+negates some, the lift commutes with negation for odd q, and each transform
+maps the map's coefficient form onto its evaluation form, so every slot
+keeps its bits while the rotations of one ciphertext share the
+decomposition. A limb broadcast back to its own RPAU is the limb its INTT
+started from, so it is not transformed again. DYADIC mul/mac chains sum
+their products unreduced in a `kernels.WideSum` and reduce once, when
+another instruction reads the slot. Split-mode streams run AUTO on
+coefficients, between JOIN and SPLIT, and share no decomposition.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
+from . import kernels
 from .heaan import RELIN_KSK_ID, Ciphertext, _centered_int64
-from .keys import signed_to_residues
+from .kernels import WideSum
 from .modarith import PrimeModulus
 from .params import ParamSet
 from .polyring import (
     STANDARD,
     ResiduePoly,
+    RingTwist,
     automorphism,
     automorphism_coeff,
     dyadic,
@@ -848,14 +865,6 @@ class _ParentHalf:
     coeffs: np.ndarray
 
 
-def _gather(state, rpau, slots) -> ResiduePoly:
-    """The polynomial in one slot, or joined from its two parent halves."""
-    if len(slots) == 1:
-        return state[(rpau, slots[0])]
-    lo, hi = (state[(rpau, s)] for s in slots)
-    return ResiduePoly(lo.q, np.concatenate([lo.coeffs, hi.coeffs]), "coeff", STANDARD)
-
-
 def _scatter(state, rpau, slots, poly: ResiduePoly) -> None:
     """Store a polynomial in one slot, or cut into two parent halves."""
     if len(slots) == 1:
@@ -898,7 +907,96 @@ def _eval_parts(limb: ResiduePoly, k: int) -> tuple[ResiduePoly, ...]:
     return pair.plus, pair.minus
 
 
+class _Lift:
+    """The centered lift of a coefficient limb, made once and reduced under
+    each receiving modulus. Its words lie within q/2 of zero, so under a
+    modulus above q/2 each is one conditional add, and no word is scanned
+    to find that out; under a smaller one each is divided."""
+
+    def __init__(self, limb: ResiduePoly):
+        self.half = limb.q.value // 2
+        self.signed = _centered_int64(limb.coeffs, limb.q.value)
+
+    def residues(self, q: PrimeModulus) -> ResiduePoly:
+        if self.half < q.value:
+            r = self.signed.view(np.uint64)
+            res = np.minimum(r, r + np.uint64(q.value))
+        else:
+            res = (self.signed % np.int64(q.value)).astype(np.uint64)
+        return ResiduePoly(q, res, "coeff", STANDARD)
+
+
+class _Decomp:
+    """The key-switch decomposition of an evaluation limb x, built on
+    demand: the centered lift of x's coefficients (one inverse transform),
+    and that lift reduced and transformed under each modulus asked for (one
+    forward transform each; under x's own modulus it is x itself)."""
+
+    def __init__(self, x: ResiduePoly):
+        self.x = x
+        self.evals = {x.q.value: x}
+
+    @functools.cached_property
+    def lift(self) -> _Lift:
+        return _Lift(ntt_inverse(self.x))
+
+    def eval(self, q: PrimeModulus) -> ResiduePoly:
+        if q.value not in self.evals:
+            self.evals[q.value] = ntt_forward(self.lift.residues(q))
+        return self.evals[q.value]
+
+
+@dataclass
+class _Image:
+    """A slot value known by where it comes from: the Galois map g of the
+    decomposed limb d.x, lifted to q, in `domain` (eval: d.eval(q) mapped).
+    The transforms and a broadcast of x's own lift commute with the map, so
+    they pass an image on without computing it; any other reader computes
+    it once. An automorphism permutes residues and negates some, and the
+    centered lift commutes with negation for odd q."""
+    d: _Decomp
+    g: int
+    q: PrimeModulus
+    domain: str
+
+    def value(self) -> ResiduePoly:
+        if self.domain == "eval":
+            v = self.d.eval(self.q)
+            return automorphism(v, self.g) if self.g != 1 else v
+        v = self.d.lift.residues(self.q)
+        return automorphism_coeff(v, self.g) if self.g != 1 else v
+
+
+@dataclass
+class _Chain:
+    """A DYADIC mul/mac chain not yet reduced: its products summed into one
+    WideSum as unreduced 128-bit words, reduced on the slot's first read."""
+    total: WideSum
+    q: PrimeModulus
+    n: int
+    domain: str
+    twist: RingTwist
+
+    def holds(self, p: ResiduePoly) -> bool:
+        return (self.q.value, self.n, self.domain, self.twist) == (
+            p.q.value, p.n, p.domain, p.twist)
+
+    def value(self) -> ResiduePoly:
+        return ResiduePoly(self.q, self.total.residues(), self.domain, self.twist)
+
+
 class _Executor:
+    """Runs instruction streams on RPM slot states, {(rpau, slot): value}.
+
+    A slot holds a limb, a parent half, or one of two deferred values that
+    `read` settles on the slot's first read: an `_Image` of a decomposed
+    limb, or a `_Chain` of products. Native AUTO outputs are images, and so
+    is every native INTT output (the map g = 1 of its input); NTT, INTT and
+    a BCAST of x's own lift pass images on, so the rotations of one limb x
+    share its decomposition, kept in `decomps` while a live value holds x.
+    A limb broadcast back to its own RPAU transforms to x itself.
+    """
+
     def __init__(self, engine, program: Program):
         self.eng = engine
         self.base = engine.base
@@ -906,13 +1004,57 @@ class _Executor:
         # RPAU i holds limb i; the special RPAU holds the special prime
         levels = self.base.levels
         self.mod_idx = {r: r for r in range(levels)} | {program.machine.special_rpau: levels}
+        self.decomps: dict[int, _Decomp] = {}   # id(x) -> its decomposition
+
+    def modulus(self, rpau: int) -> PrimeModulus:
+        return self.base.all_moduli[self.mod_idx[rpau]]
+
+    def key(self, ksk_id: int):
+        """A switching key, missing ones refused as the Engine ops refuse them."""
+        if ksk_id == RELIN_KSK_ID:
+            if self.eng.relin_key is None:
+                raise ValueError("keygen before mult_relin")
+            return self.eng.relin_key
+        key = self.eng.rotation_keys.get(ksk_id)
+        if key is None:
+            raise ValueError(f"no rotation key for step {ksk_id}")
+        return key
+
+    def decomp(self, x: ResiduePoly) -> _Decomp:
+        d = self.decomps.get(id(x))
+        if d is None:
+            d = self.decomps[id(x)] = _Decomp(x)
+        return d
+
+    def keep_only(self, values) -> None:
+        """Drop the decompositions of limbs that none of `values` holds
+        (each entry holds its x, so its id is not reused meanwhile)."""
+        held = {
+            id(limb) for v in values
+            for limb in (v.c0 + v.c1 if isinstance(v, Ciphertext) else v.limbs)
+        }
+        self.decomps = {k: d for k, d in self.decomps.items() if k in held}
+
+    def read(self, state, key):
+        """A slot's value, settling an image or a chain on its first read."""
+        v = state[key]
+        if isinstance(v, (_Image, _Chain)):
+            v = state[key] = v.value()
+        return v
+
+    def gather(self, state, rpau, slots) -> ResiduePoly:
+        """The polynomial in one slot, or joined from its two parent halves."""
+        if len(slots) == 1:
+            return self.read(state, (rpau, slots[0]))
+        lo, hi = (self.read(state, (rpau, s)) for s in slots)
+        return ResiduePoly(lo.q, np.concatenate([lo.coeffs, hi.coeffs]), "coeff", STANDARD)
 
     def operand(self, state, term, rpau, half):
         """A source slot's polynomial, or the key part for the same half."""
         if term[0] == "slot":
-            return state[(rpau, term[1])]
+            return self.read(state, (rpau, term[1]))
         _, ksk_id, comp, i = term
-        key = self.eng.relin_key if ksk_id == RELIN_KSK_ID else self.eng.rotation_keys[ksk_id]
+        key = self.key(ksk_id)
         limb = (key.secret if comp == 0 else key.uniform)[i][self.mod_idx[rpau]]
         return _eval_parts(limb, self.parts)[half == "m"]
 
@@ -920,11 +1062,50 @@ class _Executor:
         for ins in _exec_order(opp.streams):
             self.step(ins, state)
 
+    def read_ct(self, state, binding, scale) -> Ciphertext:
+        def limb(rpau, slots):
+            parts = [self.read(state, (rpau, s)) for s in slots]
+            return eval_whole(SplitPair(*parts)) if len(parts) == 2 else parts[0]
+
+        c0, c1 = ([limb(*place) for place in places] for places in binding["components"])
+        return Ciphertext(c0, c1, scale)
+
+    def accumulate(self, ins: Instruction, state: dict, r: int) -> None:
+        """A DYADIC mul opens a chain in its slot, and a mac onto the open
+        chain in its own slot adds to it; a mac onto anything else reduces."""
+        key = (r, ins.dst[0])
+        a, b = (self.operand(state, t, r, ins.half) for t in ins.src[:2])
+        if not a.compatible(b):
+            raise ValueError("dyadic operands live in different rings or domains")
+        if ins.kind == "mul":
+            chain = _Chain(WideSum(kernels.ctx(a.q.value), a.n), a.q, a.n, a.domain, a.twist)
+        else:
+            chain = state.get(key) if ins.src[2] == ("slot", ins.dst[0]) else None
+            if not (isinstance(chain, _Chain) and chain.holds(a)):
+                acc = self.operand(state, ins.src[2], r, ins.half)
+                state[key] = dyadic("mac", a, b, acc)
+                return
+        chain.total.add(a.coeffs, b.coeffs)
+        state[key] = chain
+
     def step(self, ins: Instruction, state: dict) -> None:
         if ins.op in (NTT, INTT):
-            fn = ntt_forward if ins.op == NTT else ntt_inverse
+            domain = "eval" if ins.op == NTT else "coeff"
             for r in ins.rpaus:
-                state[(r, ins.dst[0])] = fn(state[(r, ins.dst[0])])
+                key = (r, ins.dst[0])
+                v = state[key]
+                if isinstance(v, _Image) and v.domain != domain:
+                    # the transform of a mapped limb is the map of its transform
+                    state[key] = replace(v, domain=domain)
+                    continue
+                v = self.read(state, key)
+                if ins.op == INTT and self.parts == 1 and v.domain == "eval":
+                    state[key] = _Image(self.decomp(v), 1, v.q, "coeff")
+                else:
+                    state[key] = (ntt_forward if ins.op == NTT else ntt_inverse)(v)
+        elif ins.op == DYADIC and ins.kind in ("mul", "mac"):
+            for r in ins.rpaus:
+                self.accumulate(ins, state, r)
         elif ins.op in (CWISE, DYADIC):
             for r in ins.rpaus:
                 ops = [self.operand(state, t, r, ins.half) for t in ins.src]
@@ -933,28 +1114,38 @@ class _Executor:
         elif ins.op == SCALE_QINV:
             inv = self.base.inv[ins.meta["drop_idx"]]
             for r in ins.rpaus:
-                state[(r, ins.dst[0])] = scalar_mul(state[(r, ins.dst[0])], inv[self.mod_idx[r]])
+                x = self.read(state, (r, ins.dst[0]))
+                state[(r, ins.dst[0])] = scalar_mul(x, inv[self.mod_idx[r]])
         elif ins.op == BCAST:
-            x = _gather(state, ins.src[0][1], [t[2] for t in ins.src])
-            signed = _centered_int64(x.coeffs, x.q.value)
-            for r in ins.rpaus:
-                q_r = self.base.all_moduli[self.mod_idx[r]]
-                res = signed_to_residues(signed, q_r.value)
-                _scatter(state, r, ins.dst, ResiduePoly(q_r, res, "coeff", STANDARD))
+            src, slots = ins.src[0][1], [t[2] for t in ins.src]
+            v = state[(src, slots[0])]
+            if isinstance(v, _Image) and v.domain == "coeff" and v.q.value == v.d.x.q.value:
+                # the lift of a mapped limb is the map of its lift
+                for r in ins.rpaus:
+                    state[(r, ins.dst[0])] = replace(v, q=self.modulus(r))
+            else:
+                lift = _Lift(self.gather(state, src, slots))
+                for r in ins.rpaus:
+                    _scatter(state, r, ins.dst, lift.residues(self.modulus(r)))
         elif ins.op == SPLIT:
             for r in ins.rpaus:
-                pair = split(_gather(state, r, [t[1] for t in ins.src]))
+                pair = split(self.gather(state, r, [t[1] for t in ins.src]))
                 state[(r, ins.dst[0])] = pair.plus
                 state[(r, ins.dst[1])] = pair.minus
         elif ins.op == JOIN:
             for r in ins.rpaus:
-                pair = SplitPair(state[(r, ins.src[0][1])], state[(r, ins.src[1][1])])
+                pair = SplitPair(*(self.read(state, (r, t[1])) for t in ins.src))
                 _scatter(state, r, ins.dst, join(pair))
         elif ins.op == AUTO:
-            fn = automorphism_coeff if ins.meta.get("coeff_domain") else automorphism
+            g = ins.meta["g"]
             for r in ins.rpaus:
-                x = _gather(state, r, [t[1] for t in ins.src])
-                _scatter(state, r, ins.dst, fn(x, ins.meta["g"]))
+                x = self.gather(state, r, [t[1] for t in ins.src])
+                if ins.meta.get("coeff_domain"):
+                    _scatter(state, r, ins.dst, automorphism_coeff(x, g))
+                elif x.domain == "eval":
+                    state[(r, ins.dst[0])] = _Image(self.decomp(x), g, x.q, "eval")
+                else:
+                    state[(r, ins.dst[0])] = automorphism(x, g)
         else:
             raise UnsupportedOpError(f"cannot execute {ins.op}")
 
@@ -969,15 +1160,6 @@ def _seed_binding(state, binding, value):
         for limb, (rpau, slots) in zip(comp, places):
             for s, part in zip(slots, _eval_parts(limb, len(slots))):
                 state[(rpau, s)] = part
-
-
-def _read_ct(state, binding, scale) -> Ciphertext:
-    def limb(rpau, slots):
-        parts = [state[(rpau, s)] for s in slots]
-        return eval_whole(SplitPair(*parts)) if len(parts) == 2 else parts[0]
-
-    c0, c1 = ([limb(*place) for place in places] for places in binding["components"])
-    return Ciphertext(c0, c1, scale)
 
 
 def _run_order(ops: list, variables: dict) -> list[int]:
@@ -1034,7 +1216,10 @@ def execute_workload(engine, program: Program, variables: dict) -> dict:
     one runs. A temporary is dropped as soon as its last reader in that
     order has run, so the live set stays small; a name written again (a
     chain's accumulator) frees its older value as it is overwritten. Ops
-    compiled latency-only (functional=False) are skipped.
+    compiled latency-only (functional=False) are skipped. The decomposition
+    of a limb the executor key-switches is kept while a live value holds
+    that limb, so the seven rotations of logreg's t0 share one, and it is
+    dropped with t0 once r7 has run.
     """
     ex = _Executor(engine, program)
     ops = []
@@ -1070,5 +1255,6 @@ def execute_workload(engine, program: Program, variables: dict) -> dict:
         for name in reads:
             if drop_after.get(name) == step:
                 live.pop(name, None)
-        live[out] = _read_ct(state, opp.outputs["out"], scale)
+        live[out] = ex.read_ct(state, opp.outputs["out"], scale)
+        ex.keep_only(live.values())
     return live

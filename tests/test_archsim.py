@@ -6,7 +6,10 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from medha import archsim, kernels
 from medha.archsim import (
     BCAST,
     NTT,
@@ -609,3 +612,138 @@ def test_sum_of_operands_at_different_scales_rejected(set1, toy_native):
     with pytest.raises(ArchSimError, match="operand scales differ"):
         execute_workload(toy_native, prog, {"x": x, "y": y})
     assert execute_workload(toy_native, prog, {"x": x, "y": x})["out"].scale == x.scale
+
+
+def test_replay_without_its_rotation_key_raises_engine_error(set1):
+    eng = Engine(set1.base, TOY, "native", seed=5)
+    eng.keygen(rotation_steps=(3,))
+    ct = eng.encrypt(eng.encode(np.linspace(-1.0, 1.0, eng.slots), set1.scale))
+    prog = compile_workload(set1, [{"op": "rotate", "steps": 1, "x": "x", "out": "out"}])
+    with pytest.raises(ValueError, match="^no rotation key for step 1$"):
+        eng.rotate(ct, 1)
+    with pytest.raises(ValueError, match="^no rotation key for step 1$"):
+        execute_workload(eng, prog, {"x": ct})
+
+
+def test_replay_without_relin_key_raises_engine_error(set1):
+    eng = Engine(set1.base, TOY, "native", seed=5)
+    eng.keygen()
+    ct = eng.encrypt(eng.encode(np.linspace(-1.0, 1.0, eng.slots), set1.scale))
+    eng.relin_key = None
+    prog = compile_workload(set1, [{"op": "mult_relin", "x": "x", "y": "x", "out": "out"}])
+    with pytest.raises(ValueError, match="^keygen before mult_relin$"):
+        eng.mult_relin(ct, ct)
+    with pytest.raises(ValueError, match="^keygen before mult_relin$"):
+        execute_workload(eng, prog, {"x": ct})
+
+
+def _toy_logreg(logreg_pset):
+    eng = Engine(logreg_pset.base, TOY, "native", seed=7)
+    spec = get_workload(logreg_pset, "logreg")
+    eng.keygen(rotation_steps=spec.rotation_steps)
+    variables, _ = spec.build_inputs(eng, 11)
+    return eng, compile_workload(logreg_pset, spec.ops), variables
+
+
+def test_logreg_replay_shares_one_decomposition(logreg_pset, monkeypatch):
+    # the seven rotations of t0 share one decomposition of its c1 limbs, a
+    # limb broadcast back to its own RPAU is not transformed again, and
+    # every DYADIC mul/mac chain is summed unreduced, so no Barrett product
+    eng, prog, variables = _toy_logreg(logreg_pset)
+    calls = {"ntt_forward": 0, "ntt_inverse": 0, "mulmod": 0}
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    for name in ("ntt_forward", "ntt_inverse"):
+        monkeypatch.setattr(archsim, name, counted(name, getattr(archsim, name)))
+    monkeypatch.setattr(kernels.ModContext, "mulmod",
+                        counted("mulmod", kernels.ModContext.mulmod))
+    execute_workload(eng, prog, variables)
+    assert calls == {"ntt_forward": 239, "ntt_inverse": 67, "mulmod": 0}
+
+
+def test_decomposition_dropped_with_its_variable(logreg_pset, monkeypatch):
+    # t0's decomposition is built by r1, reused by r2..r7, and gone once
+    # r7, t0's last reader, has run
+    eng, prog, variables = _toy_logreg(logreg_pset)
+    runs = []
+    run = _Executor.run
+
+    def spy(self, opp, state):
+        runs.append((opp, dict(self.decomps), dict(state)))
+        run(self, opp, state)
+
+    monkeypatch.setattr(_Executor, "run", spy)
+    execute_workload(eng, prog, variables)
+    rotations = [k for k, (opp, _, _) in enumerate(runs) if opp.kind == "rotate"]
+    assert len(rotations) == 7
+    opp, _, state = runs[rotations[0]]
+    t0_c1 = [state[(r, slots[0])] for r, slots in opp.inputs["x"]["components"][1]]
+    ids = {id(limb) for limb in t0_c1}
+    shared = {k: d for k, d in runs[rotations[1]][1].items() if k in ids}
+    assert set(shared) == ids
+    for k in rotations[1:]:
+        assert all(runs[k][1].get(i) is d for i, d in shared.items())
+    for _, decomps, _ in runs[rotations[-1] + 1:]:
+        assert not ids & set(decomps)
+
+
+_INPUTS = ("a", "b")
+
+
+@st.composite
+def _rotate_add_programs(draw):
+    """Rotate/add op lists over the inputs a and b and a temporary c; any op
+    may write any name, so a name can be rotated, rewritten and rotated
+    again, and a rotated value rotated once more."""
+    names = list(_INPUTS)
+    ops = []
+    for _ in range(draw(st.integers(1, 6))):
+        x = draw(st.sampled_from(names))
+        if draw(st.booleans()):
+            op = {"op": "rotate", "steps": draw(st.sampled_from((1, 3))), "x": x}
+        else:
+            op = {"op": "add", "x": x, "y": draw(st.sampled_from(names))}
+        op["out"] = draw(st.sampled_from(_INPUTS + ("c",)))
+        names = sorted(set(names) | {op["out"]})
+        ops.append(op)
+    return ops
+
+
+@settings(max_examples=30)
+@given(ops=_rotate_add_programs())
+@example(ops=[  # repeated rotations of one name
+    {"op": "rotate", "steps": 1, "x": "a", "out": "c"},
+    {"op": "rotate", "steps": 3, "x": "a", "out": "b"},
+    {"op": "rotate", "steps": 1, "x": "a", "out": "a"},
+])
+@example(ops=[  # a rotation of an already rotated value
+    {"op": "rotate", "steps": 1, "x": "a", "out": "c"},
+    {"op": "rotate", "steps": 3, "x": "c", "out": "c"},
+    {"op": "add", "x": "c", "y": "a", "out": "b"},
+])
+@example(ops=[  # a name rewritten between two rotations of it
+    {"op": "rotate", "steps": 1, "x": "a", "out": "c"},
+    {"op": "add", "x": "a", "y": "b", "out": "a"},
+    {"op": "rotate", "steps": 1, "x": "a", "out": "b"},
+    {"op": "add", "x": "b", "y": "c", "out": "c"},
+])
+def test_rotate_add_programs_match_engine(set1, toy_native, ops):
+    eng = toy_native
+    rng = np.random.default_rng(17)
+    variables = {
+        name: eng.encrypt(eng.encode(rng.uniform(-1.0, 1.0, eng.slots), set1.scale),
+                          enc_index=k)
+        for k, name in enumerate(_INPUTS)
+    }
+    result = execute_workload(eng, compile_workload(set1, ops), variables)
+    want = dict(variables)
+    for op in ops:
+        want[op["out"]] = _ENGINE_OP[op["op"]](eng, want, op)
+    assert set(result) <= set(want) and ops[-1]["out"] in result
+    for name, value in result.items():
+        _same_ct(eng, value, want[name])
