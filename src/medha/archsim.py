@@ -53,7 +53,11 @@ transformed under each modulus. An automorphism permutes residues and
 negates some, the lift commutes with negation for odd q, and each transform
 maps the map's coefficient form onto its evaluation form, so every slot
 keeps its bits while the rotations of one ciphertext share the
-decomposition. A limb broadcast back to its own RPAU is the limb its INTT
+decomposition. The lift is `heaan.CenteredLift`, the one the Engine's key
+switch and rescale reduce through, so both halves share one choice between
+the conditional add and the division; only the per-modulus cache of a
+decomposition (`_Decomp`) is the executor's own, since it serves sharing
+across ops. A limb broadcast back to its own RPAU is the limb its INTT
 started from, so it is not transformed again. DYADIC mul/mac chains sum
 their products unreduced in a `kernels.WideSum` and reduce once, when
 another instruction reads the slot. Split-mode streams run AUTO on
@@ -70,7 +74,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .heaan import RELIN_KSK_ID, Ciphertext, _centered_int64
+from .heaan import RELIN_KSK_ID, CenteredLift, Ciphertext
 from .kernels import WideSum
 from .modarith import PrimeModulus
 from .params import ParamSet
@@ -907,25 +911,6 @@ def _eval_parts(limb: ResiduePoly, k: int) -> tuple[ResiduePoly, ...]:
     return pair.plus, pair.minus
 
 
-class _Lift:
-    """The centered lift of a coefficient limb, made once and reduced under
-    each receiving modulus. Its words lie within q/2 of zero, so under a
-    modulus above q/2 each is one conditional add, and no word is scanned
-    to find that out; under a smaller one each is divided."""
-
-    def __init__(self, limb: ResiduePoly):
-        self.half = limb.q.value // 2
-        self.signed = _centered_int64(limb.coeffs, limb.q.value)
-
-    def residues(self, q: PrimeModulus) -> ResiduePoly:
-        if self.half < q.value:
-            r = self.signed.view(np.uint64)
-            res = np.minimum(r, r + np.uint64(q.value))
-        else:
-            res = (self.signed % np.int64(q.value)).astype(np.uint64)
-        return ResiduePoly(q, res, "coeff", STANDARD)
-
-
 class _Decomp:
     """The key-switch decomposition of an evaluation limb x, built on
     demand: the centered lift of x's coefficients (one inverse transform),
@@ -937,8 +922,8 @@ class _Decomp:
         self.evals = {x.q.value: x}
 
     @functools.cached_property
-    def lift(self) -> _Lift:
-        return _Lift(ntt_inverse(self.x))
+    def lift(self) -> CenteredLift:
+        return CenteredLift(ntt_inverse(self.x))
 
     def eval(self, q: PrimeModulus) -> ResiduePoly:
         if q.value not in self.evals:
@@ -1124,7 +1109,7 @@ class _Executor:
                 for r in ins.rpaus:
                     state[(r, ins.dst[0])] = replace(v, q=self.modulus(r))
             else:
-                lift = _Lift(self.gather(state, src, slots))
+                lift = CenteredLift(self.gather(state, src, slots))
                 for r in ins.rpaus:
                     _scatter(state, r, ins.dst, lift.residues(self.modulus(r)))
         elif ins.op == SPLIT:
@@ -1250,7 +1235,7 @@ def execute_workload(engine, program: Program, variables: dict) -> dict:
             elif other.scale != scale:
                 raise ArchSimError("operand scales differ")
         if opp.kind == "rescale":
-            scale = scale / engine.base.primes[opp.meta["level"] - 1].value
+            scale = scale / engine.drop_scale(opp.meta["level"])
         ex.run(opp, state)
         for name in reads:
             if drop_after.get(name) == step:

@@ -130,6 +130,10 @@ def _sync_keys(engine: Engine, pset: ParamSet, directory: Path, steps) -> dict:
 
 
 def _run(args) -> dict:
+    sim_only = (("--clock-mhz", args.clock_mhz), ("--calibrate-costs", args.calibrate_costs))
+    for flag, value in sim_only:
+        if value is not None and not args.simulate:
+            raise ConfigError(f"{flag} takes effect only with --simulate")
     pset = load_param_config(args.config) if args.config else get_param_set(args.param_set)
     cost = _load_cost_model(args.calibrate_costs)
     clock = pset.clock_mhz if args.clock_mhz is None else args.clock_mhz

@@ -120,6 +120,25 @@ def _centered_int64(res: np.ndarray, q: int) -> np.ndarray:
     return np.where(x > q // 2, x - np.int64(q), x)
 
 
+class CenteredLift:
+    """The centered lift of a coefficient limb, made once and reduced under
+    each target modulus. Its words lie within q/2 of zero, so under a
+    modulus above q/2 each is one conditional add, and no word is scanned
+    to find that out; under a smaller one each is divided."""
+
+    def __init__(self, limb: ResiduePoly):
+        self.half = limb.q.value // 2
+        self.signed = _centered_int64(limb.coeffs, limb.q.value)
+
+    def residues(self, q: PrimeModulus) -> ResiduePoly:
+        if self.half < q.value:
+            r = self.signed.view(np.uint64)
+            res = np.minimum(r, r + np.uint64(q.value))
+        else:
+            res = (self.signed % np.int64(q.value)).astype(np.uint64)
+        return ResiduePoly(q, res, "coeff", STANDARD)
+
+
 class Engine:
     """Evaluation context for one basis, ring degree, mode and seed."""
 
@@ -440,7 +459,7 @@ class Engine:
         """Accumulate ksk rows against the decomposition of d, then drop p.
 
         Target j of each output is the sum over rows i of d_ij * k_ij mod
-        q_j, where d_ij is row i's centered lift mod q_j. The targets run one
+        q_j, where d_ij is row i's `CenteredLift` mod q_j. The targets run one
         at a time, each sum as a `kernels.WideSum`: its terms add up as
         unreduced 128-bit words and it reduces once. A term is below
         q_j^2 < 2^124, so the at most `levels` terms of a preset sum stay
@@ -451,18 +470,15 @@ class Engine:
         lvl = len(d_limbs)
         ext = self.base.extended_moduli(lvl)
         ext_idx = list(range(lvl)) + [self.base.levels]
-        lifts = [
-            _centered_int64(self._limb_to_parent(d), q.value)
-            for d, q in zip(d_limbs, self.base.primes)
-        ]
+        lifts = [CenteredLift(ntt_inverse(d)) for d in d_limbs]
         acc0: list = []
         acc1: list = []
         for j, (m, jg) in enumerate(zip(ext, ext_idx)):
             c = kernels.ctx(m.value)
             sum0 = kernels.WideSum(c, self.degree)
             sum1 = kernels.WideSum(c, self.degree)
-            for i, signed in enumerate(lifts):
-                dl = d_limbs[i] if j == i else self._signed_to_limb(signed, m)
+            for i, lift in enumerate(lifts):
+                dl = d_limbs[i] if j == i else ntt_forward(lift.residues(m))
                 sum0.add(dl.coeffs, ksk.secret[i][jg].coeffs)
                 sum1.add(dl.coeffs, ksk.uniform[i][jg].coeffs)
             acc0.append(ResiduePoly(m, sum0.residues(), "eval", STANDARD))
@@ -475,10 +491,9 @@ class Engine:
 
         inv_row[i] is the dropped modulus' inverse modulo limb i's.
         """
-        last = limbs[-1]
-        signed = _centered_int64(self._limb_to_parent(last), last.q.value)
+        lift = CenteredLift(ntt_inverse(limbs[-1]))
         return [
-            scalar_mul(dyadic("sub", x, self._signed_to_limb(signed, x.q)), inv_row[i])
+            scalar_mul(dyadic("sub", x, ntt_forward(lift.residues(x.q))), inv_row[i])
             for i, x in enumerate(limbs[:-1])
         ]
 
@@ -489,7 +504,7 @@ class Engine:
         inv = self.base.inv[lvl - 1]
         return Ciphertext(
             self._drop_last(ct.c0, inv), self._drop_last(ct.c1, inv),
-            ct.scale / self.base.primes[lvl - 1].value,
+            ct.scale / self.drop_scale(lvl),
         )
 
     def rotate(self, ct: Ciphertext, steps: int) -> Ciphertext:

@@ -357,10 +357,14 @@ def sample_lanes(
 def signed_to_residues(x: np.ndarray, q: int) -> np.ndarray:
     """Signed int64 coefficients into canonical residues mod q.
 
-    When every word lies within one modulus (|x| < q), as a centred limb
-    lifted into a modulus at least as wide does, no division is needed: a
-    negative x read as a word is 2^64 + x, which adding q wraps down to
-    x + q, the smaller of the two; a nonnegative x is already the residue.
+    The Engine reduces its signed vectors through this: the secret, the
+    error and ternary samples, and encoded coefficients, whose range no
+    modulus bounds. When every word lies within one modulus (|x| < q), no
+    division is needed: a negative x read as a word is 2^64 + x, which
+    adding q wraps down to x + q, the smaller of the two; a nonnegative x
+    is already the residue. Key-switch and rescale lifts do not come here:
+    `heaan.CenteredLift` picks the same two paths from the lift's source
+    modulus, without scanning the words.
     """
     if x.size and -q < x.min() and x.max() < q:
         r = x.view(np.uint64)

@@ -6,7 +6,10 @@ homomorphic ops fast enough for per-test use.
 
 Property tests run under a derandomized hypothesis profile: every run
 replays the same examples, so a failure reproduces on the next run.
-`pytest --hypothesis-profile default` restores random exploration.
+`pytest --hypothesis-profile explore` explores at random instead, with no
+per-example deadline (an op at toy degree can take longer than hypothesis's
+default 200 ms on a small machine); add `--hypothesis-seed N` to make such a
+run reproducible.
 """
 
 from dataclasses import replace
@@ -20,6 +23,7 @@ from medha.params import get_param_set
 TOY_DEGREE = 64
 
 settings.register_profile("derandomized", derandomize=True, deadline=None)
+settings.register_profile("explore", deadline=None)
 settings.load_profile("derandomized")
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 from dataclasses import replace
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -747,3 +748,83 @@ def test_rotate_add_programs_match_engine(set1, toy_native, ops):
     assert set(result) <= set(want) and ops[-1]["out"] in result
     for name, value in result.items():
         _same_ct(eng, value, want[name])
+
+
+def _mixed_programs(pset, steps):
+    """Op lists mixing mult_relin, rescale and sub with rotate and add, over
+    the top-level inputs a and b and a temporary c. The strategy tracks each
+    name's level and scale and draws only ops whose operands agree: a sum
+    reads two names of one level and scale, a product two of one level, and
+    a rescale a name above level 1."""
+    primes = [m.value for m in pset.base.primes]
+    kinds = ("rotate", "add", "sub", "mult_relin", "rescale")
+
+    @st.composite
+    def programs(draw):
+        state = {name: (len(primes), Fraction(1 << 40)) for name in _INPUTS}
+        ops = []
+        for _ in range(draw(st.integers(1, 5))):
+            x = draw(st.sampled_from(sorted(state)))
+            level, scale = state[x]
+            peers = sorted(name for name in state if state[name][0] == level)
+            op = {"op": draw(st.sampled_from(kinds if level > 1 else kinds[:-1])),
+                  "x": x, "level": level}
+            if op["op"] == "rotate":
+                op["steps"] = draw(st.sampled_from(steps))
+            elif op["op"] in ("add", "sub"):
+                op["y"] = draw(st.sampled_from([n for n in peers if state[n][1] == scale]))
+            elif op["op"] == "mult_relin":
+                op["y"] = draw(st.sampled_from(peers))
+                scale *= state[op["y"]][1]
+            else:
+                level, scale = level - 1, scale / primes[level - 1]
+            op["out"] = draw(st.sampled_from(_INPUTS + ("c",)))
+            state[op["out"]] = (level, scale)
+            ops.append(op)
+        return ops
+
+    return programs()
+
+
+def _check_program(pset, eng, ops):
+    """Every name execute_workload returns equals an Engine interpretation."""
+    rng = np.random.default_rng(18)
+    variables = {
+        name: eng.encrypt(eng.encode(rng.uniform(-1.0, 1.0, eng.slots), 1 << 40), enc_index=k)
+        for k, name in enumerate(_INPUTS)
+    }
+    result = execute_workload(eng, compile_workload(pset, ops), variables)
+    engine_op = {**_ENGINE_OP, "sub": lambda e, v, op: e.sub(v[op["x"]], v[op["y"]])}
+    want = dict(variables)
+    for op in ops:
+        want[op["out"]] = engine_op[op["op"]](eng, want, op)
+    assert set(result) <= set(want) and ops[-1]["out"] in result
+    for name, value in result.items():
+        _same_ct(eng, value, want[name])
+
+
+_SET1, _SET2 = get_param_set("set1"), get_param_set("set2")
+
+
+@settings(max_examples=10)
+@given(ops=_mixed_programs(_SET1, (1, 3)))
+@example(ops=[  # a rescaled product, rotated and subtracted from itself
+    {"op": "mult_relin", "x": "a", "y": "b", "level": 7, "out": "c"},
+    {"op": "rescale", "x": "c", "level": 7, "out": "c"},
+    {"op": "rotate", "steps": 3, "x": "c", "level": 6, "out": "a"},
+    {"op": "sub", "x": "c", "y": "a", "level": 6, "out": "b"},
+])
+def test_mixed_programs_match_engine_native(set1, toy_native, ops):
+    _check_program(set1, toy_native, ops)
+
+
+@settings(max_examples=10)
+@given(ops=_mixed_programs(_SET2, (1,)))
+@example(ops=[  # two rescales, then a product and a rotation at the lower level
+    {"op": "rescale", "x": "a", "level": 9, "out": "a"},
+    {"op": "rescale", "x": "a", "level": 8, "out": "c"},
+    {"op": "mult_relin", "x": "c", "y": "c", "level": 7, "out": "b"},
+    {"op": "rotate", "steps": 1, "x": "b", "level": 7, "out": "a"},
+])
+def test_mixed_programs_match_engine_split(set2, toy_split2, ops):
+    _check_program(set2, toy_split2, ops)

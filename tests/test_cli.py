@@ -342,3 +342,15 @@ def test_partly_warm_keys_load_present_and_save_only_missing(tmp_path):
     assert doc1["functional"] == doc2["functional"]
     assert rot1.read_bytes() == rot1_bytes
     assert relin.read_bytes() == relin_bytes and relin.stat().st_mtime_ns == 10**18
+
+
+@pytest.mark.parametrize("flag", ["--clock-mhz", "--calibrate-costs"])
+def test_simulation_flag_without_simulate_rejected(tmp_path, capsys, flag):
+    # the flag only changes the cycle model, so without --simulate it would
+    # have no effect
+    calib = _write_config(tmp_path, {"set2_add_cycles": 2_865}, "calib.json")
+    value = "400" if flag == "--clock-mhz" else str(calib)
+    cfg = _write_config(tmp_path, TINY_SPLIT)
+    assert main(["--config", str(cfg), "--workload", "add", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and flag in err and "--simulate" in err
