@@ -53,15 +53,18 @@ transformed under each modulus. An automorphism permutes residues and
 negates some, the lift commutes with negation for odd q, and each transform
 maps the map's coefficient form onto its evaluation form, so every slot
 keeps its bits while the rotations of one ciphertext share the
-decomposition. The lift is `heaan.CenteredLift`, the one the Engine's key
-switch and rescale reduce through, so both halves share one choice between
-the conditional add and the division; only the per-modulus cache of a
+decomposition. The lift is `heaan.CenteredLift`, the one reduction of
+signed words that the Engine's keygen, encode, encrypt, key switch and
+rescale all go through, so both halves share one choice between the
+conditional add and the division; only the per-modulus cache of a
 decomposition (`_Decomp`) is the executor's own, since it serves sharing
-across ops. A limb broadcast back to its own RPAU is the limb its INTT
-started from, so it is not transformed again. DYADIC mul/mac chains sum
-their products unreduced in a `kernels.WideSum` and reduce once, when
-another instruction reads the slot. Split-mode streams run AUTO on
-coefficients, between JOIN and SPLIT, and share no decomposition.
+across ops. Keys come from `Engine.switching_key`, so a missing one is
+refused as the Engine op refuses it. A limb broadcast back to its own RPAU
+is the limb its INTT started from, so it is not transformed again. DYADIC
+mul/mac chains sum their products unreduced in a `kernels.WideSum` and
+reduce once, when another instruction reads the slot. Split-mode streams
+run AUTO on coefficients, between JOIN and SPLIT, and share no
+decomposition.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .heaan import RELIN_KSK_ID, CenteredLift, Ciphertext
+from .heaan import RELIN_KSK_ID, CenteredLift, Ciphertext, galois_element
 from .kernels import WideSum
 from .modarith import PrimeModulus
 from .params import ParamSet
@@ -595,7 +598,7 @@ def _compile_rotate(c: _OpCompiler, steps: int) -> OpProgram:
     c0, c1, a0, a1 = map(c.slots, range(4))
     acc0, acc1 = c0, c1                   # inputs dead once mapped
     recv_ring = (c.slots(4) + c.slots(5))[: (3 if c.split else 2)]
-    g = pow(5, steps, 2 * c.pset.degree)
+    g = galois_element(steps, c.pset.degree)
     c.open(c.limbs, c0 + c1)
     for src, dst in ((c0, a0), (c1, a1)):
         if c.split:
@@ -923,7 +926,7 @@ class _Decomp:
 
     @functools.cached_property
     def lift(self) -> CenteredLift:
-        return CenteredLift(ntt_inverse(self.x))
+        return CenteredLift.of_limb(ntt_inverse(self.x))
 
     def eval(self, q: PrimeModulus) -> ResiduePoly:
         if q.value not in self.evals:
@@ -994,17 +997,6 @@ class _Executor:
     def modulus(self, rpau: int) -> PrimeModulus:
         return self.base.all_moduli[self.mod_idx[rpau]]
 
-    def key(self, ksk_id: int):
-        """A switching key, missing ones refused as the Engine ops refuse them."""
-        if ksk_id == RELIN_KSK_ID:
-            if self.eng.relin_key is None:
-                raise ValueError("keygen before mult_relin")
-            return self.eng.relin_key
-        key = self.eng.rotation_keys.get(ksk_id)
-        if key is None:
-            raise ValueError(f"no rotation key for step {ksk_id}")
-        return key
-
     def decomp(self, x: ResiduePoly) -> _Decomp:
         d = self.decomps.get(id(x))
         if d is None:
@@ -1039,7 +1031,7 @@ class _Executor:
         if term[0] == "slot":
             return self.read(state, (rpau, term[1]))
         _, ksk_id, comp, i = term
-        key = self.key(ksk_id)
+        key = self.eng.switching_key(ksk_id)
         limb = (key.secret if comp == 0 else key.uniform)[i][self.mod_idx[rpau]]
         return _eval_parts(limb, self.parts)[half == "m"]
 
@@ -1109,7 +1101,7 @@ class _Executor:
                 for r in ins.rpaus:
                     state[(r, ins.dst[0])] = replace(v, q=self.modulus(r))
             else:
-                lift = CenteredLift(self.gather(state, src, slots))
+                lift = CenteredLift.of_limb(self.gather(state, src, slots))
                 for r in ins.rpaus:
                     _scatter(state, r, ins.dst, lift.residues(self.modulus(r)))
         elif ins.op == SPLIT:

@@ -32,7 +32,7 @@ from .archsim import (
     memory_audit,
     simulate,
 )
-from .heaan import Engine
+from .heaan import RELIN_KSK_ID, Engine
 from .params import (
     ConfigError,
     ParamSet,
@@ -112,7 +112,7 @@ def _sync_keys(engine: Engine, pset: ParamSet, directory: Path, steps) -> dict:
     directory.mkdir(parents=True, exist_ok=True)
     info = {"directory": str(directory), "loaded": [], "saved": []}
     stored, missing = {}, []
-    for fname, ksk_id in [("relin.ksk", 0)] + [(f"rot{s}.ksk", s) for s in steps]:
+    for fname, ksk_id in [("relin.ksk", RELIN_KSK_ID)] + [(f"rot{s}.ksk", s) for s in steps]:
         path = directory / fname
         if not path.exists():
             missing.append((path, ksk_id))
@@ -123,8 +123,7 @@ def _sync_keys(engine: Engine, pset: ParamSet, directory: Path, steps) -> dict:
         info["loaded"].append(fname)
     engine.keygen(rotation_steps=steps, stored=stored)
     for path, ksk_id in missing:
-        key = engine.relin_key if ksk_id == 0 else engine.rotation_keys[ksk_id]
-        save_ksk(path, key, engine, pset)
+        save_ksk(path, engine.switching_key(ksk_id), engine, pset)
         info["saved"].append(path.name)
     return info
 
@@ -181,7 +180,7 @@ def _run(args) -> dict:
     if keys_info is not None:
         report["keys"] = keys_info
     if args.simulate:
-        r = simulate(program, cost, clock_mhz=machine.clock_mhz)
+        r = simulate(program, cost)
         dual = dual_issue_savings(program, cost)
         report["simulation"] = {
             "clock_mhz": machine.clock_mhz,

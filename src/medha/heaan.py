@@ -36,6 +36,7 @@ from .keys import (
     COMP_KSK_UNIFORM,
     COMP_PK_ERROR,
     COMP_PK_UNIFORM,
+    GAUSS_BOUND,
     HALF_FULL,
     HALF_MINUS,
     HALF_PLUS,
@@ -44,7 +45,6 @@ from .keys import (
     sample_lanes,
     sample_ternary,
     sample_uniform_mod,  # noqa: F401  (perfbench/test_perfbench.py reads it here)
-    signed_to_residues,
     stream_for,
 )
 from .modarith import PrimeModulus, RnsBase, crt_reconstruct
@@ -114,29 +114,51 @@ def _slot_index(degree: int) -> np.ndarray:
     return idx
 
 
-def _centered_int64(res: np.ndarray, q: int) -> np.ndarray:
-    """Canonical residues to the centered representative in (-q/2, q/2]."""
-    x = res.astype(np.int64)
-    return np.where(x > q // 2, x - np.int64(q), x)
+def galois_element(steps: int, degree: int) -> int:
+    """The Galois element 5^steps mod 2·degree that rotates slots by `steps`."""
+    return pow(5, steps, 2 * degree)
+
+
+def _each(kind: str, xs: Sequence, ys: Sequence) -> list:
+    """One dyadic op limb by limb."""
+    return [dyadic(kind, a, b) for a, b in zip(xs, ys)]
 
 
 class CenteredLift:
-    """The centered lift of a coefficient limb, made once and reduced under
-    each target modulus. Its words lie within q/2 of zero, so under a
-    modulus above q/2 each is one conditional add, and no word is scanned
-    to find that out; under a smaller one each is divided."""
+    """Signed words, each at most `half` from zero, made once and reduced
+    under each target modulus. It is the one reduction of signed words to
+    residues: keygen's secret and error rows, encryption's r, e0 and e1 and
+    encoded coefficients take their bound from the sampler or one abs-max,
+    and the centered lift of a coefficient limb (`of_limb`, which key
+    switching and rescaling reduce, in the Engine and the replay alike) has
+    half = q/2. Under a modulus above `half` each word is one conditional
+    add, and no word is scanned to find that out; under a smaller one each
+    is divided."""
 
-    def __init__(self, limb: ResiduePoly):
-        self.half = limb.q.value // 2
-        self.signed = _centered_int64(limb.coeffs, limb.q.value)
+    def __init__(self, signed: np.ndarray, half: int):
+        self.signed = signed
+        self.half = half
+
+    @classmethod
+    def of_limb(cls, limb: ResiduePoly) -> "CenteredLift":
+        """Canonical coefficients to their representatives in (-q/2, q/2]."""
+        q = limb.q.value
+        x = limb.coeffs.astype(np.int64)
+        return cls(np.where(x > q // 2, x - np.int64(q), x), q // 2)
 
     def residues(self, q: PrimeModulus) -> ResiduePoly:
         if self.half < q.value:
+            # a negative word read as unsigned is 2^64 + x, which adding q
+            # wraps down to x + q, the smaller of the two
             r = self.signed.view(np.uint64)
             res = np.minimum(r, r + np.uint64(q.value))
         else:
             res = (self.signed % np.int64(q.value)).astype(np.uint64)
         return ResiduePoly(q, res, "coeff", STANDARD)
+
+    def limb(self, q: PrimeModulus) -> ResiduePoly:
+        """The words mod q as an evaluation-domain limb."""
+        return ntt_forward(self.residues(q))
 
 
 class Engine:
@@ -169,10 +191,6 @@ class Engine:
         self._s_grid: Optional[list] = None
 
     # ---- limb primitives ----
-
-    def _signed_to_limb(self, signed: np.ndarray, q: PrimeModulus) -> ResiduePoly:
-        res = signed_to_residues(signed, q.value)
-        return ntt_forward(ResiduePoly(q, res, "coeff", STANDARD))
 
     def _limb_to_parent(self, limb: ResiduePoly) -> np.ndarray:
         """Evaluation-domain limb to parent-ring coefficient residues."""
@@ -221,9 +239,8 @@ class Engine:
         if stray:
             raise ValueError(f"stored key ids {stray} are not among the keys {ids}")
         self.sk = krand.gen_secret(self.seed, self.degree)
-        self._s_grid = [
-            self._signed_to_limb(self.sk.coeffs, m) for m in self.base.all_moduli
-        ]
+        s_lift = CenteredLift(self.sk.coeffs, 1)
+        self._s_grid = [s_lift.limb(m) for m in self.base.all_moduli]
         primes = self.base.primes
         ksk_uniform, ksk_errors = self._ksk_tags(ids, stored)
         uniform, errors = self._draw(
@@ -233,8 +250,9 @@ class Engine:
         # copies, so that the public key does not keep the switching keys'
         # batch buffer alive once those keys are replaced or dropped
         self.pk_a = [a.copy() for a in uniform[: len(primes)]]
+        e = CenteredLift(errors[0], GAUSS_BOUND)
         self.pk_b = [
-            dyadic("sub", self._signed_to_limb(errors[0], m), dyadic("mul", a, s))
+            dyadic("sub", e.limb(m), dyadic("mul", a, s))
             for m, a, s in zip(primes, self.pk_a, self._s_grid)
         ]
         keys = self._build_ksks(ids, uniform[len(primes):], errors[1:], stored)
@@ -245,14 +263,27 @@ class Engine:
         if self.sk is None:
             raise ValueError("keygen before rotation keys")
         ids = self._new_rotation_steps(steps)
-        uniform, errors = self._draw(*self._ksk_tags(ids))
-        self.rotation_keys.update(zip(ids, self._build_ksks(ids, uniform, errors)))
+        self.rotation_keys.update(zip(ids, self._drawn_ksks(ids)))
 
     def adopt_ksk(self, ksk_id: int, secret: list) -> KeySwitchKey:
         """The key with a stored secret half, returned rather than installed."""
-        stored = {ksk_id: secret}
-        uniform, _ = self._draw(*self._ksk_tags([ksk_id], stored))
-        return self._build_ksks([ksk_id], uniform, [], stored)[0]
+        return self._drawn_ksks([ksk_id], {ksk_id: secret})[0]
+
+    def _drawn_ksks(self, ids: Sequence[int], stored: Mapping = {}) -> list:
+        """Switching keys `ids` from a batch of their own streams alone."""
+        uniform, errors = self._draw(*self._ksk_tags(ids, stored))
+        return self._build_ksks(ids, uniform, errors, stored)
+
+    def switching_key(self, ksk_id: int) -> KeySwitchKey:
+        """The relinearization key for id 0, the rotation key for a step."""
+        if ksk_id == RELIN_KSK_ID:
+            if self.relin_key is None:
+                raise ValueError("keygen before mult_relin")
+            return self.relin_key
+        key = self.rotation_keys.get(ksk_id)
+        if key is None:
+            raise ValueError(f"no rotation key for step {ksk_id}")
+        return key
 
     def _new_rotation_steps(self, steps: Sequence[int]) -> list[int]:
         """Distinct nonzero steps mod slots that have no key yet, in order."""
@@ -276,7 +307,7 @@ class Engine:
         """The key a switching key re-encrypts under: s^2 or the rotated s."""
         if ksk_id == RELIN_KSK_ID:
             return [dyadic("mul", g, g) for g in self._s_grid]
-        g = pow(5, ksk_id, 2 * self.degree)
+        g = galois_element(ksk_id, self.degree)
         return [automorphism(x, g) for x in self._s_grid]
 
     def _build_ksks(
@@ -298,9 +329,10 @@ class Engine:
 
     def _ksk_row(self, i: int, e: np.ndarray, u_row: list, target: list) -> list:
         """Row i of a new key's secret half: e - u s + P qtilde_i target."""
+        e_lift = CenteredLift(e, GAUSS_BOUND)
         row = []
         for j, (m, u) in enumerate(zip(self.base.all_moduli, u_row)):
-            k = dyadic("sub", self._signed_to_limb(e, m), dyadic("mul", u, self._s_grid[j]))
+            k = dyadic("sub", e_lift.limb(m), dyadic("mul", u, self._s_grid[j]))
             # P * qtilde_i is 0 mod every modulus but q_i, and adding a zero
             # limb changes no bit, so only q_i's term is added
             factor = self.base.p_qtilde[i][j]
@@ -331,13 +363,11 @@ class Engine:
         jj = np.arange(d)
         m = np.real(np.fft.fft(f) * np.exp(-1j * np.pi * jj / d)) / d
         coeffs = np.round(m * float(scale))
-        if np.any(np.abs(coeffs) >= 2**62):
+        peak = np.abs(coeffs).max()
+        if not peak < 2**62:  # a NaN fails this too
             raise ValueError("encoded coefficients overflow 62 bits; lower the scale")
-        signed = coeffs.astype(np.int64)
-        limbs = [
-            self._signed_to_limb(signed, q) for q in self.base.level_moduli(level)
-        ]
-        return Plaintext(limbs, scale)
+        lift = CenteredLift(coeffs.astype(np.int64), int(peak))
+        return Plaintext([lift.limb(q) for q in self.base.level_moduli(level)], scale)
 
     def _limbs_to_centered(self, limbs: list) -> list[int]:
         moduli = self.base.level_moduli(len(limbs))
@@ -367,18 +397,16 @@ class Engine:
             for kind in (COMP_ENC_E0, COMP_ENC_E1)
         ]
         _, (e0, e1) = sample_lanes((), 0, errors, d)
+        r = CenteredLift(r, 1)
+        e0, e1 = (CenteredLift(e, GAUSS_BOUND) for e in (e0, e1))
         c0 = []
         c1 = []
         for i, q in enumerate(self.base.level_moduli(pt.level)):
-            rl = self._signed_to_limb(r, q)
+            rl = r.limb(q)
             c0.append(
-                dyadic(
-                    "add",
-                    dyadic("mac", self.pk_b[i], rl, acc=self._signed_to_limb(e0, q)),
-                    pt.limbs[i],
-                )
+                dyadic("add", dyadic("mac", self.pk_b[i], rl, acc=e0.limb(q)), pt.limbs[i])
             )
-            c1.append(dyadic("mac", self.pk_a[i], rl, acc=self._signed_to_limb(e1, q)))
+            c1.append(dyadic("mac", self.pk_a[i], rl, acc=e1.limb(q)))
         return Ciphertext(c0, c1, pt.scale)
 
     def decrypt(self, ct: Ciphertext) -> np.ndarray:
@@ -405,55 +433,36 @@ class Engine:
 
     def add(self, x: Ciphertext, y: Ciphertext) -> Ciphertext:
         self._check_pair(x, y)
-        return Ciphertext(
-            [dyadic("add", a, b) for a, b in zip(x.c0, y.c0)],
-            [dyadic("add", a, b) for a, b in zip(x.c1, y.c1)],
-            x.scale,
-        )
+        return Ciphertext(_each("add", x.c0, y.c0), _each("add", x.c1, y.c1), x.scale)
 
     def sub(self, x: Ciphertext, y: Ciphertext) -> Ciphertext:
         self._check_pair(x, y)
-        return Ciphertext(
-            [dyadic("sub", a, b) for a, b in zip(x.c0, y.c0)],
-            [dyadic("sub", a, b) for a, b in zip(x.c1, y.c1)],
-            x.scale,
-        )
+        return Ciphertext(_each("sub", x.c0, y.c0), _each("sub", x.c1, y.c1), x.scale)
 
     def add_plain(self, ct: Ciphertext, pt: Plaintext) -> Ciphertext:
         self._check_pair(ct, pt)
         return Ciphertext(
-            [dyadic("add", a, b) for a, b in zip(ct.c0, pt.limbs)],
-            [a.copy() for a in ct.c1],
-            ct.scale,
+            _each("add", ct.c0, pt.limbs), [a.copy() for a in ct.c1], ct.scale
         )
 
     def mult_plain(self, ct: Ciphertext, pt: Plaintext) -> Ciphertext:
         if ct.level != pt.level:
             raise ValueError(f"level mismatch: {ct.level} vs {pt.level}")
         return Ciphertext(
-            [dyadic("mul", a, b) for a, b in zip(ct.c0, pt.limbs)],
-            [dyadic("mul", a, b) for a, b in zip(ct.c1, pt.limbs)],
-            ct.scale * pt.scale,
+            _each("mul", ct.c0, pt.limbs), _each("mul", ct.c1, pt.limbs), ct.scale * pt.scale
         )
 
     def mult_relin(self, x: Ciphertext, y: Ciphertext) -> Ciphertext:
         if x.level != y.level:
             raise ValueError(f"level mismatch: {x.level} vs {y.level}")
-        if self.relin_key is None:
-            raise ValueError("keygen before mult_relin")
-        lvl = x.level
-        d0 = [dyadic("mul", x.c0[i], y.c0[i]) for i in range(lvl)]
+        ksk = self.switching_key(RELIN_KSK_ID)
+        d0 = _each("mul", x.c0, y.c0)
         d1 = [
-            dyadic("mac", x.c1[i], y.c0[i], acc=dyadic("mul", x.c0[i], y.c1[i]))
-            for i in range(lvl)
+            dyadic("mac", a1, b0, acc=dyadic("mul", a0, b1))
+            for a0, a1, b0, b1 in zip(x.c0, x.c1, y.c0, y.c1)
         ]
-        d2 = [dyadic("mul", x.c1[i], y.c1[i]) for i in range(lvl)]
-        ks0, ks1 = self._key_switch(d2, self.relin_key)
-        return Ciphertext(
-            [dyadic("add", a, b) for a, b in zip(d0, ks0)],
-            [dyadic("add", a, b) for a, b in zip(d1, ks1)],
-            x.scale * y.scale,
-        )
+        ks0, ks1 = self._key_switch(_each("mul", x.c1, y.c1), ksk)
+        return Ciphertext(_each("add", d0, ks0), _each("add", d1, ks1), x.scale * y.scale)
 
     def _key_switch(self, d_limbs: list, ksk: KeySwitchKey) -> tuple[list, list]:
         """Accumulate ksk rows against the decomposition of d, then drop p.
@@ -470,7 +479,7 @@ class Engine:
         lvl = len(d_limbs)
         ext = self.base.extended_moduli(lvl)
         ext_idx = list(range(lvl)) + [self.base.levels]
-        lifts = [CenteredLift(ntt_inverse(d)) for d in d_limbs]
+        lifts = [CenteredLift.of_limb(ntt_inverse(d)) for d in d_limbs]
         acc0: list = []
         acc1: list = []
         for j, (m, jg) in enumerate(zip(ext, ext_idx)):
@@ -478,7 +487,7 @@ class Engine:
             sum0 = kernels.WideSum(c, self.degree)
             sum1 = kernels.WideSum(c, self.degree)
             for i, lift in enumerate(lifts):
-                dl = d_limbs[i] if j == i else ntt_forward(lift.residues(m))
+                dl = d_limbs[i] if j == i else lift.limb(m)
                 sum0.add(dl.coeffs, ksk.secret[i][jg].coeffs)
                 sum1.add(dl.coeffs, ksk.uniform[i][jg].coeffs)
             acc0.append(ResiduePoly(m, sum0.residues(), "eval", STANDARD))
@@ -491,9 +500,9 @@ class Engine:
 
         inv_row[i] is the dropped modulus' inverse modulo limb i's.
         """
-        lift = CenteredLift(ntt_inverse(limbs[-1]))
+        lift = CenteredLift.of_limb(ntt_inverse(limbs[-1]))
         return [
-            scalar_mul(dyadic("sub", x, ntt_forward(lift.residues(x.q))), inv_row[i])
+            scalar_mul(dyadic("sub", x, lift.limb(x.q)), inv_row[i])
             for i, x in enumerate(limbs[:-1])
         ]
 
@@ -511,13 +520,8 @@ class Engine:
         steps = steps % self.slots
         if steps == 0:
             return ct.copy()
-        ksk = self.rotation_keys.get(steps)
-        if ksk is None:
-            raise ValueError(f"no rotation key for step {steps}")
-        g = pow(5, steps, 2 * self.degree)
+        ksk = self.switching_key(steps)
+        g = galois_element(steps, self.degree)
         a0 = [automorphism(x, g) for x in ct.c0]
-        a1 = [automorphism(x, g) for x in ct.c1]
-        ks0, ks1 = self._key_switch(a1, ksk)
-        return Ciphertext(
-            [dyadic("add", a, b) for a, b in zip(a0, ks0)], ks1, ct.scale
-        )
+        ks0, ks1 = self._key_switch([automorphism(x, g) for x in ct.c1], ksk)
+        return Ciphertext(_each("add", a0, ks0), ks1, ct.scale)

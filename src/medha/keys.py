@@ -250,7 +250,7 @@ def _gauss_table() -> tuple[np.ndarray, int]:
     return np.array(thr[:-1], dtype=np.uint64), bound
 
 
-_GAUSS_THR, _GAUSS_BOUND = _gauss_table()
+_GAUSS_THR, GAUSS_BOUND = _gauss_table()  # GAUSS_BOUND: the largest |x| drawn
 
 
 def sample_gaussian(stream: TriviumStream, n: int) -> np.ndarray:
@@ -260,7 +260,7 @@ def sample_gaussian(stream: TriviumStream, n: int) -> np.ndarray:
     The result depends only on the stream's first n words.
     """
     words = stream.next_words(n)
-    return np.searchsorted(_GAUSS_THR, words, side="right").astype(np.int64) - _GAUSS_BOUND
+    return np.searchsorted(_GAUSS_THR, words, side="right").astype(np.int64) - GAUSS_BOUND
 
 
 def sample_uniform_mod(stream: TriviumStream, n: int, q: int) -> np.ndarray:
@@ -334,7 +334,7 @@ def sample_lanes(
         take = min(steps, g_steps - drawn)
         if take > 0:
             g_out[:, drawn:drawn + take] = (
-                np.searchsorted(_GAUSS_THR, words[n_lanes:, :take], side="right") - _GAUSS_BOUND
+                np.searchsorted(_GAUSS_THR, words[n_lanes:, :take], side="right") - GAUSS_BOUND
             )
             drawn += take
         if not short:
@@ -352,24 +352,6 @@ def sample_lanes(
         dest += np.arange(len(dest))
         flat[dest] = np.compress(ok.reshape(-1), cand)
         filled += got
-
-
-def signed_to_residues(x: np.ndarray, q: int) -> np.ndarray:
-    """Signed int64 coefficients into canonical residues mod q.
-
-    The Engine reduces its signed vectors through this: the secret, the
-    error and ternary samples, and encoded coefficients, whose range no
-    modulus bounds. When every word lies within one modulus (|x| < q), no
-    division is needed: a negative x read as a word is 2^64 + x, which
-    adding q wraps down to x + q, the smaller of the two; a nonnegative x
-    is already the residue. Key-switch and rescale lifts do not come here:
-    `heaan.CenteredLift` picks the same two paths from the lift's source
-    modulus, without scanning the words.
-    """
-    if x.size and -q < x.min() and x.max() < q:
-        r = x.view(np.uint64)
-        return np.minimum(r, r + np.uint64(q))
-    return (x % np.int64(q)).astype(np.uint64)
 
 
 @dataclass

@@ -37,9 +37,6 @@ class SplitPair:
     def q(self) -> PrimeModulus:
         return self.plus.q
 
-    def copy(self) -> "SplitPair":
-        return SplitPair(self.plus.copy(), self.minus.copy())
-
 
 def _split_consts(q: PrimeModulus, h: int) -> tuple[int, int, int]:
     """(zeta^h, inv2, zeta^-h * inv2) for half degree h."""

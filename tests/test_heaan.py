@@ -11,7 +11,7 @@ import pytest
 
 from medha import heaan
 from medha.archsim import compile_workload, execute_workload
-from medha.heaan import Ciphertext, Engine, KeySwitchKey, _centered_int64, _slot_index
+from medha.heaan import Ciphertext, Engine, KeySwitchKey, _slot_index
 from medha.keys import (
     COMP_KSK_ERROR,
     COMP_KSK_UNIFORM,
@@ -25,7 +25,15 @@ from medha.keys import (
     sample_uniform_mod,
     stream_for,
 )
-from medha.polyring import STANDARD, ResiduePoly, dyadic, ntt_inverse, scalar_mul, twiddle_table
+from medha.polyring import (
+    STANDARD,
+    ResiduePoly,
+    dyadic,
+    ntt_forward,
+    ntt_inverse,
+    scalar_mul,
+    twiddle_table,
+)
 from medha.ringsplit import forward_pair, split
 
 TOY = 64
@@ -38,6 +46,13 @@ def _rand_slots(rng, slots, mag=0.5):
 def _unit_slots(rng, slots):
     """Unit-modulus values so a product chain keeps its magnitude."""
     return np.exp(2j * np.pi * rng.uniform(0, 1, slots))
+
+
+def _reference_limb(signed, m):
+    """Signed words to an evaluation limb by Python-int x mod q, then the
+    forward transform: a reference that shares no reduction with the Engine."""
+    res = np.array([int(x) % m.value for x in signed], dtype=np.uint64)
+    return ntt_forward(ResiduePoly(m, res, "coeff", STANDARD))
 
 
 def _rel_err(got, want):
@@ -74,6 +89,39 @@ def test_encode_rejects_overflow_and_shape(toy_native):
         toy_native.encode(_rand_slots(rng, toy_native.slots, mag=2.0), 1 << 70)
     with pytest.raises(ValueError):
         toy_native.encode(np.ones(toy_native.slots + 1), 1 << 40)
+    with pytest.raises(ValueError):
+        toy_native.encode([np.nan], 1 << 40)
+
+
+def test_encode_reduces_on_both_paths(toy_native):
+    # at scale 2^58 the coefficient bound lies above every 54-bit prime and
+    # below q0, so q0's limb takes the conditional add and the others divide
+    eng = toy_native
+    rng = np.random.default_rng(53)
+    v, scale = _rand_slots(rng, eng.slots), 1 << 58
+    pt = eng.encode(v, scale)
+    # the rounded coefficients, from the encoding's definition
+    d = eng.degree
+    f = np.zeros(d, dtype=np.complex128)
+    tk = _slot_index(d)
+    f[tk], f[d - 1 - tk] = v, np.conj(v)
+    m = np.real(np.fft.fft(f) * np.exp(-1j * np.pi * np.arange(d) / d)) / d
+    coeffs = [int(c) for c in np.round(m * float(scale))]
+    q0, *small = (q.value for q in eng.base.primes)
+    assert max(small) <= max(abs(c) for c in coeffs) < q0
+    for limb in pt.limbs:
+        q = limb.q.value
+        assert [int(x) for x in ntt_inverse(limb).coeffs] == [c % q for c in coeffs]
+
+
+def test_switching_key_returns_installed_keys_and_refuses_missing(toy_native, set1):
+    assert toy_native.switching_key(0) is toy_native.relin_key
+    assert toy_native.switching_key(3) is toy_native.rotation_keys[3]
+    with pytest.raises(ValueError, match="^no rotation key for step 5$"):
+        toy_native.switching_key(5)
+    fresh = Engine(set1.base, TOY, "native", seed=6)
+    with pytest.raises(ValueError, match="^keygen before mult_relin$"):
+        fresh.switching_key(0)
 
 
 def test_encrypt_decrypt_fresh_noise(toy_native, toy_split):
@@ -215,9 +263,10 @@ def test_key_switch_matches_per_term_mac(toy_split2, fill):
     ext = base.extended_moduli(lvl)
     acc0, acc1 = [None] * len(ext), [None] * len(ext)
     for i in range(lvl):
-        signed = _centered_int64(eng._limb_to_parent(d[i]), base.primes[i].value)
+        q = base.primes[i].value
+        signed = [c - q if c > q // 2 else c for c in map(int, eng._limb_to_parent(d[i]))]
         for j, m in enumerate(ext):
-            dl = eng._signed_to_limb(signed, m)
+            dl = _reference_limb(signed, m)
             kind = "mac" if i else "mul"
             acc0[j] = dyadic(kind, dl, ksk.secret[i][j], acc=acc0[j])
             acc1[j] = dyadic(kind, dl, ksk.uniform[i][j], acc=acc1[j])
@@ -398,7 +447,7 @@ def test_every_key_row_matches_per_limb_streams(toy_native, toy_split, stored_id
         for i, m in enumerate(eng.base.primes):
             assert np.array_equal(eng.pk_a[i].coeffs, _uniform(eng, m, i, 0, COMP_PK_UNIFORM))
             b_plus_as = dyadic("mac", eng.pk_a[i], eng._s_grid[i], acc=eng.pk_b[i])
-            assert _same(b_plus_as, eng._signed_to_limb(e, m))
+            assert _same(b_plus_as, _reference_limb(e, m))
         assert [k.ksk_id for k in _keys(eng)] == [0, 1, 3]
         for ksk in _keys(eng):
             target = eng._ksk_target(ksk.ksk_id)
@@ -409,7 +458,7 @@ def test_every_key_row_matches_per_limb_streams(toy_native, toy_split, stored_id
                     assert np.array_equal(u.coeffs, _uniform(eng, m, i, j, COMP_KSK_UNIFORM, ksk.ksk_id))
                     pt = scalar_mul(target[j], eng.base.p_qtilde[i][j])
                     k_plus_us = dyadic("mac", u, eng._s_grid[j], acc=ksk.secret[i][j])
-                    assert _same(dyadic("sub", k_plus_us, pt), eng._signed_to_limb(e, m))
+                    assert _same(dyadic("sub", k_plus_us, pt), _reference_limb(e, m))
 
 
 def test_seed_must_fit_64_bits(set1):

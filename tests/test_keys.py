@@ -25,10 +25,10 @@ from medha.keys import (
     sample_lanes,
     sample_ternary,
     sample_uniform_mod,
-    signed_to_residues,
     stream_for,
 )
-from medha.params import get_param_set
+from medha.heaan import CenteredLift
+from medha.params import get_param_set, param_set_names
 
 
 class BitSerialTrivium:
@@ -274,10 +274,11 @@ def test_uniform_sampler_small_modulus():
     assert counts.min() > 0.8 * 50_000 / 17
 
 
-def test_signed_to_residues_centered(set1):
-    q = set1.base.primes[0].value
+def test_centered_lift_reduces_signed_words(set1):
+    m = set1.base.primes[0]
+    q = m.value
     x = np.array([-1, -2, 0, 1, q - 1, -(q // 2)], dtype=np.int64)
-    r = signed_to_residues(x, q)
+    r = CenteredLift(x, q - 1).residues(m).coeffs
     assert r.dtype == np.uint64
     assert int(r[0]) == q - 1
     assert int(r[1]) == q - 2
@@ -295,19 +296,55 @@ def test_gen_secret_deterministic():
     assert not np.array_equal(a.coeffs, c.coeffs)
 
 
-def test_signed_to_residues_both_paths_match_python_ints(set2):
-    # words within one modulus take the division-free path; a q0 row
-    # centred and lifted into a 54-bit target does not fit and takes `%`
+def test_centered_lift_both_paths_match_python_ints(set2):
+    # words within one modulus (max|x| <= q - 1) take the division-free
+    # path; max|x| = q or q + 1, or a q0 row centred and lifted into a
+    # 54-bit target, take `%`
     q0 = set2.base.primes[0].value
-    target = set2.base.primes[1].value
+    m = set2.base.primes[1]
+    target = m.value
     within = np.array([-target + 1, -1, 0, 1, target - 1], dtype=np.int64)
-    edges = np.array([-target, -1, 0, target - 1, target], dtype=np.int64)
+    edges = np.array([-target, -1, 0, target - 1, target, -target - 1], dtype=np.int64)
     rng = np.random.default_rng(41)
     lift = rng.integers(-(q0 // 2), q0 // 2 + 1, size=4096, dtype=np.int64)
     lift[:2] = (-(q0 // 2), q0 // 2)
     assert np.abs(lift).max() >= target
-    singles = [np.array([v], dtype=np.int64) for v in edges]
-    for x in (within, edges, lift, *singles):
-        got = signed_to_residues(x, target)
+    singles = [(np.array([v], dtype=np.int64), abs(int(v)) < target) for v in edges]
+    for x, fast in ((within, True), (edges, False), (lift, False), *singles):
+        half = max(abs(int(v)) for v in x)
+        assert (half < target) == fast
+        got = CenteredLift(x, half).residues(m).coeffs
         assert got.dtype == np.uint64
         assert [int(v) for v in got] == [int(v) % target for v in x]
+    for half in (target - 1, target, target + 1):
+        x = np.array([-half, half, 0], dtype=np.int64)
+        got = CenteredLift(x, half).residues(m).coeffs
+        assert [int(v) for v in got] == [int(v) % target for v in x]
+
+
+_PRESET_MODULI = list({
+    m.value: m for name in param_set_names() for m in get_param_set(name).base.all_moduli
+}.values())
+
+
+@st.composite
+def _signed_words(draw):
+    """A bound, anywhere up to 2^62 or within 2 of a preset modulus, and
+    signed words within it, both extremes included."""
+    near = st.builds(lambda m, k: max(m.value + k, 0),
+                     st.sampled_from(_PRESET_MODULI), st.integers(-2, 2))
+    half = draw(st.one_of(st.integers(0, 1 << 62), near))
+    words = draw(st.lists(st.integers(-half, half), min_size=0, max_size=24))
+    return np.array(words + [-half, half], dtype=np.int64), half
+
+
+@given(_signed_words())
+def test_centered_lift_matches_python_ints_under_every_preset_modulus(case):
+    x, half = case
+    lift = CenteredLift(x, half)
+    for m in _PRESET_MODULI:
+        got = lift.residues(m).coeffs
+        assert got.dtype == np.uint64
+        assert [int(v) for v in got] == [int(v) % m.value for v in x]
+
+

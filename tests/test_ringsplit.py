@@ -138,15 +138,6 @@ def test_split_rejects_bad_inputs(set1):
         eval_whole(SplitPair(halves.minus, halves.plus))
 
 
-def test_split_pair_copy_is_deep(set1):
-    rng = np.random.default_rng(36)
-    pair = split(_rand_parent(rng, set1.base.primes[0], 32))
-    dup = pair.copy()
-    dup.plus.coeffs[0] += np.uint64(1)
-    assert dup.plus.coeffs[0] != pair.plus.coeffs[0]
-    assert pair.q.value == set1.base.primes[0].value
-
-
 def test_zeta_consistency_between_split_and_twists(set1):
     # the constant multiplying the high half is the same root the plus and
     # minus transform seeds are built from
