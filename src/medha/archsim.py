@@ -247,13 +247,17 @@ class Program:
         return peak
 
 
+_CRITICAL_PATH_STEPS = 8   # the critical path's tail that a report shows
+
+
 @dataclass
 class CycleReport:
     total_cycles: int
+    serial_cycles: int            # the same program issued one instruction at a time
     per_pipe_busy: dict[str, int]
     op_histogram: dict[str, dict]
     per_op: list[dict]
-    critical_path: list[str]
+    critical_path: list[str]      # its last _CRITICAL_PATH_STEPS steps
     instruction_count: int
     clock_mhz: float
 
@@ -261,12 +265,42 @@ class CycleReport:
     def latency_us(self) -> float:
         return self.total_cycles / self.clock_mhz
 
+    @property
+    def dual_issue(self) -> dict:
+        """The two controllers' total against the single-issue one."""
+        s, d = self.serial_cycles, self.total_cycles
+        return {"serial_cycles": s, "dual_cycles": d, "savings": (s - d) / s if s else 0.0}
+
 
 # ---------------------------------------------------------------------------
-# stream builder
+# compilation
 
-class _Builder:
-    """Emits the two controller streams and tracks slot dataflow.
+def _limb_rpaus(level: int) -> tuple[int, ...]:
+    return tuple(range(level))
+
+
+def _ct_binding(rpaus, slots_c0, slots_c1):
+    return {
+        "kind": "ct",
+        "components": [
+            [(r, tuple(slots_c0)) for r in rpaus],
+            [(r, tuple(slots_c1)) for r in rpaus],
+        ],
+    }
+
+
+def _pt_binding(rpaus, slots):
+    return {"kind": "pt", "components": [[(r, tuple(slots)) for r in rpaus]]}
+
+
+def _slot_terms(slots) -> tuple:
+    return tuple(("slot", s) for s in slots)
+
+
+class _OpCompiler:
+    """Compiles one high-level operation into the two controller streams:
+    it holds the op's frame (level, RPAUs, slot layout, receive buffers)
+    and the streams' slot dataflow, and emits every instruction.
 
     Dependencies are resolved at compile time into explicit retire-before-
     start edges, so the simulator never has to guess: read-after-write
@@ -276,17 +310,34 @@ class _Builder:
     mark on an RPAU is the number of distinct slots touched there.
     """
 
-    def __init__(self, machine: MachineConfig, op_seq: int):
+    def __init__(self, pset: ParamSet, machine: MachineConfig, level: int, op_seq: int,
+                 op: str, name: str):
+        if level < 1 or level > pset.levels:
+            raise UnsupportedOpError(f"level {level} outside 1..{pset.levels}")
+        if pset.levels + 1 > machine.n_rpaus:
+            raise UnsupportedOpError("parameter set needs more RPAUs than built")
+        self.pset = pset
         self.machine = machine
+        self.level = level
         self.op_seq = op_seq
+        self.op = op
+        self.name = name
+        self.split = pset.mode == "split"
+        self.limbs = _limb_rpaus(level)
+        self.sp = machine.special_rpau
+        self.all_r = self.limbs + (self.sp,)
         self.streams: tuple[list[Instruction], list[Instruction]] = ([], [])
         self.uid = 0
         self.last_write: dict[tuple[int, int], int] = {}
         self.readers: dict[tuple[int, int], list[int]] = {}
         self.touched: dict[int, set[int]] = {}
         self.sync_seq = 0
+        # rotating receive buffers; in split mode three physical slots carry
+        # a two-slot payload so the next broadcast can land while the
+        # previous one is still being consumed
+        self._recv_seq = 0
 
-    # -- slot lifecycle -----------------------------------------------------
+    # slot lifecycle and emission --------------------------------------------
 
     def _touch(self, rpau: int, slot: int):
         if slot >= self.machine.rpm_slots:
@@ -299,8 +350,6 @@ class _Builder:
         for r in rpaus:
             for s in slots:
                 self._touch(r, s)
-
-    # -- emission -----------------------------------------------------------
 
     def emit(
         self,
@@ -364,55 +413,6 @@ class _Builder:
             )
             self.uid += 1
 
-
-# ---------------------------------------------------------------------------
-# compilation
-
-def _limb_rpaus(level: int) -> tuple[int, ...]:
-    return tuple(range(level))
-
-
-def _ct_binding(rpaus, slots_c0, slots_c1):
-    return {
-        "kind": "ct",
-        "components": [
-            [(r, tuple(slots_c0)) for r in rpaus],
-            [(r, tuple(slots_c1)) for r in rpaus],
-        ],
-    }
-
-
-def _pt_binding(rpaus, slots):
-    return {"kind": "pt", "components": [[(r, tuple(slots)) for r in rpaus]]}
-
-
-def _slot_terms(slots) -> tuple:
-    return tuple(("slot", s) for s in slots)
-
-
-class _OpCompiler:
-    """Shared context for compiling one high-level operation."""
-
-    def __init__(self, pset: ParamSet, machine: MachineConfig, level: int, op_seq: int,
-                 op: str, name: str):
-        if level < 1 or level > pset.levels:
-            raise UnsupportedOpError(f"level {level} outside 1..{pset.levels}")
-        if pset.levels + 1 > machine.n_rpaus:
-            raise UnsupportedOpError("parameter set needs more RPAUs than built")
-        self.pset = pset
-        self.level = level
-        self.op = op
-        self.name = name
-        self.split = pset.mode == "split"
-        self.b = _Builder(machine, op_seq)
-        self.limbs = _limb_rpaus(level)
-        self.sp = machine.special_rpau
-        self.all_r = self.limbs + (self.sp,)
-        # rotating receive buffers; in split mode three physical slots carry
-        # a two-slot payload so the next broadcast can land while the
-        # previous one is still being consumed
-        self._recv_seq = 0
-
     # op frame ---------------------------------------------------------------
 
     def slots(self, i: int) -> tuple[int, ...]:
@@ -421,20 +421,20 @@ class _OpCompiler:
 
     def open(self, rpaus, slots):
         """Preload the op's inputs, then the rendezvous that dispatches it."""
-        self.b.preload(rpaus, slots)
-        self.b.sync(SYNC_CTRL, op_start=True)
+        self.preload(rpaus, slots)
+        self.sync(SYNC_CTRL, op_start=True)
 
     def close(self, inputs, outputs, functional=True, **meta) -> OpProgram:
         """Drain both controllers, rendezvous, and package the op."""
-        self.b.sync(SYNC_PIPES)
-        self.b.sync(SYNC_CTRL)
+        self.sync(SYNC_PIPES)
+        self.sync(SYNC_CTRL)
         return self.program(inputs, outputs, functional, level=self.level, **meta)
 
     def program(self, inputs, outputs, functional=True, **meta) -> OpProgram:
         return OpProgram(
-            kind=self.op, name=self.name, streams=self.b.streams, inputs=inputs,
+            kind=self.op, name=self.name, streams=self.streams, inputs=inputs,
             outputs=outputs, meta=meta, functional=functional,
-            high_water={r: len(s) for r, s in self.b.touched.items()},
+            high_water={r: len(s) for r, s in self.touched.items()},
         )
 
     def recv_slots(self, ring: Sequence[int]) -> tuple[int, ...]:
@@ -457,24 +457,24 @@ class _OpCompiler:
             terms = _slot_terms(s[h] for s in (srcs or (dst,)))
             if kind == "mac":
                 terms += (("slot", d),)
-            self.b.emit(op, ctrl, rpaus, dst=(d,), src=terms, kind=kind,
-                        half=self.half(h), **meta)
+            self.emit(op, ctrl, rpaus, dst=(d,), src=terms, kind=kind,
+                      half=self.half(h), **meta)
 
     def to_coeff(self, ctrl, rpaus, slots):
         """Evaluation limb to parent-ring coefficients, in place."""
         self.per_half(INTT, ctrl, rpaus, slots)
         if self.split:
-            self.b.emit(JOIN, ctrl, rpaus, dst=slots, src=_slot_terms(slots))
+            self.emit(JOIN, ctrl, rpaus, dst=slots, src=_slot_terms(slots))
 
     def to_eval(self, ctrl, rpaus, slots):
         """Parent-ring coefficients to an evaluation limb, in place."""
         if self.split:
-            self.b.emit(SPLIT, ctrl, rpaus, dst=slots, src=_slot_terms(slots), half="m")
+            self.emit(SPLIT, ctrl, rpaus, dst=slots, src=_slot_terms(slots), half="m")
         self.per_half(NTT, ctrl, rpaus, slots)
 
     def bcast(self, ctrl, src_rpau, src_slots, receivers, recv):
         """Coefficients on src_rpau -> re-reduced evaluation limbs on receivers."""
-        self.b.emit(
+        self.emit(
             BCAST, ctrl, receivers, dst=recv,
             src=tuple(("remote", src_rpau, s) for s in src_slots),
             words=len(src_slots),
@@ -506,8 +506,8 @@ class _OpCompiler:
                     terms = (("slot", r), ("ksk", ksk_id, comp, i))
                     if i:
                         terms += (("slot", acc[h]),)
-                    self.b.emit(DYADIC, 1, self.all_r, dst=(acc[h],), src=terms,
-                                kind="mac" if i else "mul", half=self.half(h))
+                    self.emit(DYADIC, 1, self.all_r, dst=(acc[h],), src=terms,
+                              kind="mac" if i else "mul", half=self.half(h))
         for acc in (acc0, acc1):
             self.mod_down(0, acc, self.limbs, recv_ring, self.sp, self.pset.levels)
 
@@ -605,11 +605,11 @@ def _compile_rotate(c: _OpCompiler, steps: int) -> OpProgram:
             # the map crosses the half-ring boundary, so walk each component
             # through full-ring coefficients and back
             c.to_coeff(0, c.limbs, src)
-            c.b.emit(AUTO, 0, c.limbs, dst=dst, src=_slot_terms(src), words=2, g=g,
-                     coeff_domain=True)
+            c.emit(AUTO, 0, c.limbs, dst=dst, src=_slot_terms(src), words=2, g=g,
+                   coeff_domain=True)
             c.to_eval(0, c.limbs, dst)
         else:
-            c.b.emit(AUTO, 0, c.limbs, dst=dst, src=_slot_terms(src), g=g)
+            c.emit(AUTO, 0, c.limbs, dst=dst, src=_slot_terms(src), g=g)
     c.key_switch(a1, acc0, acc1, steps, recv_ring)
     c.per_half(CWISE, 0, c.limbs, a0, [a0, acc0], "add")
     return c.close(
@@ -621,8 +621,8 @@ def _compile_rotate(c: _OpCompiler, steps: int) -> OpProgram:
 
 def _compile_ntt_bench(c: _OpCompiler) -> OpProgram:
     s = c.slots(0)[:1]
-    c.b.preload((0,), s)
-    c.b.emit(NTT, 0, (0,), dst=s, src=_slot_terms(s))
+    c.preload((0,), s)
+    c.emit(NTT, 0, (0,), dst=s, src=_slot_terms(s))
     return c.program(inputs={}, outputs={}, functional=False)
 
 
@@ -674,28 +674,30 @@ def compile_workload(pset: ParamSet, ops: Sequence[dict],
 # ---------------------------------------------------------------------------
 # simulation
 
-def _resources(ins: Instruction, serial: bool) -> list[tuple]:
+def _resources(ins: Instruction) -> list[tuple]:
     """The busy-until keys a costed instruction waits for and then holds."""
-    keys = [("ring",)] if ins.pipe == PIPE_RING else [(r, ins.pipe) for r in ins.rpaus]
-    if serial:
-        keys.append(("serial",))
-    return keys
+    return [("ring",)] if ins.pipe == PIPE_RING else [(r, ins.pipe) for r in ins.rpaus]
 
 
 def simulate(program: Program, cost: Optional[CostModel] = None,
-             serial: bool = False, clock_mhz: Optional[float] = None) -> CycleReport:
+             clock_mhz: Optional[float] = None) -> CycleReport:
     """Run the two controller streams through the machine's resources.
 
     Returns exact cycle totals; raises DependencyCycleError when neither
-    controller can make progress. With serial=True every costed
-    instruction additionally serializes on one global resource, which is
-    the single-issue baseline the dual-issue comparison uses.
+    controller can make progress. The single-issue baseline the report
+    compares with (`serial_cycles`) takes no second schedule: issuing one
+    instruction at a time, each starts once its predecessor retires, and
+    by then so have its producers, its pipes, the ring and every fence. So
+    that machine idles only for each op's dispatch overhead, and its total
+    is the busy cycles plus those overheads.
     """
     cost = cost or CostModel()
     pipe_free: dict = {}
     busy = {PIPE_MAIN: 0, PIPE_DYADIC: 0, PIPE_RING: 0}
+    overhead = 0
     histogram: dict[str, dict] = {}
-    per_op: dict[int, dict] = {}
+    timing: list[tuple[OpProgram, dict, dict]] = []   # (op, started, retired) by uid
+    per_op: list[dict] = []
     t_end = 0
 
     for opp in program.ops:
@@ -727,7 +729,7 @@ def simulate(program: Program, cost: Optional[CostModel] = None,
                     return None
                 if retired[d] > t:
                     t = retired[d]
-            for k in _resources(ins, serial):
+            for k in _resources(ins):
                 if pipe_free.get(k, 0) > t:
                     t = pipe_free[k]
             return t
@@ -751,7 +753,9 @@ def simulate(program: Program, cost: Optional[CostModel] = None,
             ins = streams[who][ptr[who]]
             group = [who, 1 - who] if ins.op == SYNC_CTRL else [who]
             cycles = cost.cost(ins)
-            retire = best + cycles + (cost.op_overhead if ins.meta.get("op_start") else 0)
+            dispatch = cost.op_overhead if ins.meta.get("op_start") else 0
+            overhead += dispatch
+            retire = best + cycles + dispatch
             for c in group:
                 i = streams[c][ptr[c]]
                 ptr[c] += 1
@@ -762,7 +766,7 @@ def simulate(program: Program, cost: Optional[CostModel] = None,
                     fence[c] = retire
                 else:
                     last_start[c] = best
-                    for k in _resources(i, serial):
+                    for k in _resources(i):
                         pipe_free[k] = retire
                     busy[i.pipe] += cycles
                 h = histogram.setdefault(i.op, {"count": 0, "cycles": 0})
@@ -774,38 +778,38 @@ def simulate(program: Program, cost: Optional[CostModel] = None,
 
         # high-level ops execute back to back: later ops wait for the bar
         t_end = op_t1
-        per_op[id(opp)] = {
-            "name": opp.name, "kind": opp.kind,
-            "start": op_t0 if op_t0 is not None else t_end,
-            "end": op_t1,
-            "cycles": op_t1 - (op_t0 if op_t0 is not None else op_t1),
-            "_retired": retired, "_started": started, "_streams": streams,
-        }
+        start = op_t1 if op_t0 is None else op_t0
+        timing.append((opp, started, retired))
+        per_op.append({"name": opp.name, "kind": opp.kind, "start": start,
+                       "end": op_t1, "cycles": op_t1 - start})
 
     return CycleReport(
         total_cycles=t_end,
+        serial_cycles=sum(busy.values()) + overhead,
         per_pipe_busy=busy,
         op_histogram=histogram,
-        per_op=[{k: per_op[id(opp)][k] for k in ("name", "kind", "start", "end", "cycles")}
-                for opp in program.ops],
-        critical_path=_critical_path(program, per_op),
+        per_op=per_op,
+        critical_path=_critical_path(timing),
         instruction_count=program.instruction_count,
         clock_mhz=clock_mhz or program.machine.clock_mhz,
     )
 
 
-def _critical_path(program: Program, per_op: dict, limit: int = 48) -> list[str]:
-    """Walk back from the final retire through each instruction's binding
-    dependency, falling back to the latest earlier retire on the same pipe."""
+def _critical_path(timing: list) -> list[str]:
+    """The last _CRITICAL_PATH_STEPS steps of the critical path: walk back
+    from the final retire through each instruction's binding dependency,
+    falling back to the latest earlier retire on the same pipe. A step
+    never returns to an instruction already walked: where instructions
+    take no cycles, two can each retire when the other starts."""
     entries: list[str] = []
-    for opp in reversed(program.ops):
-        data = per_op[id(opp)]
-        retired, started = data["_retired"], data["_started"]
+    for opp, started, retired in reversed(timing):
         if not retired:
             continue
-        by_uid = {i.uid: i for s in data["_streams"] for i in s}
+        by_uid = {i.uid: i for s in opp.streams for i in s}
         uid = max(retired, key=lambda u: (retired[u], u))
-        while uid is not None and len(entries) < limit:
+        walked: set[int] = set()
+        while uid is not None and len(entries) < _CRITICAL_PATH_STEPS:
+            walked.add(uid)
             ins = by_uid[uid]
             if ins.op not in _SYNC_OPS:
                 entries.append(
@@ -814,19 +818,19 @@ def _critical_path(program: Program, per_op: dict, limit: int = 48) -> list[str]
                 )
             pred, best = None, -1
             for d in ins.deps:
-                if d in retired and retired[d] > best:
+                if d in retired and d not in walked and retired[d] > best:
                     best, pred = retired[d], d
             if pred is None:
                 t0 = started[uid]
                 for u2, t2 in retired.items():
-                    if u2 == uid or t2 > t0 or t2 <= best:
+                    if u2 in walked or t2 > t0 or t2 <= best:
                         continue
                     other = by_uid[u2]
                     if ins.pipe != PIPE_NONE and other.pipe != ins.pipe:
                         continue
                     best, pred = t2, u2
             uid = pred
-        if len(entries) >= limit:
+        if len(entries) >= _CRITICAL_PATH_STEPS:
             break
     entries.reverse()
     return entries
@@ -836,15 +840,8 @@ def _critical_path(program: Program, per_op: dict, limit: int = 48) -> list[str]
 # derived analyses
 
 def dual_issue_savings(program: Program, cost: Optional[CostModel] = None) -> dict:
-    cost = cost or CostModel()
-    dual = simulate(program, cost)
-    ser = simulate(program, cost, serial=True)
-    s, d = ser.total_cycles, dual.total_cycles
-    return {
-        "serial_cycles": s,
-        "dual_cycles": d,
-        "savings": (s - d) / s if s else 0.0,
-    }
+    """The program's dual-issue schedule against a single-issue machine."""
+    return simulate(program, cost).dual_issue
 
 
 def memory_audit(program: Program) -> dict:

@@ -27,7 +27,6 @@ from .archsim import (
     UnsupportedOpError,
     calibrate_split_move,
     compile_workload,
-    dual_issue_savings,
     execute_workload,
     memory_audit,
     simulate,
@@ -181,7 +180,6 @@ def _run(args) -> dict:
         report["keys"] = keys_info
     if args.simulate:
         r = simulate(program, cost)
-        dual = dual_issue_savings(program, cost)
         report["simulation"] = {
             "clock_mhz": machine.clock_mhz,
             "total_cycles": r.total_cycles,
@@ -193,12 +191,12 @@ def _run(args) -> dict:
             },
             "per_op": r.per_op,
             "memory": memory_audit(program),
-            "dual_issue": dual,
+            "dual_issue": r.dual_issue,
             "cost_model": {
                 "split_move_cycles": cost.split_move_cycles,
                 "op_overhead": cost.op_overhead,
             },
-            "critical_path_head": r.critical_path[-8:],
+            "critical_path_head": r.critical_path,
         }
     return report
 

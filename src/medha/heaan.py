@@ -192,10 +192,6 @@ class Engine:
 
     # ---- limb primitives ----
 
-    def _limb_to_parent(self, limb: ResiduePoly) -> np.ndarray:
-        """Evaluation-domain limb to parent-ring coefficient residues."""
-        return ntt_inverse(limb).coeffs
-
     def _draw(
         self, uniform_tags: Sequence[tuple], error_tags: Sequence[tuple] = ()
     ) -> tuple[list, list]:
@@ -353,6 +349,8 @@ class Engine:
         v = np.asarray(values, dtype=np.complex128)
         if v.ndim != 1 or len(v) > self.slots:
             raise ValueError(f"expected at most {self.slots} slot values")
+        if not np.isfinite(v).all():
+            raise ValueError("slot values must be finite; got NaN or infinity")
         if len(v) < self.slots:
             v = np.concatenate([v, np.zeros(self.slots - len(v), dtype=np.complex128)])
         d = self.degree
@@ -364,14 +362,14 @@ class Engine:
         m = np.real(np.fft.fft(f) * np.exp(-1j * np.pi * jj / d)) / d
         coeffs = np.round(m * float(scale))
         peak = np.abs(coeffs).max()
-        if not peak < 2**62:  # a NaN fails this too
+        if not peak < 2**62:  # so does a NaN, from a transform that overflowed
             raise ValueError("encoded coefficients overflow 62 bits; lower the scale")
         lift = CenteredLift(coeffs.astype(np.int64), int(peak))
         return Plaintext([lift.limb(q) for q in self.base.level_moduli(level)], scale)
 
     def _limbs_to_centered(self, limbs: list) -> list[int]:
         moduli = self.base.level_moduli(len(limbs))
-        rows = [self._limb_to_parent(x) for x in limbs]
+        rows = [ntt_inverse(x).coeffs for x in limbs]
         return crt_reconstruct(rows, [m.value for m in moduli])
 
     def decode(self, pt: Plaintext) -> np.ndarray:
@@ -425,9 +423,12 @@ class Engine:
 
     # ---- arithmetic ----
 
-    def _check_pair(self, x: Ciphertext, y) -> None:
+    def _check_level(self, x: Ciphertext, y) -> None:
         if x.level != y.level:
             raise ValueError(f"level mismatch: {x.level} vs {y.level}")
+
+    def _check_pair(self, x: Ciphertext, y) -> None:
+        self._check_level(x, y)
         if x.scale != y.scale:
             raise ValueError("scale mismatch; rescale or re-encode first")
 
@@ -446,15 +447,13 @@ class Engine:
         )
 
     def mult_plain(self, ct: Ciphertext, pt: Plaintext) -> Ciphertext:
-        if ct.level != pt.level:
-            raise ValueError(f"level mismatch: {ct.level} vs {pt.level}")
+        self._check_level(ct, pt)
         return Ciphertext(
             _each("mul", ct.c0, pt.limbs), _each("mul", ct.c1, pt.limbs), ct.scale * pt.scale
         )
 
     def mult_relin(self, x: Ciphertext, y: Ciphertext) -> Ciphertext:
-        if x.level != y.level:
-            raise ValueError(f"level mismatch: {x.level} vs {y.level}")
+        self._check_level(x, y)
         ksk = self.switching_key(RELIN_KSK_ID)
         d0 = _each("mul", x.c0, y.c0)
         d1 = [

@@ -33,10 +33,6 @@ class SplitPair:
     plus: ResiduePoly
     minus: ResiduePoly
 
-    @property
-    def q(self) -> PrimeModulus:
-        return self.plus.q
-
 
 def _split_consts(q: PrimeModulus, h: int) -> tuple[int, int, int]:
     """(zeta^h, inv2, zeta^-h * inv2) for half degree h."""

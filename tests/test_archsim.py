@@ -1,7 +1,8 @@
 """Compiled instruction streams: cycle accounting, hazards and functional replay."""
 
+import functools
 import hashlib
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -37,6 +38,7 @@ from medha.archsim import (
 )
 from medha.heaan import Ciphertext, Engine
 from medha.params import get_param_set
+from medha.polyring import ntt_inverse
 from medha.workloads import get_workload, workload_names
 
 TOY = 64
@@ -216,7 +218,7 @@ def _same_ct(eng, a, b):
     assert a.level == b.level
     for ca, cb in zip((a.c0, a.c1), (b.c0, b.c1)):
         for la, lb in zip(ca, cb):
-            assert np.array_equal(eng._limb_to_parent(la), eng._limb_to_parent(lb))
+            assert np.array_equal(ntt_inverse(la).coeffs, ntt_inverse(lb).coeffs)
 
 
 _DIRECT = {
@@ -284,7 +286,7 @@ def test_operand_level_must_match_compiled_level(set1, toy_native):
 
 def _ct_equal(eng, a, b) -> bool:
     return all(
-        np.array_equal(eng._limb_to_parent(la), eng._limb_to_parent(lb))
+        np.array_equal(ntt_inverse(la).coeffs, ntt_inverse(lb).coeffs)
         for ca, cb in ((a.c0, b.c0), (a.c1, b.c1)) for la, lb in zip(ca, cb)
     )
 
@@ -828,3 +830,41 @@ def test_mixed_programs_match_engine_native(set1, toy_native, ops):
 ])
 def test_mixed_programs_match_engine_split(set2, toy_split2, ops):
     _check_program(set2, toy_split2, ops)
+
+
+@functools.cache
+def _catalog_programs() -> list:
+    return [_bench_program(get_param_set(pset_name), name)[1]
+            for pset_name in ("set1", "set2", "logreg") for name in workload_names()]
+
+
+def _single_issue_total(prog, cost) -> int:
+    """The single-issue schedule run out in full: every costed instruction
+    also holds one global resource, so one runs at a time."""
+    resources = archsim._resources
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(archsim, "_resources", lambda ins: resources(ins) + [("serial",)])
+        return simulate(prog, cost).total_cycles
+
+
+_cost_models = st.builds(
+    CostModel, **{f.name: st.integers(0, 10_000) for f in fields(CostModel)})
+
+
+@settings(max_examples=30)
+@given(cost=_cost_models, random_program=st.one_of(
+    _rotate_add_programs().map(lambda ops: (_SET1, ops)),
+    _mixed_programs(_SET1, (1, 3)).map(lambda ops: (_SET1, ops)),
+    _mixed_programs(_SET2, (1,)).map(lambda ops: (_SET2, ops)),
+))
+@example(cost=CostModel(ntt=100, intt=9000, dyadic=10, bcast=5000, op_overhead=7),
+         random_program=(_SET2, [{"op": "mult_relin", "x": "a", "y": "b", "out": "c"}]))
+@example(cost=CostModel(**{f.name: 0 for f in fields(CostModel)}),  # the path walk once looped
+         random_program=(_SET1, [{"op": "rotate", "x": "a", "out": "a"}]))
+def test_serial_cycles_equal_a_single_issue_schedule(cost, random_program):
+    # one instruction at a time idles only for each op's dispatch overhead,
+    # so the report's closed form must equal that schedule's total
+    for prog in _catalog_programs() + [compile_workload(*random_program)]:
+        rep = simulate(prog, cost)
+        assert rep.serial_cycles == _single_issue_total(prog, cost)
+        assert rep.total_cycles <= rep.serial_cycles

@@ -1,5 +1,6 @@
 """Command-line behavior: reports, formats, exit codes, key persistence."""
 
+import hashlib
 import json
 import os
 
@@ -50,6 +51,21 @@ def test_simulation_section(tmp_path):
     assert sim["latency_us"] == pytest.approx(1_152 / 200.0)
     assert sim["memory"]["ksk_regenerated_from_seed"] is True
     assert sim["dual_issue"]["serial_cycles"] >= sim["dual_issue"]["dual_cycles"]
+
+
+@pytest.mark.parametrize("param_set, workload, want", [
+    ("set1", "mult_relin", "c78350f5bc6353f4"),
+    ("logreg", "logreg", "1e54b3a6a64a8ad6"),
+])
+def test_simulation_section_pinned(tmp_path, param_set, workload, want):
+    # the section as the CLI assembles it from its one report: the
+    # dual-issue comparison and the critical path's head included
+    report = tmp_path / "report.json"
+    argv = ["--param-set", param_set, "--workload", workload, "--simulate"]
+    assert main([*argv, "--report", str(report)]) == 0
+    sim = json.loads(report.read_bytes())["simulation"]
+    digest = hashlib.sha256(json.dumps(sim, sort_keys=True).encode()).hexdigest()[:16]
+    assert digest == want
 
 
 def test_clock_override(tmp_path):

@@ -85,12 +85,19 @@ def test_decode_divides_by_exact_scale(toy_native):
 
 def test_encode_rejects_overflow_and_shape(toy_native):
     rng = np.random.default_rng(52)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^encoded coefficients overflow 62 bits"):
         toy_native.encode(_rand_slots(rng, toy_native.slots, mag=2.0), 1 << 70)
     with pytest.raises(ValueError):
         toy_native.encode(np.ones(toy_native.slots + 1), 1 << 40)
     with pytest.raises(ValueError):
         toy_native.encode([np.nan], 1 << 40)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.5, np.nan)])
+def test_encode_rejects_non_finite_slots(toy_native, value):
+    # refused as such, not as an overflow that blames the scale
+    with pytest.raises(ValueError, match="^slot values must be finite; got NaN or infinity$"):
+        toy_native.encode([0.25, value], 1 << 40)
 
 
 def test_encode_reduces_on_both_paths(toy_native):
@@ -190,6 +197,11 @@ def test_pair_checks_raise(toy_native):
     z = eng.encrypt(eng.encode(_rand_slots(rng, eng.slots), 1 << 40, level=3))
     with pytest.raises(ValueError, match="level"):
         eng.add(x, z)
+    mismatch = f"^level mismatch: {eng.base.levels} vs 3$"
+    with pytest.raises(ValueError, match=mismatch):
+        eng.mult_relin(x, z)
+    with pytest.raises(ValueError, match=mismatch):
+        eng.mult_plain(x, eng.encode(_rand_slots(rng, eng.slots), 1 << 40, level=3))
 
 
 def test_plain_operands(toy_native, toy_split):
@@ -264,7 +276,7 @@ def test_key_switch_matches_per_term_mac(toy_split2, fill):
     acc0, acc1 = [None] * len(ext), [None] * len(ext)
     for i in range(lvl):
         q = base.primes[i].value
-        signed = [c - q if c > q // 2 else c for c in map(int, eng._limb_to_parent(d[i]))]
+        signed = [c - q if c > q // 2 else c for c in map(int, ntt_inverse(d[i]).coeffs)]
         for j, m in enumerate(ext):
             dl = _reference_limb(signed, m)
             kind = "mac" if i else "mul"
@@ -345,6 +357,32 @@ def test_rotate_key_management(toy_native, set1):
         fresh.gen_rotation_keys((1,))
     with pytest.raises(ValueError, match="keygen"):
         fresh.encrypt(fresh.encode(np.zeros(4), 1 << 40))
+
+
+def test_rotate_by_a_multiple_of_slots_copies(toy_native):
+    eng = toy_native
+    ct = eng.encrypt(eng.encode(_rand_slots(np.random.default_rng(65), eng.slots), 1 << 40))
+    for k in (0, 1, -2):
+        out = eng.rotate(ct, k * eng.slots)
+        assert out.scale == ct.scale
+        for got, src in zip(out.c0 + out.c1, ct.c0 + ct.c1, strict=True):
+            assert _same(got, src) and not np.shares_memory(got.coeffs, src.coeffs)
+
+
+@pytest.mark.parametrize("engine", ["toy_native", "toy_split2"])
+def test_gen_rotation_keys_equal_keygen_keys(request, engine):
+    # keys added after keygen come from the same tagged streams as keys
+    # keygen makes in its one batch, so they are the same bits
+    made = request.getfixturevalue(engine)
+    late = Engine(made.base, made.degree, made.mode, seed=made.seed)
+    late.keygen()
+    late.gen_rotation_keys(sorted(made.rotation_keys) + [made.slots, 1 + made.slots])
+    assert sorted(late.rotation_keys) == sorted(made.rotation_keys)
+    for a, b in zip(_keys(made), _keys(late), strict=True):
+        assert a.ksk_id == b.ksk_id
+        for grid_a, grid_b in ((a.uniform, b.uniform), (a.secret, b.secret)):
+            for row_a, row_b in zip(grid_a, grid_b, strict=True):
+                assert all(_same(x, y) for x, y in zip(row_a, row_b, strict=True))
 
 
 def test_keygen_rejects_stored_key_it_would_not_make(toy_native, set1):
@@ -459,6 +497,20 @@ def test_every_key_row_matches_per_limb_streams(toy_native, toy_split, stored_id
                     pt = scalar_mul(target[j], eng.base.p_qtilde[i][j])
                     k_plus_us = dyadic("mac", u, eng._s_grid[j], acc=ksk.secret[i][j])
                     assert _same(dyadic("sub", k_plus_us, pt), _reference_limb(e, m))
+
+
+def test_engine_rejects_unknown_mode_and_degree(set1):
+    with pytest.raises(ValueError, match="^unknown mode 'hybrid'$"):
+        Engine(set1.base, TOY, "hybrid")
+    for degree, mode in ((48, "native"), (4, "native"), (8, "split")):
+        with pytest.raises(ValueError, match="^degree must be a power of two >= "):
+            Engine(set1.base, degree, mode)
+
+
+def test_decrypt_without_secret_key_raises(toy_native, set1):
+    ct = toy_native.encrypt(toy_native.encode(np.ones(4), 1 << 40))
+    with pytest.raises(ValueError, match="^no secret key in this engine$"):
+        Engine(set1.base, TOY, "native", seed=5).decrypt(ct)
 
 
 def test_seed_must_fit_64_bits(set1):

@@ -20,7 +20,7 @@ from medha.serialize import (
     save_ksk,
 )
 from medha.heaan import Ciphertext, Engine
-from medha.polyring import ResiduePoly
+from medha.polyring import ResiduePoly, ntt_inverse
 
 TOY = 64
 
@@ -35,7 +35,7 @@ def _assert_ct_equal(eng, a, b):
     assert a.level == b.level
     for ca, cb in zip((a.c0, a.c1), (b.c0, b.c1)):
         for la, lb in zip(ca, cb):
-            assert np.array_equal(eng._limb_to_parent(la), eng._limb_to_parent(lb))
+            assert np.array_equal(ntt_inverse(la).coeffs, ntt_inverse(lb).coeffs)
 
 
 def _assert_ksk_equal(a, b):
