@@ -39,32 +39,34 @@ reproduce the evaluation engine's ciphertexts bit for bit. Replay runs
 each instruction atomically, in a dependency order of its own, so it
 checks the compiled edges only in part: with one main-controller edge of
 a `mult_relin` dyadic instruction dropped, it fails or differs for 4 of
-14 such edges at set1 and 9 of 36 at set2. Replaying the simulator's
+14 such edges at set1 and 9 of 36 at set2 (and for 5 of 15 and 10 of 25
+the other way round). Replaying the simulator's
 dispatch order would catch none, as it starts such a reader only after
-its writer has started. In split mode the executor is where the
-half-ring datapath runs: it loads each full-degree engine limb into its
-plus and minus slots and reads the halves back as one limb.
+its writer has started.
 
-Replay computes what commutes with a Galois map once (hoisting; Halevi and
-Shoup, CRYPTO 2018). A native AUTO output is kept as the map g of its input
-limb x, and the INTT, BCAST and NTT that carry it through the key switch
-come from one decomposition of x: the centered lift of its coefficients,
-transformed under each modulus. An automorphism permutes residues and
-negates some, the lift commutes with negation for odd q, and each transform
-maps the map's coefficient form onto its evaluation form, so every slot
-keeps its bits while the rotations of one ciphertext share the
-decomposition. The lift is `heaan.CenteredLift`, the one reduction of
-signed words that the Engine's keygen, encode, encrypt, key switch and
-rescale all go through, so both halves share one choice between the
-conditional add and the division; only the per-modulus cache of a
-decomposition (`_Decomp`) is the executor's own, since it serves sharing
+Replay runs both limb layouts on one path, and computes what commutes
+with a Galois map once (hoisting; Halevi and Shoup, CRYPTO 2018). Each
+operand slot holds an image of its limb x, one slot native and a plus and
+a minus slot split, and the INTT of a computed limb starts one. The
+transforms, the JOIN and SPLIT butterflies, AUTO and BCAST only move an
+image's domain, compose its Galois map or retarget its modulus, so what
+they carry comes from one decomposition of x: the centered lift of its
+coefficients, transformed under each modulus. An automorphism permutes
+residues and negates some, the lift commutes with negation for odd q, and
+each transform maps the map's coefficient form onto its evaluation form,
+so every slot keeps its bits while the rotations of one ciphertext share
+the decomposition. The decomposition (`_Decomp`) is the only executor
+code that knows the layout: on a split limb it runs the half-ring
+datapath, the half-ring transforms with a JOIN or a SPLIT. Its lift is
+`heaan.CenteredLift`, the one reduction of signed words that the Engine's
+keygen, encode, encrypt, key switch and rescale all go through, so both
+halves share one choice between the conditional add and the division;
+only its per-modulus cache is the executor's own, since it serves sharing
 across ops. Keys come from `Engine.switching_key`, so a missing one is
 refused as the Engine op refuses it. A limb broadcast back to its own RPAU
 is the limb its INTT started from, so it is not transformed again. DYADIC
 mul/mac chains sum their products unreduced in a `kernels.WideSum` and
-reduce once, when another instruction reads the slot. Split-mode streams
-run AUTO on coefficients, between JOIN and SPLIT, and share no
-decomposition.
+reduce once, when another instruction reads the slot.
 """
 
 from __future__ import annotations
@@ -74,25 +76,21 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import kernels
 from .heaan import RELIN_KSK_ID, CenteredLift, Ciphertext, galois_element
 from .kernels import WideSum
 from .modarith import PrimeModulus
 from .params import ParamSet
 from .polyring import (
-    STANDARD,
     ResiduePoly,
     RingTwist,
     automorphism,
-    automorphism_coeff,
     dyadic,
     ntt_forward,
     ntt_inverse,
     scalar_mul,
 )
-from .ringsplit import SplitPair, eval_halves, eval_whole, join, split
+from .ringsplit import SplitPair, eval_halves, eval_whole, forward_pair, inverse_pair, join, split
 
 # ---------------------------------------------------------------------------
 # instruction set
@@ -862,23 +860,6 @@ def memory_audit(program: Program) -> dict:
 # ---------------------------------------------------------------------------
 # functional execution of compiled streams
 
-@dataclass
-class _ParentHalf:
-    """Half of a full-ring coefficient vector riding in one RPM slot."""
-    q: PrimeModulus
-    coeffs: np.ndarray
-
-
-def _scatter(state, rpau, slots, poly: ResiduePoly) -> None:
-    """Store a polynomial in one slot, or cut into two parent halves."""
-    if len(slots) == 1:
-        state[(rpau, slots[0])] = poly
-        return
-    h = poly.n // 2
-    state[(rpau, slots[0])] = _ParentHalf(poly.q, poly.coeffs[:h].copy())
-    state[(rpau, slots[1])] = _ParentHalf(poly.q, poly.coeffs[h:].copy())
-
-
 def _exec_order(streams) -> list[Instruction]:
     """Any dependency-respecting linearization; arithmetic is exact so all
     such orders produce identical values."""
@@ -902,54 +883,68 @@ def _exec_order(streams) -> list[Instruction]:
     return out
 
 
-def _eval_parts(limb: ResiduePoly, k: int) -> tuple[ResiduePoly, ...]:
-    """The k slot parts of an evaluation limb: the limb itself, or views of
-    its plus and minus half-ring evaluations."""
-    if k == 1:
-        return (limb,)
-    pair = eval_halves(limb)
-    return pair.plus, pair.minus
+def _eval_part(limb: ResiduePoly, parts: int, part: int) -> ResiduePoly:
+    """Slot `part` of an evaluation limb held in `parts` slots: the limb
+    itself, or a view of its plus or minus half-ring evaluation."""
+    return limb if parts == 1 else (eval_halves(limb).minus if part else eval_halves(limb).plus)
 
 
 class _Decomp:
     """The key-switch decomposition of an evaluation limb x, built on
-    demand: the centered lift of x's coefficients (one inverse transform),
-    and that lift reduced and transformed under each modulus asked for (one
-    forward transform each; under x's own modulus it is x itself)."""
+    demand: the centered lift of x's coefficients, and that lift reduced
+    and transformed under each modulus asked for (under x's own modulus it
+    is x itself). These are the only transforms the executor runs, and the
+    only ones that differ by layout: a split limb (parts 2) runs the
+    half-ring datapath, the inverse half transforms and a JOIN for its lift
+    and a SPLIT and the forward half transforms for each modulus."""
 
-    def __init__(self, x: ResiduePoly):
+    def __init__(self, x: ResiduePoly, parts: int):
         self.x = x
+        self.parts = parts
         self.evals = {x.q.value: x}
 
     @functools.cached_property
     def lift(self) -> CenteredLift:
-        return CenteredLift.of_limb(ntt_inverse(self.x))
+        x = self.x
+        coeffs = join(inverse_pair(eval_halves(x))) if self.parts == 2 else ntt_inverse(x)
+        return CenteredLift.of_limb(coeffs)
 
     def eval(self, q: PrimeModulus) -> ResiduePoly:
         if q.value not in self.evals:
-            self.evals[q.value] = ntt_forward(self.lift.residues(q))
+            r = self.lift.residues(q)
+            self.evals[q.value] = (
+                eval_whole(forward_pair(split(r))) if self.parts == 2 else ntt_forward(r))
         return self.evals[q.value]
 
 
 @dataclass
 class _Image:
     """A slot value known by where it comes from: the Galois map g of the
-    decomposed limb d.x, lifted to q, in `domain` (eval: d.eval(q) mapped).
-    The transforms and a broadcast of x's own lift commute with the map, so
-    they pass an image on without computing it; any other reader computes
-    it once. An automorphism permutes residues and negates some, and the
-    centered lift commutes with negation for odd q."""
+    decomposed limb d.x, lifted to q, in `domain` (eval, coeff, or a split
+    limb's half-ring coefficients), or its plus or minus half (`part`).
+    Only an arithmetic read computes it, once and in the evaluation domain:
+    d.eval(q) mapped by g, or that limb's half."""
     d: _Decomp
     g: int
     q: PrimeModulus
     domain: str
+    part: int = 0
 
     def value(self) -> ResiduePoly:
-        if self.domain == "eval":
-            v = self.d.eval(self.q)
-            return automorphism(v, self.g) if self.g != 1 else v
-        v = self.d.lift.residues(self.q)
-        return automorphism_coeff(v, self.g) if self.g != 1 else v
+        if self.domain != "eval":
+            raise ValueError(f"arithmetic read of an image in the {self.domain} domain")
+        v = self.d.eval(self.q)
+        return _eval_part(automorphism(v, self.g) if self.g != 1 else v, self.d.parts, self.part)
+
+
+@dataclass
+class _Half:
+    """A computed evaluation half after its INTT: its limb's image starts at
+    the JOIN of both halves, once the other is final too."""
+    v: ResiduePoly
+
+    def value(self) -> ResiduePoly:
+        raise ValueError("arithmetic read of a lone half")
 
 
 @dataclass
@@ -973,13 +968,13 @@ class _Chain:
 class _Executor:
     """Runs instruction streams on RPM slot states, {(rpau, slot): value}.
 
-    A slot holds a limb, a parent half, or one of two deferred values that
-    `read` settles on the slot's first read: an `_Image` of a decomposed
-    limb, or a `_Chain` of products. Native AUTO outputs are images, and so
-    is every native INTT output (the map g = 1 of its input); NTT, INTT and
-    a BCAST of x's own lift pass images on, so the rotations of one limb x
-    share its decomposition, kept in `decomps` while a live value holds x.
-    A limb broadcast back to its own RPAU transforms to x itself.
+    Both limb layouts run one path. Each operand slot is seeded as an image
+    of its limb, and an INTT of a computed limb starts one. NTT, INTT, JOIN
+    and SPLIT move an image's domain, AUTO composes its Galois element into
+    it and BCAST retargets its modulus; the other instructions compute,
+    settling an image or a `_Chain` of products on a slot's first read. So
+    every transform is a decomposition's, and the rotations of one limb x
+    share x's, kept in `decomps` while a live value holds x.
     """
 
     def __init__(self, engine, program: Program):
@@ -990,6 +985,11 @@ class _Executor:
         levels = self.base.levels
         self.mod_idx = {r: r for r in range(levels)} | {program.machine.special_rpau: levels}
         self.decomps: dict[int, _Decomp] = {}   # id(x) -> its decomposition
+        # the domain an instruction moves an image to: eval <-> coeff on a
+        # native limb, eval -> half -> coeff -> half -> eval on a split one
+        mid = "half" if self.parts == 2 else "coeff"
+        self.moves = {(INTT, "eval"): mid, (NTT, mid): "eval",
+                      (JOIN, "half"): "coeff", (SPLIT, "coeff"): "half"}
 
     def modulus(self, rpau: int) -> PrimeModulus:
         return self.base.all_moduli[self.mod_idx[rpau]]
@@ -997,7 +997,7 @@ class _Executor:
     def decomp(self, x: ResiduePoly) -> _Decomp:
         d = self.decomps.get(id(x))
         if d is None:
-            d = self.decomps[id(x)] = _Decomp(x)
+            d = self.decomps[id(x)] = _Decomp(x, self.parts)
         return d
 
     def keep_only(self, values) -> None:
@@ -1009,19 +1009,31 @@ class _Executor:
         }
         self.decomps = {k: d for k, d in self.decomps.items() if k in held}
 
+    def seed(self, state, binding, value) -> None:
+        """Each slot of an operand's limbs, as an image of its limb."""
+        comps = [value.c0, value.c1] if binding["kind"] == "ct" else [value.limbs]
+        for comp, places in zip(comps, binding["components"]):
+            if len(comp) != len(places):
+                raise ArchSimError(
+                    f"operand has {len(comp)} limbs; the op is compiled for {len(places)}"
+                )
+            for limb, (rpau, slots) in zip(comp, places):
+                for part, s in enumerate(slots):
+                    state[(rpau, s)] = _Image(self.decomp(limb), 1, limb.q, "eval", part)
+
     def read(self, state, key):
         """A slot's value, settling an image or a chain on its first read."""
         v = state[key]
-        if isinstance(v, (_Image, _Chain)):
+        if isinstance(v, (_Image, _Half, _Chain)):
             v = state[key] = v.value()
         return v
 
-    def gather(self, state, rpau, slots) -> ResiduePoly:
-        """The polynomial in one slot, or joined from its two parent halves."""
-        if len(slots) == 1:
-            return self.read(state, (rpau, slots[0]))
-        lo, hi = (self.read(state, (rpau, s)) for s in slots)
-        return ResiduePoly(lo.q, np.concatenate([lo.coeffs, hi.coeffs]), "coeff", STANDARD)
+    @staticmethod
+    def image(state, key) -> _Image:
+        v = state[key]
+        if not isinstance(v, _Image):
+            raise ValueError(f"slot {key} holds no image to pass on")
+        return v
 
     def operand(self, state, term, rpau, half):
         """A source slot's polynomial, or the key part for the same half."""
@@ -1030,7 +1042,7 @@ class _Executor:
         _, ksk_id, comp, i = term
         key = self.eng.switching_key(ksk_id)
         limb = (key.secret if comp == 0 else key.uniform)[i][self.mod_idx[rpau]]
-        return _eval_parts(limb, self.parts)[half == "m"]
+        return _eval_part(limb, self.parts, half == "m")
 
     def run(self, opp: OpProgram, state: dict) -> None:
         for ins in _exec_order(opp.streams):
@@ -1043,6 +1055,26 @@ class _Executor:
 
         c0, c1 = ([limb(*place) for place in places] for places in binding["components"])
         return Ciphertext(c0, c1, scale)
+
+    def move(self, op: str, state: dict, keys: list) -> None:
+        """Move the images in `keys` through a transform or a butterfly. An
+        INTT of a computed limb starts its image; on a split limb it leaves
+        a `_Half`, and the JOIN of two starts their limb's."""
+        if op == INTT and not isinstance(state[keys[0]], _Image):
+            v = self.read(state, keys[0])
+            if self.parts == 2:
+                state[keys[0]] = _Half(v)
+                return
+            state[keys[0]] = _Image(_Decomp(v, 1), 1, v.q, "eval")
+        elif op == JOIN and all(isinstance(state[k], _Half) for k in keys):
+            d = _Decomp(eval_whole(SplitPair(*(state[k].v for k in keys))), 2)
+            for part, k in enumerate(keys):
+                state[k] = _Image(d, 1, d.x.q, "half", part)
+        for k in keys:
+            v = self.image(state, k)
+            if (op, v.domain) not in self.moves:
+                raise ValueError(f"{op} of an image in the {v.domain} domain")
+            state[k] = replace(v, domain=self.moves[op, v.domain])
 
     def accumulate(self, ins: Instruction, state: dict, r: int) -> None:
         """A DYADIC mul opens a chain in its slot, and a mac onto the open
@@ -1063,20 +1095,9 @@ class _Executor:
         state[key] = chain
 
     def step(self, ins: Instruction, state: dict) -> None:
-        if ins.op in (NTT, INTT):
-            domain = "eval" if ins.op == NTT else "coeff"
+        if ins.op in (NTT, INTT, JOIN, SPLIT):
             for r in ins.rpaus:
-                key = (r, ins.dst[0])
-                v = state[key]
-                if isinstance(v, _Image) and v.domain != domain:
-                    # the transform of a mapped limb is the map of its transform
-                    state[key] = replace(v, domain=domain)
-                    continue
-                v = self.read(state, key)
-                if ins.op == INTT and self.parts == 1 and v.domain == "eval":
-                    state[key] = _Image(self.decomp(v), 1, v.q, "coeff")
-                else:
-                    state[key] = (ntt_forward if ins.op == NTT else ntt_inverse)(v)
+                self.move(ins.op, state, [(r, s) for s in ins.dst])
         elif ins.op == DYADIC and ins.kind in ("mul", "mac"):
             for r in ins.rpaus:
                 self.accumulate(ins, state, r)
@@ -1091,49 +1112,20 @@ class _Executor:
                 x = self.read(state, (r, ins.dst[0]))
                 state[(r, ins.dst[0])] = scalar_mul(x, inv[self.mod_idx[r]])
         elif ins.op == BCAST:
-            src, slots = ins.src[0][1], [t[2] for t in ins.src]
-            v = state[(src, slots[0])]
-            if isinstance(v, _Image) and v.domain == "coeff" and v.q.value == v.d.x.q.value:
-                # the lift of a mapped limb is the map of its lift
+            # the lift of a mapped limb is the map of its lift
+            for t, s in zip(ins.src, ins.dst):
+                v = self.image(state, (t[1], t[2]))
+                if v.domain != "coeff" or v.q.value != v.d.x.q.value:
+                    raise ValueError("BCAST takes a limb's coefficients under its own modulus")
                 for r in ins.rpaus:
-                    state[(r, ins.dst[0])] = replace(v, q=self.modulus(r))
-            else:
-                lift = CenteredLift.of_limb(self.gather(state, src, slots))
-                for r in ins.rpaus:
-                    _scatter(state, r, ins.dst, lift.residues(self.modulus(r)))
-        elif ins.op == SPLIT:
-            for r in ins.rpaus:
-                pair = split(self.gather(state, r, [t[1] for t in ins.src]))
-                state[(r, ins.dst[0])] = pair.plus
-                state[(r, ins.dst[1])] = pair.minus
-        elif ins.op == JOIN:
-            for r in ins.rpaus:
-                pair = SplitPair(*(self.read(state, (r, t[1])) for t in ins.src))
-                _scatter(state, r, ins.dst, join(pair))
+                    state[(r, s)] = replace(v, q=self.modulus(r))
         elif ins.op == AUTO:
-            g = ins.meta["g"]
             for r in ins.rpaus:
-                x = self.gather(state, r, [t[1] for t in ins.src])
-                if ins.meta.get("coeff_domain"):
-                    _scatter(state, r, ins.dst, automorphism_coeff(x, g))
-                elif x.domain == "eval":
-                    state[(r, ins.dst[0])] = _Image(self.decomp(x), g, x.q, "eval")
-                else:
-                    state[(r, ins.dst[0])] = automorphism(x, g)
+                for t, s in zip(ins.src, ins.dst):
+                    v = self.image(state, (r, t[1]))
+                    state[(r, s)] = replace(v, g=v.g * ins.meta["g"] % (2 * self.eng.degree))
         else:
             raise UnsupportedOpError(f"cannot execute {ins.op}")
-
-
-def _seed_binding(state, binding, value):
-    comps = [value.c0, value.c1] if binding["kind"] == "ct" else [value.limbs]
-    for comp, places in zip(comps, binding["components"]):
-        if len(comp) != len(places):
-            raise ArchSimError(
-                f"operand has {len(comp)} limbs; the op is compiled for {len(places)}"
-            )
-        for limb, (rpau, slots) in zip(comp, places):
-            for s, part in zip(slots, _eval_parts(limb, len(slots))):
-                state[(rpau, s)] = part
 
 
 def _run_order(ops: list, variables: dict) -> list[int]:
@@ -1214,7 +1206,7 @@ def execute_workload(engine, program: Program, variables: dict) -> dict:
         state: dict = {}
         operands = [live[name] for name in reads]
         for binding, value in zip(opp.inputs.values(), operands):
-            _seed_binding(state, binding, value)
+            ex.seed(state, binding, value)
         # a sum keeps its operands' common scale, a product multiplies them
         # and a rescale divides by the dropped prime
         scale = operands[0].scale

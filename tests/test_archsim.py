@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from medha import archsim, kernels
+from medha import archsim, kernels, ringsplit
 from medha.archsim import (
     BCAST,
     NTT,
@@ -291,29 +291,44 @@ def _ct_equal(eng, a, b) -> bool:
     )
 
 
-@pytest.mark.parametrize("pset_name, engine, mutants, caught_at_least", [
-    ("set1", "toy_native", 14, 4),
-    ("set2", "toy_split2", 36, 9),
-])
-def test_replay_catches_dropped_dependencies(request, pset_name, engine, mutants,
-                                             caught_at_least):
-    # drop, one at a time, each edge from a dyadic-controller instruction to
-    # the main controller; replay in dependency order must keep failing or
-    # computing a different ciphertext for at least as many mutants as now
+# (set, op, controller whose edges to the other one are dropped): (mutants, caught)
+_DROPPED_EDGES = {
+    ("set1", "mult_relin", "dyadic"): (14, 4),
+    ("set1", "mult_relin", "main"): (15, 5),
+    ("set1", "rotate", "dyadic"): (14, 3),
+    ("set1", "rotate", "main"): (11, 4),
+    ("set2", "mult_relin", "dyadic"): (36, 9),
+    ("set2", "mult_relin", "main"): (25, 10),
+    ("set2", "rotate", "dyadic"): (36, 8),
+    ("set2", "rotate", "main"): (18, 9),
+}
+
+
+@pytest.mark.parametrize("pset_name, engine", [("set1", "toy_native"), ("set2", "toy_split2")])
+@pytest.mark.parametrize("op", ("mult_relin", "rotate"))
+@pytest.mark.parametrize("reader", ("dyadic", "main"))
+def test_replay_catches_dropped_dependencies(request, pset_name, engine, op, reader):
+    # drop, one at a time, each edge from an instruction of the reader's
+    # controller to the other controller; replay in dependency order must
+    # keep failing (with a KeyError or ValueError) or computing a different
+    # ciphertext for at least as many mutants as now
+    mutants, caught_at_least = _DROPPED_EDGES[pset_name, op, reader]
     eng = request.getfixturevalue(engine)
-    spec, prog = _bench_program(get_param_set(pset_name), "mult_relin")
+    spec, prog = _bench_program(get_param_set(pset_name), op)
     variables, _ = spec.build_inputs(eng, 3)
-    want = eng.mult_relin(variables["x"], variables["y"])
+    want = _DIRECT[op](eng, variables)
     (opp,) = prog.ops
-    main = {i.uid for i in opp.streams[0]}
+    ctrl = 1 if reader == "dyadic" else 0
+    other = {i.uid for i in opp.streams[1 - ctrl]}
     made = caught = 0
-    for k, ins in enumerate(opp.streams[1]):
-        if not main.intersection(ins.deps):
+    for k, ins in enumerate(opp.streams[ctrl]):
+        if not other.intersection(ins.deps):
             continue
         made += 1
-        dyadic = list(opp.streams[1])
-        dyadic[k] = replace(ins, deps=tuple(d for d in ins.deps if d not in main))
-        mutant = replace(opp, streams=(opp.streams[0], dyadic))
+        streams = list(opp.streams)
+        streams[ctrl] = list(streams[ctrl])
+        streams[ctrl][k] = replace(ins, deps=tuple(d for d in ins.deps if d not in other))
+        mutant = replace(opp, streams=tuple(streams))
         try:
             got = execute_workload(eng, Program(prog.pset, prog.machine, [mutant]), variables)
         except (KeyError, ValueError):
@@ -640,12 +655,22 @@ def test_replay_without_relin_key_raises_engine_error(set1):
         execute_workload(eng, prog, {"x": ct})
 
 
-def _toy_logreg(logreg_pset):
-    eng = Engine(logreg_pset.base, TOY, "native", seed=7)
-    spec = get_workload(logreg_pset, "logreg")
+def _toy_logreg(pset):
+    eng = Engine(pset.base, TOY, pset.mode, seed=7)
+    spec = get_workload(pset, "logreg")
     eng.keygen(rotation_steps=spec.rotation_steps)
     variables, _ = spec.build_inputs(eng, 11)
-    return eng, compile_workload(logreg_pset, spec.ops), variables
+    return eng, compile_workload(pset, spec.ops), variables
+
+
+def _count_calls(monkeypatch, calls, owners, name):
+    """Count into calls[name] every call of `name` made through one of `owners`."""
+    calls[name] = 0
+    for owner in owners:
+        def wrapped(*args, fn=getattr(owner, name)):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(owner, name, wrapped)
 
 
 def test_logreg_replay_shares_one_decomposition(logreg_pset, monkeypatch):
@@ -653,20 +678,30 @@ def test_logreg_replay_shares_one_decomposition(logreg_pset, monkeypatch):
     # limb broadcast back to its own RPAU is not transformed again, and
     # every DYADIC mul/mac chain is summed unreduced, so no Barrett product
     eng, prog, variables = _toy_logreg(logreg_pset)
-    calls = {"ntt_forward": 0, "ntt_inverse": 0, "mulmod": 0}
-
-    def counted(name, fn):
-        def wrapped(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapped
-
+    calls = {}
     for name in ("ntt_forward", "ntt_inverse"):
-        monkeypatch.setattr(archsim, name, counted(name, getattr(archsim, name)))
-    monkeypatch.setattr(kernels.ModContext, "mulmod",
-                        counted("mulmod", kernels.ModContext.mulmod))
+        _count_calls(monkeypatch, calls, (archsim,), name)
+    _count_calls(monkeypatch, calls, (kernels.ModContext,), "mulmod")
     execute_workload(eng, prog, variables)
     assert calls == {"ntt_forward": 239, "ntt_inverse": 67, "mulmod": 0}
+
+
+def test_split_logreg_replay_shares_one_decomposition(set2, monkeypatch):
+    # split limbs share decompositions as native ones do, and only the
+    # decompositions transform: each runs two half-ring transforms where a
+    # native limb runs one, a SPLIT before each forward pair and a JOIN
+    # after each inverse pair, so the counts are twice, once and once
+    # native logreg's 239 forward and 67 inverse transforms
+    eng, prog, variables = _toy_logreg(set2)
+    calls = {}
+    for name in ("ntt_forward", "ntt_inverse"):
+        _count_calls(monkeypatch, calls, (archsim, ringsplit), name)
+    for name in ("split", "join"):
+        _count_calls(monkeypatch, calls, (archsim,), name)
+    _count_calls(monkeypatch, calls, (kernels.ModContext,), "mulmod")
+    execute_workload(eng, prog, variables)
+    assert calls == {"ntt_forward": 478, "ntt_inverse": 134, "split": 239, "join": 67,
+                     "mulmod": 0}
 
 
 def test_decomposition_dropped_with_its_variable(logreg_pset, monkeypatch):
@@ -685,7 +720,8 @@ def test_decomposition_dropped_with_its_variable(logreg_pset, monkeypatch):
     rotations = [k for k, (opp, _, _) in enumerate(runs) if opp.kind == "rotate"]
     assert len(rotations) == 7
     opp, _, state = runs[rotations[0]]
-    t0_c1 = [state[(r, slots[0])] for r, slots in opp.inputs["x"]["components"][1]]
+    # each operand slot is seeded as an image of its limb
+    t0_c1 = [state[(r, slots[0])].d.x for r, slots in opp.inputs["x"]["components"][1]]
     ids = {id(limb) for limb in t0_c1}
     shared = {k: d for k, d in runs[rotations[1]][1].items() if k in ids}
     assert set(shared) == ids
@@ -696,6 +732,7 @@ def test_decomposition_dropped_with_its_variable(logreg_pset, monkeypatch):
 
 
 _INPUTS = ("a", "b")
+_PT_SCALE = Fraction(1 << 40)   # the scale plaintext operands are encoded at
 
 
 @st.composite
@@ -753,13 +790,14 @@ def test_rotate_add_programs_match_engine(set1, toy_native, ops):
 
 
 def _mixed_programs(pset, steps):
-    """Op lists mixing mult_relin, rescale and sub with rotate and add, over
-    the top-level inputs a and b and a temporary c. The strategy tracks each
-    name's level and scale and draws only ops whose operands agree: a sum
-    reads two names of one level and scale, a product two of one level, and
-    a rescale a name above level 1."""
+    """Op lists mixing mult_relin, mult_plain, rescale and sub with rotate and
+    add, over the top-level inputs a and b and a temporary c. The strategy
+    tracks each name's level and scale and draws only ops whose operands
+    agree: a sum reads two names of one level and scale, a product two of
+    one level, a plaintext product the plaintext p<level> encoded at its
+    operand's level, and a rescale a name above level 1."""
     primes = [m.value for m in pset.base.primes]
-    kinds = ("rotate", "add", "sub", "mult_relin", "rescale")
+    kinds = ("rotate", "add", "sub", "mult_relin", "mult_plain", "rescale")
 
     @st.composite
     def programs(draw):
@@ -778,6 +816,9 @@ def _mixed_programs(pset, steps):
             elif op["op"] == "mult_relin":
                 op["y"] = draw(st.sampled_from(peers))
                 scale *= state[op["y"]][1]
+            elif op["op"] == "mult_plain":
+                op["pt"] = f"p{level}"
+                scale *= _PT_SCALE
             else:
                 level, scale = level - 1, scale / primes[level - 1]
             op["out"] = draw(st.sampled_from(_INPUTS + ("c",)))
@@ -789,12 +830,18 @@ def _mixed_programs(pset, steps):
 
 
 def _check_program(pset, eng, ops):
-    """Every name execute_workload returns equals an Engine interpretation."""
+    """Every ciphertext execute_workload returns equals an Engine
+    interpretation, and every plaintext is the one supplied."""
     rng = np.random.default_rng(18)
     variables = {
         name: eng.encrypt(eng.encode(rng.uniform(-1.0, 1.0, eng.slots), 1 << 40), enc_index=k)
         for k, name in enumerate(_INPUTS)
     }
+    plaintexts = {
+        op["pt"]: eng.encode(rng.uniform(-1.0, 1.0, eng.slots), _PT_SCALE, level=op["level"])
+        for op in ops if op["op"] == "mult_plain"
+    }
+    variables.update(plaintexts)
     result = execute_workload(eng, compile_workload(pset, ops), variables)
     engine_op = {**_ENGINE_OP, "sub": lambda e, v, op: e.sub(v[op["x"]], v[op["y"]])}
     want = dict(variables)
@@ -802,7 +849,10 @@ def _check_program(pset, eng, ops):
         want[op["out"]] = engine_op[op["op"]](eng, want, op)
     assert set(result) <= set(want) and ops[-1]["out"] in result
     for name, value in result.items():
-        _same_ct(eng, value, want[name])
+        if name in plaintexts:
+            assert value is plaintexts[name]
+        else:
+            _same_ct(eng, value, want[name])
 
 
 _SET1, _SET2 = get_param_set("set1"), get_param_set("set2")
@@ -816,6 +866,11 @@ _SET1, _SET2 = get_param_set("set1"), get_param_set("set2")
     {"op": "rotate", "steps": 3, "x": "c", "level": 6, "out": "a"},
     {"op": "sub", "x": "c", "y": "a", "level": 6, "out": "b"},
 ])
+@example(ops=[  # a plaintext product below the top level, rotated
+    {"op": "rescale", "x": "a", "level": 7, "out": "c"},
+    {"op": "mult_plain", "x": "c", "pt": "p6", "level": 6, "out": "c"},
+    {"op": "rotate", "steps": 1, "x": "c", "level": 6, "out": "b"},
+])
 def test_mixed_programs_match_engine_native(set1, toy_native, ops):
     _check_program(set1, toy_native, ops)
 
@@ -827,6 +882,11 @@ def test_mixed_programs_match_engine_native(set1, toy_native, ops):
     {"op": "rescale", "x": "a", "level": 8, "out": "c"},
     {"op": "mult_relin", "x": "c", "y": "c", "level": 7, "out": "b"},
     {"op": "rotate", "steps": 1, "x": "b", "level": 7, "out": "a"},
+])
+@example(ops=[  # a plaintext product, rescaled and rotated
+    {"op": "mult_plain", "x": "a", "pt": "p9", "level": 9, "out": "c"},
+    {"op": "rescale", "x": "c", "level": 9, "out": "c"},
+    {"op": "rotate", "steps": 1, "x": "c", "level": 8, "out": "b"},
 ])
 def test_mixed_programs_match_engine_split(set2, toy_split2, ops):
     _check_program(set2, toy_split2, ops)
