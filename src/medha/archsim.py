@@ -45,28 +45,30 @@ dispatch order would catch none, as it starts such a reader only after
 its writer has started.
 
 Replay runs both limb layouts on one path, and computes what commutes
-with a Galois map once (hoisting; Halevi and Shoup, CRYPTO 2018). Each
-operand slot holds an image of its limb x, one slot native and a plus and
-a minus slot split, and the INTT of a computed limb starts one. The
-transforms, the JOIN and SPLIT butterflies, AUTO and BCAST only move an
-image's domain, compose its Galois map or retarget its modulus, so what
-they carry comes from one decomposition of x: the centered lift of its
-coefficients, transformed under each modulus. An automorphism permutes
-residues and negates some, the lift commutes with negation for odd q, and
-each transform maps the map's coefficient form onto its evaluation form,
-so every slot keeps its bits while the rotations of one ciphertext share
-the decomposition. The decomposition (`_Decomp`) is the only executor
-code that knows the layout: on a split limb it runs the half-ring
-datapath, the half-ring transforms with a JOIN or a SPLIT. Its lift is
-`heaan.CenteredLift`, the one reduction of signed words that the Engine's
-keygen, encode, encrypt, key switch and rescale all go through, so both
-halves share one choice between the conditional add and the division;
-only its per-modulus cache is the executor's own, since it serves sharing
-across ops. Keys come from `Engine.switching_key`, so a missing one is
-refused as the Engine op refuses it. A limb broadcast back to its own RPAU
-is the limb its INTT started from, so it is not transformed again. DYADIC
-mul/mac chains sum their products unreduced in a `kernels.WideSum` and
-reduce once, when another instruction reads the slot.
+with a Galois map once (hoisting; Halevi and Shoup, CRYPTO 2018). The
+slots of a limb x, one native and a plus and a minus split, hold one image
+of it: an operand is seeded so, and the INTT of a computed limb starts
+one. The transforms, the JOIN and SPLIT butterflies, AUTO and BCAST only
+move an image's domain, compose its Galois map or retarget its modulus,
+so what they carry comes from one decomposition of x (`_Decomp`): the
+centered lift of its coefficients (`heaan.CenteredLift`, the reduction of
+signed words that the Engine's key switch and rescale go through too),
+transformed under each modulus. An automorphism permutes residues and
+negates some, the lift commutes with negation for odd q, and each
+transform maps the map's coefficient form onto its evaluation form, so
+every slot keeps its bits. Only the decomposition knows the layout: on a
+split limb it runs the half-ring transforms with a JOIN or a SPLIT.
+
+Replay holds each value, as the RPAUs do, from its first write to its last
+read: a temporary until its last reader, an evaluation until the last
+slot of its image reads it, and an operand's decomposition, with the
+evaluations that the rotations of the operand share, until the last op
+that reads the operand. A limb broadcast back to its own RPAU is the limb
+its INTT started from, so it is not transformed again. DYADIC mul/mac
+chains sum their products unreduced in a `kernels.WideSum` and reduce
+once, when another instruction reads the slot. Keys come from
+`Engine.switching_key`, so a missing one is refused as the Engine op
+refuses it.
 """
 
 from __future__ import annotations
@@ -83,7 +85,6 @@ from .modarith import PrimeModulus
 from .params import ParamSet
 from .polyring import (
     ResiduePoly,
-    RingTwist,
     automorphism,
     dyadic,
     ntt_forward,
@@ -152,7 +153,6 @@ class Instruction:
     meta: dict = field(default_factory=dict, hash=False, compare=False)
     uid: int = -1
     deps: tuple[int, ...] = ()
-    op_seq: int = -1
 
     def label(self) -> str:
         tag = self.op if not self.kind else f"{self.op}.{self.kind}"
@@ -308,8 +308,7 @@ class _OpCompiler:
     mark on an RPAU is the number of distinct slots touched there.
     """
 
-    def __init__(self, pset: ParamSet, machine: MachineConfig, level: int, op_seq: int,
-                 op: str, name: str):
+    def __init__(self, pset: ParamSet, machine: MachineConfig, level: int, op: str, name: str):
         if level < 1 or level > pset.levels:
             raise UnsupportedOpError(f"level {level} outside 1..{pset.levels}")
         if pset.levels + 1 > machine.n_rpaus:
@@ -317,7 +316,6 @@ class _OpCompiler:
         self.pset = pset
         self.machine = machine
         self.level = level
-        self.op_seq = op_seq
         self.op = op
         self.name = name
         self.split = pset.mode == "split"
@@ -386,7 +384,7 @@ class _OpCompiler:
         ins = Instruction(
             op=op, pipe=_PIPE[op], ctrl=ctrl, rpaus=rpaus, dst=tuple(dst),
             src=tuple(src), kind=kind, words=words, half=half, meta=meta,
-            uid=self.uid, deps=tuple(sorted(deps)), op_seq=self.op_seq,
+            uid=self.uid, deps=tuple(sorted(deps)),
         )
         self.uid += 1
         for ref in reads:
@@ -406,8 +404,7 @@ class _OpCompiler:
             self.sync_seq += 1
         for c in (0, 1):
             self.streams[c].append(
-                Instruction(op=op, pipe=PIPE_NONE, ctrl=c, rpaus=(), meta=dict(meta),
-                            uid=self.uid, op_seq=self.op_seq)
+                Instruction(op=op, pipe=PIPE_NONE, ctrl=c, rpaus=(), meta=dict(meta), uid=self.uid)
             )
             self.uid += 1
 
@@ -603,8 +600,7 @@ def _compile_rotate(c: _OpCompiler, steps: int) -> OpProgram:
             # the map crosses the half-ring boundary, so walk each component
             # through full-ring coefficients and back
             c.to_coeff(0, c.limbs, src)
-            c.emit(AUTO, 0, c.limbs, dst=dst, src=_slot_terms(src), words=2, g=g,
-                   coeff_domain=True)
+            c.emit(AUTO, 0, c.limbs, dst=dst, src=_slot_terms(src), words=2, g=g)
             c.to_eval(0, c.limbs, dst)
         else:
             c.emit(AUTO, 0, c.limbs, dst=dst, src=_slot_terms(src), g=g)
@@ -613,7 +609,6 @@ def _compile_rotate(c: _OpCompiler, steps: int) -> OpProgram:
     return c.close(
         inputs={"x": _ct_binding(c.limbs, c0, c1)},
         outputs={"out": _ct_binding(c.limbs, a0, acc1)},
-        steps=steps, galois=g,
     )
 
 
@@ -628,8 +623,8 @@ def _compile_ntt_bench(c: _OpCompiler) -> OpProgram:
 # workload-level compilation
 
 def compile_op(pset: ParamSet, op: str, level: Optional[int] = None,
-               machine: Optional[MachineConfig] = None, op_seq: int = 0,
-               name: Optional[str] = None, steps: int = 1) -> OpProgram:
+               machine: Optional[MachineConfig] = None, name: Optional[str] = None,
+               steps: int = 1) -> OpProgram:
     build = {
         "add": _compile_add, "sub": _compile_add,
         "mult_plain": _compile_mult_plain, "mult_relin": _compile_mult_relin,
@@ -639,7 +634,7 @@ def compile_op(pset: ParamSet, op: str, level: Optional[int] = None,
     if build is None:
         raise UnsupportedOpError(f"unknown operation {op!r}")
     level = pset.levels if level is None else level
-    return build(_OpCompiler(pset, machine or MachineConfig(), level, op_seq, op, name or op))
+    return build(_OpCompiler(pset, machine or MachineConfig(), level, op, name or op))
 
 
 def compile_workload(pset: ParamSet, ops: Sequence[dict],
@@ -649,22 +644,16 @@ def compile_workload(pset: ParamSet, ops: Sequence[dict],
     compiled = []
     for seq, spec in enumerate(ops):
         op = spec["op"]
-        prog = compile_op(
-            pset, op, level=spec.get("level"), machine=machine, op_seq=seq,
-            name=spec.get("name", f"{op}[{seq}]"), steps=spec.get("steps", 1),
-        )
-        prog.meta["vars"] = {
-            k: spec[k] for k in ("x", "y", "pt", "out") if k in spec
-        }
-        prog.meta["pt_scale"] = spec.get("pt_scale")
+        prog = compile_op(pset, op, level=spec.get("level"), machine=machine,
+                          name=spec.get("name", f"{op}[{seq}]"), steps=spec.get("steps", 1))
+        prog.meta["vars"] = {k: spec[k] for k in ("x", "y", "pt", "out") if k in spec}
         compiled.append(prog)
     if compiled:
         last = compiled[-1]
         uid = max((i.uid for s in last.streams for i in s), default=-1) + 1
         for ctrl in (0, 1):
             last.streams[ctrl].append(
-                Instruction(op=END, pipe=PIPE_NONE, ctrl=ctrl, rpaus=(),
-                            uid=uid + ctrl, op_seq=len(compiled) - 1)
+                Instruction(op=END, pipe=PIPE_NONE, ctrl=ctrl, rpaus=(), uid=uid + ctrl)
             )
     return Program(pset=pset, machine=machine, ops=compiled)
 
@@ -883,10 +872,10 @@ def _exec_order(streams) -> list[Instruction]:
     return out
 
 
-def _eval_part(limb: ResiduePoly, parts: int, part: int) -> ResiduePoly:
-    """Slot `part` of an evaluation limb held in `parts` slots: the limb
-    itself, or a view of its plus or minus half-ring evaluation."""
-    return limb if parts == 1 else (eval_halves(limb).minus if part else eval_halves(limb).plus)
+def _eval_part(limb: ResiduePoly, parts: int, minus: bool) -> ResiduePoly:
+    """One slot's part of an evaluation limb held in `parts` slots: the
+    limb itself, or a view of its plus or minus half-ring evaluation."""
+    return limb if parts == 1 else (eval_halves(limb).minus if minus else eval_halves(limb).plus)
 
 
 class _Decomp:
@@ -896,45 +885,55 @@ class _Decomp:
     is x itself). These are the only transforms the executor runs, and the
     only ones that differ by layout: a split limb (parts 2) runs the
     half-ring datapath, the inverse half transforms and a JOIN for its lift
-    and a SPLIT and the forward half transforms for each modulus."""
+    and a SPLIT and the forward half transforms for each modulus. It keeps
+    its evaluations only while `shared`, when a later op reads x's value;
+    otherwise it hands each one to the one image that reads it."""
 
     def __init__(self, x: ResiduePoly, parts: int):
         self.x = x
         self.parts = parts
-        self.evals = {x.q.value: x}
+        self.shared = False
+        self.evals: dict[int, ResiduePoly] = {}   # modulus -> evaluation, kept while shared
 
     @functools.cached_property
     def lift(self) -> CenteredLift:
-        x = self.x
-        coeffs = join(inverse_pair(eval_halves(x))) if self.parts == 2 else ntt_inverse(x)
+        coeffs = join(inverse_pair(eval_halves(self.x))) if self.parts == 2 else ntt_inverse(self.x)
         return CenteredLift.of_limb(coeffs)
 
     def eval(self, q: PrimeModulus) -> ResiduePoly:
-        if q.value not in self.evals:
+        if q.value == self.x.q.value:
+            return self.x
+        e = self.evals.pop(q.value, None)
+        if e is None:
             r = self.lift.residues(q)
-            self.evals[q.value] = (
-                eval_whole(forward_pair(split(r))) if self.parts == 2 else ntt_forward(r))
-        return self.evals[q.value]
+            e = eval_whole(forward_pair(split(r))) if self.parts == 2 else ntt_forward(r)
+        if self.shared:
+            self.evals[q.value] = e
+        return e
 
 
 @dataclass
 class _Image:
-    """A slot value known by where it comes from: the Galois map g of the
+    """A limb's value known by where it comes from: the Galois map g of the
     decomposed limb d.x, lifted to q, in `domain` (eval, coeff, or a split
-    limb's half-ring coefficients), or its plus or minus half (`part`).
-    Only an arithmetic read computes it, once and in the evaluation domain:
-    d.eval(q) mapped by g, or that limb's half."""
+    limb's half-ring coefficients). A limb's slots hold one image, and each
+    slot's moves keep its `memo`: the first arithmetic read computes the
+    value there, in the evaluation domain (d.eval(q) mapped by g), each slot
+    takes its part by the reading instruction's half, and the last slot
+    read lets the value go."""
     d: _Decomp
     g: int
     q: PrimeModulus
     domain: str
-    part: int = 0
+    memo: list = field(default_factory=list)
 
-    def value(self) -> ResiduePoly:
+    def value(self, minus: bool) -> ResiduePoly:
         if self.domain != "eval":
             raise ValueError(f"arithmetic read of an image in the {self.domain} domain")
-        v = self.d.eval(self.q)
-        return _eval_part(automorphism(v, self.g) if self.g != 1 else v, self.d.parts, self.part)
+        if not self.memo:
+            v = self.d.eval(self.q)
+            self.memo.append(automorphism(v, self.g) if self.g != 1 else v)
+        return _eval_part(self.memo[0], self.d.parts, minus)
 
 
 @dataclass
@@ -950,31 +949,25 @@ class _Half:
 @dataclass
 class _Chain:
     """A DYADIC mul/mac chain not yet reduced: its products summed into one
-    WideSum as unreduced 128-bit words, reduced on the slot's first read."""
+    WideSum as unreduced 128-bit words, and a limb over the sum's own
+    words, which hold its residues once the slot's first read reduces it."""
     total: WideSum
-    q: PrimeModulus
-    n: int
-    domain: str
-    twist: RingTwist
-
-    def holds(self, p: ResiduePoly) -> bool:
-        return (self.q.value, self.n, self.domain, self.twist) == (
-            p.q.value, p.n, p.domain, p.twist)
+    limb: ResiduePoly
 
     def value(self) -> ResiduePoly:
-        return ResiduePoly(self.q, self.total.residues(), self.domain, self.twist)
+        return replace(self.limb, coeffs=self.total.residues())
 
 
 class _Executor:
     """Runs instruction streams on RPM slot states, {(rpau, slot): value}.
 
-    Both limb layouts run one path. Each operand slot is seeded as an image
-    of its limb, and an INTT of a computed limb starts one. NTT, INTT, JOIN
-    and SPLIT move an image's domain, AUTO composes its Galois element into
-    it and BCAST retargets its modulus; the other instructions compute,
-    settling an image or a `_Chain` of products on a slot's first read. So
-    every transform is a decomposition's, and the rotations of one limb x
-    share x's, kept in `decomps` while a live value holds x.
+    NTT, INTT, JOIN and SPLIT move an image's domain, AUTO composes its
+    Galois element into it and BCAST retargets its modulus; the other
+    instructions compute, settling an image or a `_Chain` of products on a
+    slot's first read. A value is kept until its last reader: a slot's until
+    the slot is written again, an evaluation until the last slot of its
+    image reads it, and an operand limb's decomposition in `decomps`, shared
+    by the ops that read the operand, until the last of them has run.
     """
 
     def __init__(self, engine, program: Program):
@@ -994,23 +987,9 @@ class _Executor:
     def modulus(self, rpau: int) -> PrimeModulus:
         return self.base.all_moduli[self.mod_idx[rpau]]
 
-    def decomp(self, x: ResiduePoly) -> _Decomp:
-        d = self.decomps.get(id(x))
-        if d is None:
-            d = self.decomps[id(x)] = _Decomp(x, self.parts)
-        return d
-
-    def keep_only(self, values) -> None:
-        """Drop the decompositions of limbs that none of `values` holds
-        (each entry holds its x, so its id is not reused meanwhile)."""
-        held = {
-            id(limb) for v in values
-            for limb in (v.c0 + v.c1 if isinstance(v, Ciphertext) else v.limbs)
-        }
-        self.decomps = {k: d for k, d in self.decomps.items() if k in held}
-
-    def seed(self, state, binding, value) -> None:
-        """Each slot of an operand's limbs, as an image of its limb."""
+    def seed(self, state, binding, value, shared: bool) -> None:
+        """The slots of each operand limb, holding one image of it; its
+        decomposition is `shared` when a later op reads the value too."""
         comps = [value.c0, value.c1] if binding["kind"] == "ct" else [value.limbs]
         for comp, places in zip(comps, binding["components"]):
             if len(comp) != len(places):
@@ -1018,39 +997,51 @@ class _Executor:
                     f"operand has {len(comp)} limbs; the op is compiled for {len(places)}"
                 )
             for limb, (rpau, slots) in zip(comp, places):
-                for part, s in enumerate(slots):
-                    state[(rpau, s)] = _Image(self.decomp(limb), 1, limb.q, "eval", part)
+                d = self.decomps.get(id(limb))
+                if d is None:
+                    d = self.decomps[id(limb)] = _Decomp(limb, self.parts)
+                d.shared = shared
+                img = _Image(d, 1, limb.q, "eval")
+                state.update({(rpau, s): img for s in slots})
 
-    def read(self, state, key):
-        """A slot's value, settling an image or a chain on its first read."""
+    def read(self, state, key, minus: bool = False):
+        """A slot's value, settling an image (its minus half's part when
+        `minus`) or a chain on its first read."""
         v = state[key]
-        if isinstance(v, (_Image, _Half, _Chain)):
+        if isinstance(v, _Image):
+            v = state[key] = v.value(minus)
+        elif isinstance(v, (_Half, _Chain)):
             v = state[key] = v.value()
         return v
 
     @staticmethod
-    def image(state, key) -> _Image:
-        v = state[key]
-        if not isinstance(v, _Image):
-            raise ValueError(f"slot {key} holds no image to pass on")
+    def image(state, keys) -> _Image:
+        """The image that the slots `keys` hold: one limb's, in one domain."""
+        v = state[keys[0]]
+        for k in keys:
+            u = state[k]
+            if not (isinstance(u, _Image) and u.memo is v.memo and u.domain == v.domain):
+                raise ValueError(f"slots {keys} hold no one image to pass on")
         return v
 
     def operand(self, state, term, rpau, half):
         """A source slot's polynomial, or the key part for the same half."""
         if term[0] == "slot":
-            return self.read(state, (rpau, term[1]))
+            return self.read(state, (rpau, term[1]), half == "m")
         _, ksk_id, comp, i = term
         key = self.eng.switching_key(ksk_id)
         limb = (key.secret if comp == 0 else key.uniform)[i][self.mod_idx[rpau]]
         return _eval_part(limb, self.parts, half == "m")
 
     def run(self, opp: OpProgram, state: dict) -> None:
+        """Run one op; the decompositions no later op shares leave `decomps`."""
         for ins in _exec_order(opp.streams):
             self.step(ins, state)
+        self.decomps = {k: d for k, d in self.decomps.items() if d.shared}
 
     def read_ct(self, state, binding, scale) -> Ciphertext:
         def limb(rpau, slots):
-            parts = [self.read(state, (rpau, s)) for s in slots]
+            parts = [self.read(state, (rpau, s), h == 1) for h, s in enumerate(slots)]
             return eval_whole(SplitPair(*parts)) if len(parts) == 2 else parts[0]
 
         c0, c1 = ([limb(*place) for place in places] for places in binding["components"])
@@ -1068,10 +1059,10 @@ class _Executor:
             state[keys[0]] = _Image(_Decomp(v, 1), 1, v.q, "eval")
         elif op == JOIN and all(isinstance(state[k], _Half) for k in keys):
             d = _Decomp(eval_whole(SplitPair(*(state[k].v for k in keys))), 2)
-            for part, k in enumerate(keys):
-                state[k] = _Image(d, 1, d.x.q, "half", part)
+            img = _Image(d, 1, d.x.q, "half")
+            state.update({k: img for k in keys})
         for k in keys:
-            v = self.image(state, k)
+            v = self.image(state, [k])
             if (op, v.domain) not in self.moves:
                 raise ValueError(f"{op} of an image in the {v.domain} domain")
             state[k] = replace(v, domain=self.moves[op, v.domain])
@@ -1084,10 +1075,11 @@ class _Executor:
         if not a.compatible(b):
             raise ValueError("dyadic operands live in different rings or domains")
         if ins.kind == "mul":
-            chain = _Chain(WideSum(kernels.ctx(a.q.value), a.n), a.q, a.n, a.domain, a.twist)
+            total = WideSum(kernels.ctx(a.q.value), a.n)
+            chain = _Chain(total, replace(a, coeffs=total.lo))
         else:
             chain = state.get(key) if ins.src[2] == ("slot", ins.dst[0]) else None
-            if not (isinstance(chain, _Chain) and chain.holds(a)):
+            if not (isinstance(chain, _Chain) and chain.limb.compatible(a)):
                 acc = self.operand(state, ins.src[2], r, ins.half)
                 state[key] = dyadic("mac", a, b, acc)
                 return
@@ -1104,26 +1096,26 @@ class _Executor:
         elif ins.op in (CWISE, DYADIC):
             for r in ins.rpaus:
                 ops = [self.operand(state, t, r, ins.half) for t in ins.src]
-                acc = ops.pop() if ins.kind == "mac" else None
-                state[(r, ins.dst[0])] = dyadic(ins.kind, *ops, acc)
+                state[(r, ins.dst[0])] = dyadic(ins.kind, *ops)
         elif ins.op == SCALE_QINV:
             inv = self.base.inv[ins.meta["drop_idx"]]
             for r in ins.rpaus:
-                x = self.read(state, (r, ins.dst[0]))
+                x = self.read(state, (r, ins.dst[0]), ins.half == "m")
                 state[(r, ins.dst[0])] = scalar_mul(x, inv[self.mod_idx[r]])
         elif ins.op == BCAST:
-            # the lift of a mapped limb is the map of its lift
-            for t, s in zip(ins.src, ins.dst):
-                v = self.image(state, (t[1], t[2]))
-                if v.domain != "coeff" or v.q.value != v.d.x.q.value:
-                    raise ValueError("BCAST takes a limb's coefficients under its own modulus")
-                for r in ins.rpaus:
-                    state[(r, s)] = replace(v, q=self.modulus(r))
+            # one limb's coefficients, under its own modulus: the lift of a
+            # mapped limb is the map of its lift
+            v = self.image(state, [t[1:] for t in ins.src])
+            if v.domain != "coeff" or v.q.value != v.d.x.q.value:
+                raise ValueError("BCAST takes a limb's coefficients under its own modulus")
+            for r in ins.rpaus:
+                img = replace(v, q=self.modulus(r), memo=[])
+                state.update({(r, s): img for s in ins.dst})
         elif ins.op == AUTO:
             for r in ins.rpaus:
-                for t, s in zip(ins.src, ins.dst):
-                    v = self.image(state, (r, t[1]))
-                    state[(r, s)] = replace(v, g=v.g * ins.meta["g"] % (2 * self.eng.degree))
+                v = self.image(state, [(r, t[1]) for t in ins.src])
+                img = replace(v, g=v.g * ins.meta["g"] % (2 * self.eng.degree), memo=[])
+                state.update({(r, s): img for s in ins.dst})
         else:
             raise UnsupportedOpError(f"cannot execute {ins.op}")
 
@@ -1176,16 +1168,20 @@ def execute_workload(engine, program: Program, variables: dict) -> dict:
 
     `variables` maps var names to Ciphertext/Plaintext values. The result
     maps every name to its newest value, except a temporary: a name that
-    one op writes and the caller does not supply. Ops run in _run_order:
-    an op whose inputs and output no other op changes runs just before its
-    first reader, so (on logreg) each rotation is added in before the next
-    one runs. A temporary is dropped as soon as its last reader in that
-    order has run, so the live set stays small; a name written again (a
-    chain's accumulator) frees its older value as it is overwritten. Ops
-    compiled latency-only (functional=False) are skipped. The decomposition
-    of a limb the executor key-switches is kept while a live value holds
-    that limb, so the seven rotations of logreg's t0 share one, and it is
-    dropped with t0 once r7 has run.
+    one op writes and the caller does not supply. Ops compiled latency-only
+    (functional=False) are skipped. Ops run in _run_order: an op whose
+    inputs and output no other op changes runs just before its first
+    reader, so (on logreg) each rotation is added in before the next one
+    runs.
+
+    State is kept until its last reader. One backward pass over the run
+    order records which operands of each op a later op reads before the
+    name is written again; an operand that none does is at its last reader.
+    A temporary leaves the result there, and its limbs' decompositions leave
+    the registry once the op has run, each evaluation they hand out going
+    with the last slot that reads it. An operand a later op reads keeps its
+    decompositions and their evaluations, so logreg's rotations of t0 share
+    one until r7 has run. A name written again frees its older value.
     """
     ex = _Executor(engine, program)
     ops = []
@@ -1194,19 +1190,20 @@ def execute_workload(engine, program: Program, variables: dict) -> dict:
             names = opp.meta.get("vars", {})
             ops.append((opp, [names.get(var, var) for var in opp.inputs], names.get("out", "out")))
     order = _run_order([(reads, out) for _, reads, out in ops], variables)
+    read_later, pending = {}, set()
+    for i in reversed(order):
+        _, reads, out = ops[i]
+        read_later[i] = pending.intersection(reads)
+        pending.discard(out)
+        pending.update(reads)
     writes = Counter(out for _, _, out in ops)
-    drop_after = {}
-    for step, i in enumerate(order):
-        for name in ops[i][1]:
-            if writes[name] == 1 and name not in variables:
-                drop_after[name] = step
     live = dict(variables)
-    for step, i in enumerate(order):
+    for i in order:
         opp, reads, out = ops[i]
         state: dict = {}
         operands = [live[name] for name in reads]
-        for binding, value in zip(opp.inputs.values(), operands):
-            ex.seed(state, binding, value)
+        for binding, name, value in zip(opp.inputs.values(), reads, operands):
+            ex.seed(state, binding, value, name in read_later[i])
         # a sum keeps its operands' common scale, a product multiplies them
         # and a rescale divides by the dropped prime
         scale = operands[0].scale
@@ -1219,8 +1216,7 @@ def execute_workload(engine, program: Program, variables: dict) -> dict:
             scale = scale / engine.drop_scale(opp.meta["level"])
         ex.run(opp, state)
         for name in reads:
-            if drop_after.get(name) == step:
+            if name not in read_later[i] and writes[name] == 1 and name not in variables:
                 live.pop(name, None)
         live[out] = ex.read_ct(state, opp.outputs["out"], scale)
-        ex.keep_only(live.values())
     return live

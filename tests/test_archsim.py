@@ -159,7 +159,7 @@ def test_memory_budget_enforced(set1, set2):
 def test_unpaired_sync_detected(set1):
     lone = Instruction(
         op=SYNC_CTRL, pipe=PIPE_NONE, ctrl=0, rpaus=(),
-        meta={"sync_id": 0, "op_start": False}, uid=0, op_seq=0,
+        meta={"sync_id": 0, "op_start": False}, uid=0,
     )
     bad = OpProgram(kind="raw", name="bad", streams=([lone], []), inputs={}, outputs={})
     prog = Program(pset=set1, machine=MachineConfig(), ops=[bad])
@@ -221,34 +221,42 @@ def _same_ct(eng, a, b):
             assert np.array_equal(ntt_inverse(la).coeffs, ntt_inverse(lb).coeffs)
 
 
-_DIRECT = {
-    "add": lambda e, v: e.add(v["x"], v["y"]),
-    "sub": lambda e, v: e.sub(v["x"], v["y"]),
-    "mult_relin": lambda e, v: e.mult_relin(v["x"], v["y"]),
-    "mult_plain": lambda e, v: e.mult_plain(v["x"], v["pt"]),
-    "rescale": lambda e, v: e.rescale(v["x"]),
-    "rotate": lambda e, v: e.rotate(v["x"], 1),
+_ENGINE_OP = {
+    "add": lambda e, v, op: e.add(v[op["x"]], v[op["y"]]),
+    "sub": lambda e, v, op: e.sub(v[op["x"]], v[op["y"]]),
+    "mult_plain": lambda e, v, op: e.mult_plain(v[op["x"]], v[op["pt"]]),
+    "mult_relin": lambda e, v, op: e.mult_relin(v[op["x"]], v[op["y"]]),
+    "rescale": lambda e, v, op: e.rescale(v[op["x"]]),
+    "rotate": lambda e, v, op: e.rotate(v[op["x"]], op["steps"]),
 }
 
 
-@pytest.mark.parametrize("name", sorted(_DIRECT))
+def _engine_run(eng, ops, variables) -> dict:
+    """An Engine interpretation of an op list: every name's newest value."""
+    values = dict(variables)
+    for op in ops:
+        values[op["out"]] = _ENGINE_OP[op["op"]](eng, values, op)
+    return values
+
+
+@pytest.mark.parametrize("name", sorted(_ENGINE_OP))
 def test_functional_matches_engine_native(set1, toy_native, name):
     spec, prog = _bench_program(set1, name)
     variables, expected = spec.build_inputs(toy_native, 3)
     result = execute_workload(toy_native, prog, variables)
     got = result[spec.output_var]
-    _same_ct(toy_native, got, _DIRECT[name](toy_native, variables))
+    _same_ct(toy_native, got, _engine_run(toy_native, spec.ops, variables)[spec.output_var])
     err = np.max(np.abs(toy_native.decrypt(got).real - expected))
     assert err < np.max(np.abs(expected)) * 2**-16 + 2**-20
 
 
-@pytest.mark.parametrize("name", sorted(_DIRECT))
+@pytest.mark.parametrize("name", sorted(_ENGINE_OP))
 def test_functional_matches_engine_split(set2, toy_split2, name):
     spec, prog = _bench_program(set2, name)
     variables, expected = spec.build_inputs(toy_split2, 4)
     result = execute_workload(toy_split2, prog, variables)
     got = result[spec.output_var]
-    _same_ct(toy_split2, got, _DIRECT[name](toy_split2, variables))
+    _same_ct(toy_split2, got, _engine_run(toy_split2, spec.ops, variables)[spec.output_var])
 
 
 def test_compiled_rotate_reduces_steps_mod_slots(toy_set1, toy_native):
@@ -316,7 +324,7 @@ def test_replay_catches_dropped_dependencies(request, pset_name, engine, op, rea
     eng = request.getfixturevalue(engine)
     spec, prog = _bench_program(get_param_set(pset_name), op)
     variables, _ = spec.build_inputs(eng, 3)
-    want = _DIRECT[op](eng, variables)
+    want = _engine_run(eng, spec.ops, variables)[spec.output_var]
     (opp,) = prog.ops
     ctrl = 1 if reader == "dyadic" else 0
     other = {i.uid for i in opp.streams[1 - ctrl]}
@@ -394,15 +402,6 @@ def _spy_executed(monkeypatch):
     return ran
 
 
-_ENGINE_OP = {
-    "add": lambda e, v, op: e.add(v[op["x"]], v[op["y"]]),
-    "mult_plain": lambda e, v, op: e.mult_plain(v[op["x"]], v[op["pt"]]),
-    "mult_relin": lambda e, v, op: e.mult_relin(v[op["x"]], v[op["y"]]),
-    "rescale": lambda e, v, op: e.rescale(v[op["x"]]),
-    "rotate": lambda e, v, op: e.rotate(v[op["x"]], op["steps"]),
-}
-
-
 def test_logreg_adds_each_rotation_before_the_next_runs(logreg_pset, monkeypatch):
     # every logreg op reads and writes names that no other op changes, so
     # each runs just before its first reader: r_k is added into s_k before
@@ -420,9 +419,7 @@ def test_logreg_adds_each_rotation_before_the_next_runs(logreg_pset, monkeypatch
     for k in rotations:
         assert ran[k + 1].kind == "add"
         assert ran[k + 1].meta["vars"]["y"] == outs[k]
-    want = dict(variables)
-    for op in spec.ops:
-        want[op["out"]] = _ENGINE_OP[op["op"]](eng, want, op)
+    want = _engine_run(eng, spec.ops, variables)
     for name in ("i", "out"):
         _same_ct(eng, result[name], want[name])
 
@@ -527,31 +524,31 @@ def _program_digest(prog) -> str:
             for i in stream:
                 h.update(repr(_canon((i.op, i.pipe, i.ctrl, i.rpaus, i.dst, i.src,
                                       i.kind, i.words, i.half, i.meta, i.uid,
-                                      i.deps, i.op_seq))).encode())
+                                      i.deps))).encode())
     return h.hexdigest()[:16]
 
 
 _STREAM_DIGESTS = {
     "set1": {
-        "add": "f9c110f7bb37d12d", "sub": "f6685e342613e860",
-        "mult_relin": "61cc3a574c48ffe7", "rescale": "e638ee0ed6ef6070",
-        "moddown": "d531dff33e16f424", "rotate": "0735ebb48bf2e06a",
-        "mult_plain": "c0efd0d83c5d5ac4", "ntt": "2c2968551d524e50",
-        "empty": "e3b0c44298fc1c14", "logreg": "1f3be38fbb5140d7",
+        "add": "f5c3bf8f2b02282f", "sub": "e64100c22358d846",
+        "mult_relin": "2ae678197e8a2ded", "rescale": "4cede21fa96d0278",
+        "moddown": "bd7b10be4b0809b2", "rotate": "322aff4cf67a337d",
+        "mult_plain": "6676a35d98de7d7a", "ntt": "978d987a9b649d9e",
+        "empty": "e3b0c44298fc1c14", "logreg": "46eb77dece9bc86f",
     },
     "set2": {
-        "add": "52a4fcb7fbafdfc6", "sub": "e3c53e076f6bbe72",
-        "mult_relin": "dba6c345ab98c4af", "rescale": "80eda18ec659377d",
-        "moddown": "f7affb2f3ee20da6", "rotate": "e9ec2c085ff7f23c",
-        "mult_plain": "dd9d4f417dcf358e", "ntt": "2c2968551d524e50",
-        "empty": "e3b0c44298fc1c14", "logreg": "8eb16f7a568cde9c",
+        "add": "3851fc1829699aa9", "sub": "857a82c8e46ac8bc",
+        "mult_relin": "a8af8fc13b8c6a7f", "rescale": "6030791741e0461b",
+        "moddown": "958a6c6afa88074d", "rotate": "fcdb45fbd9a7d170",
+        "mult_plain": "f42db3617382c079", "ntt": "978d987a9b649d9e",
+        "empty": "e3b0c44298fc1c14", "logreg": "0013a1b2733269eb",
     },
     "logreg": {
-        "add": "e6114e30dc81e2d9", "sub": "26ae78053623f7c9",
-        "mult_relin": "16b79524d82fab0d", "rescale": "1916cc1a86d09b91",
-        "moddown": "3858ff6101e7b248", "rotate": "3793e343b49d0e77",
-        "mult_plain": "780962e5a80fc530", "ntt": "2c2968551d524e50",
-        "empty": "e3b0c44298fc1c14", "logreg": "7c135c2b35da6449",
+        "add": "666980859aad5b27", "sub": "14fc7f3b658c8b83",
+        "mult_relin": "1572c225ca7d2c98", "rescale": "32a5745858413d64",
+        "moddown": "e56f0477c235d413", "rotate": "2855e7afb6d12e01",
+        "mult_plain": "c8df3706c31bfde9", "ntt": "978d987a9b649d9e",
+        "empty": "e3b0c44298fc1c14", "logreg": "96ce61d00eeecab0",
     },
 }
 
@@ -731,6 +728,44 @@ def test_decomposition_dropped_with_its_variable(logreg_pset, monkeypatch):
         assert not ids & set(decomps)
 
 
+@pytest.mark.parametrize("pset_name, engine", [("set1", "toy_native"), ("set2", "toy_split2")])
+def test_replay_releases_state_at_last_reader(request, pset_name, engine, monkeypatch):
+    # m = x * y, rotated twice. Once each op has run, no decomposition that
+    # a later op does not read holds an evaluation other than its own limb;
+    # the second rotation reuses the first one's decomposition of m, and
+    # nothing is left registered when the program ends
+    eng, pset = request.getfixturevalue(engine), get_param_set(pset_name)
+    ops = [{"op": "mult_relin", "x": "x", "y": "y", "out": "m"},
+           {"op": "rotate", "steps": 1, "x": "m", "out": "r1"},
+           {"op": "rotate", "steps": 1, "x": "m", "out": "r2"}]
+    rng = np.random.default_rng(3)
+    variables = {
+        name: eng.encrypt(eng.encode(rng.uniform(-1.0, 1.0, eng.slots), pset.scale), enc_index=k)
+        for k, name in enumerate("xy")
+    }
+    ends = []
+    run = _Executor.run
+
+    def spy(self, opp, state):
+        seeded = [state[(r, slots[0])].d for comp in opp.inputs["x"]["components"]
+                  for r, slots in comp]
+        run(self, opp, state)
+        held = {id(v.d): v.d for v in state.values() if isinstance(v, archsim._Image)}
+        held.update((id(d), d) for d in self.decomps.values())
+        ends.append((self, seeded, list(held.values())))
+
+    monkeypatch.setattr(_Executor, "run", spy)
+    result = execute_workload(eng, compile_workload(pset, ops), variables)
+    _same_ct(eng, result["r2"], _engine_run(eng, ops, variables)["r2"])
+    m_decomps = [id(d) for d in ends[1][1]]
+    assert [id(d) for d in ends[2][1]] == m_decomps
+    read_later = [set(), set(m_decomps), set()]   # m, after the first rotation
+    extra = [sum(q != d.x.q.value for d in held if id(d) not in keep for q in d.evals)
+             for (_, _, held), keep in zip(ends, read_later)]
+    assert extra == [0, 0, 0]
+    assert ends[-1][0].decomps == {}
+
+
 _INPUTS = ("a", "b")
 _PT_SCALE = Fraction(1 << 40)   # the scale plaintext operands are encoded at
 
@@ -781,9 +816,7 @@ def test_rotate_add_programs_match_engine(set1, toy_native, ops):
         for k, name in enumerate(_INPUTS)
     }
     result = execute_workload(eng, compile_workload(set1, ops), variables)
-    want = dict(variables)
-    for op in ops:
-        want[op["out"]] = _ENGINE_OP[op["op"]](eng, want, op)
+    want = _engine_run(eng, ops, variables)
     assert set(result) <= set(want) and ops[-1]["out"] in result
     for name, value in result.items():
         _same_ct(eng, value, want[name])
@@ -843,10 +876,7 @@ def _check_program(pset, eng, ops):
     }
     variables.update(plaintexts)
     result = execute_workload(eng, compile_workload(pset, ops), variables)
-    engine_op = {**_ENGINE_OP, "sub": lambda e, v, op: e.sub(v[op["x"]], v[op["y"]])}
-    want = dict(variables)
-    for op in ops:
-        want[op["out"]] = engine_op[op["op"]](eng, want, op)
+    want = _engine_run(eng, ops, variables)
     assert set(result) <= set(want) and ops[-1]["out"] in result
     for name, value in result.items():
         if name in plaintexts:
