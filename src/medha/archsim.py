@@ -40,9 +40,8 @@ each instruction atomically, in a dependency order of its own, so it
 checks the compiled edges only in part: with one main-controller edge of
 a `mult_relin` dyadic instruction dropped, it fails or differs for 4 of
 14 such edges at set1 and 9 of 36 at set2 (and for 5 of 15 and 10 of 25
-the other way round). Replaying the simulator's
-dispatch order would catch none, as it starts such a reader only after
-its writer has started.
+the other way round). Replaying the simulator's dispatch order would
+catch none, as it starts such a reader only after its writer has started.
 
 Replay runs both limb layouts on one path, and computes what commutes
 with a Galois map once (hoisting; Halevi and Shoup, CRYPTO 2018). The
@@ -56,8 +55,8 @@ signed words that the Engine's key switch and rescale go through too),
 transformed under each modulus. An automorphism permutes residues and
 negates some, the lift commutes with negation for odd q, and each
 transform maps the map's coefficient form onto its evaluation form, so
-every slot keeps its bits. Only the decomposition knows the layout: on a
-split limb it runs the half-ring transforms with a JOIN or a SPLIT.
+every slot keeps its bits. The decomposition transforms at full degree on
+either layout: that gives the bits of a split limb's half-ring datapath.
 
 Replay holds each value, as the RPAUs do, from its first write to its last
 read: a temporary until its last reader, an evaluation until the last
@@ -91,7 +90,7 @@ from .polyring import (
     ntt_inverse,
     scalar_mul,
 )
-from .ringsplit import SplitPair, eval_halves, eval_whole, forward_pair, inverse_pair, join, split
+from .ringsplit import SplitPair, eval_halves, eval_whole
 
 # ---------------------------------------------------------------------------
 # instruction set
@@ -882,33 +881,31 @@ class _Decomp:
     """The key-switch decomposition of an evaluation limb x, built on
     demand: the centered lift of x's coefficients, and that lift reduced
     and transformed under each modulus asked for (under x's own modulus it
-    is x itself). These are the only transforms the executor runs, and the
-    only ones that differ by layout: a split limb (parts 2) runs the
-    half-ring datapath, the inverse half transforms and a JOIN for its lift
-    and a SPLIT and the forward half transforms for each modulus. It keeps
-    its evaluations only while `shared`, when a later op reads x's value;
-    otherwise it hands each one to the one image that reads it."""
+    is x itself). These are the executor's only transforms, full-degree on
+    either layout, as a split limb's half-ring pairs give the same bits. It
+    keeps its evaluations only while `shared`, when a later op reads x;
+    otherwise it hands each to the one image that reads it, and drops the
+    lift with the last one that x's broadcasts left `unread`."""
 
-    def __init__(self, x: ResiduePoly, parts: int):
+    def __init__(self, x: ResiduePoly):
         self.x = x
-        self.parts = parts
         self.shared = False
+        self.unread = 0
         self.evals: dict[int, ResiduePoly] = {}   # modulus -> evaluation, kept while shared
 
     @functools.cached_property
     def lift(self) -> CenteredLift:
-        coeffs = join(inverse_pair(eval_halves(self.x))) if self.parts == 2 else ntt_inverse(self.x)
-        return CenteredLift.of_limb(coeffs)
+        return CenteredLift.of_limb(ntt_inverse(self.x))
 
     def eval(self, q: PrimeModulus) -> ResiduePoly:
         if q.value == self.x.q.value:
             return self.x
-        e = self.evals.pop(q.value, None)
-        if e is None:
-            r = self.lift.residues(q)
-            e = eval_whole(forward_pair(split(r))) if self.parts == 2 else ntt_forward(r)
+        e = self.evals.pop(q.value, None) or ntt_forward(self.lift.residues(q))
+        self.unread -= 1
         if self.shared:
             self.evals[q.value] = e
+        elif not self.unread:
+            del self.lift
         return e
 
 
@@ -918,22 +915,21 @@ class _Image:
     decomposed limb d.x, lifted to q, in `domain` (eval, coeff, or a split
     limb's half-ring coefficients). A limb's slots hold one image, and each
     slot's moves keep its `memo`: the first arithmetic read computes the
-    value there, in the evaluation domain (d.eval(q) mapped by g), each slot
-    takes its part by the reading instruction's half, and the last slot
-    read lets the value go."""
+    value there, in the evaluation domain (d.eval(q) mapped by g), and the
+    last slot read lets the value go."""
     d: _Decomp
     g: int
     q: PrimeModulus
     domain: str
     memo: list = field(default_factory=list)
 
-    def value(self, minus: bool) -> ResiduePoly:
+    def value(self) -> ResiduePoly:
         if self.domain != "eval":
             raise ValueError(f"arithmetic read of an image in the {self.domain} domain")
         if not self.memo:
             v = self.d.eval(self.q)
             self.memo.append(automorphism(v, self.g) if self.g != 1 else v)
-        return _eval_part(self.memo[0], self.d.parts, minus)
+        return self.memo[0]
 
 
 @dataclass
@@ -941,9 +937,6 @@ class _Half:
     """A computed evaluation half after its INTT: its limb's image starts at
     the JOIN of both halves, once the other is final too."""
     v: ResiduePoly
-
-    def value(self) -> ResiduePoly:
-        raise ValueError("arithmetic read of a lone half")
 
 
 @dataclass
@@ -964,10 +957,11 @@ class _Executor:
     NTT, INTT, JOIN and SPLIT move an image's domain, AUTO composes its
     Galois element into it and BCAST retargets its modulus; the other
     instructions compute, settling an image or a `_Chain` of products on a
-    slot's first read. A value is kept until its last reader: a slot's until
-    the slot is written again, an evaluation until the last slot of its
-    image reads it, and an operand limb's decomposition in `decomps`, shared
-    by the ops that read the operand, until the last of them has run.
+    slot's first read, where a split limb's slot takes its half. A value is
+    kept until its last reader: a slot's until the slot is written again,
+    an evaluation until the last slot of its image reads it, and an operand
+    limb's decomposition in `decomps`, shared by the ops that read the
+    operand, until the last of them has run.
     """
 
     def __init__(self, engine, program: Program):
@@ -999,7 +993,7 @@ class _Executor:
             for limb, (rpau, slots) in zip(comp, places):
                 d = self.decomps.get(id(limb))
                 if d is None:
-                    d = self.decomps[id(limb)] = _Decomp(limb, self.parts)
+                    d = self.decomps[id(limb)] = _Decomp(limb)
                 d.shared = shared
                 img = _Image(d, 1, limb.q, "eval")
                 state.update({(rpau, s): img for s in slots})
@@ -1009,9 +1003,11 @@ class _Executor:
         `minus`) or a chain on its first read."""
         v = state[key]
         if isinstance(v, _Image):
-            v = state[key] = v.value(minus)
-        elif isinstance(v, (_Half, _Chain)):
+            v = state[key] = _eval_part(v.value(), self.parts, minus)
+        elif isinstance(v, _Chain):
             v = state[key] = v.value()
+        elif isinstance(v, _Half):
+            raise ValueError("arithmetic read of a lone half")
         return v
 
     @staticmethod
@@ -1056,9 +1052,9 @@ class _Executor:
             if self.parts == 2:
                 state[keys[0]] = _Half(v)
                 return
-            state[keys[0]] = _Image(_Decomp(v, 1), 1, v.q, "eval")
+            state[keys[0]] = _Image(_Decomp(v), 1, v.q, "eval")
         elif op == JOIN and all(isinstance(state[k], _Half) for k in keys):
-            d = _Decomp(eval_whole(SplitPair(*(state[k].v for k in keys))), 2)
+            d = _Decomp(eval_whole(SplitPair(*(state[k].v for k in keys))))
             img = _Image(d, 1, d.x.q, "half")
             state.update({k: img for k in keys})
         for k in keys:
@@ -1108,6 +1104,7 @@ class _Executor:
             v = self.image(state, [t[1:] for t in ins.src])
             if v.domain != "coeff" or v.q.value != v.d.x.q.value:
                 raise ValueError("BCAST takes a limb's coefficients under its own modulus")
+            v.d.unread += sum(self.modulus(r).value != v.q.value for r in ins.rpaus)
             for r in ins.rpaus:
                 img = replace(v, q=self.modulus(r), memo=[])
                 state.update({(r, s): img for s in ins.dst})

@@ -345,6 +345,8 @@ class Engine:
 
     def encode(self, values, scale, level: Optional[int] = None) -> Plaintext:
         level = self.base.levels if level is None else level
+        if not 0 < abs(scale) < np.inf:
+            raise ValueError(f"scale must be finite and nonzero; got {scale}")
         scale = Fraction(scale)
         v = np.asarray(values, dtype=np.complex128)
         if v.ndim != 1 or len(v) > self.slots:

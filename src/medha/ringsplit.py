@@ -8,10 +8,10 @@ Ring arithmetic (add, multiply, rescale-style scaling) commutes with the map,
 so a large-ring workload can run entirely in the two half-size rings.
 
 The split is exactly the first butterfly layer of the full-degree transform:
-the evaluation vector of a degree-2h polynomial is its plus-ring evaluations
-followed by its minus-ring evaluations. A limb therefore needs one layout
-only; `eval_halves` slices it into the two half-ring vectors and
-`eval_whole` joins them back.
+a degree-2h evaluation vector is the plus-ring evaluations, then the minus
+ones (`eval_halves` and `eval_whole` slice and join it). So a limb needs one
+layout, computed at full degree; the pair maps here are the references that
+full-degree transform is checked against.
 """
 
 from __future__ import annotations

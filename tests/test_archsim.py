@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from medha import archsim, kernels, ringsplit
+from medha import archsim, kernels, polyring, ringsplit
 from medha.archsim import (
     BCAST,
     NTT,
@@ -670,35 +670,43 @@ def _count_calls(monkeypatch, calls, owners, name):
         monkeypatch.setattr(owner, name, wrapped)
 
 
-def test_logreg_replay_shares_one_decomposition(logreg_pset, monkeypatch):
+@pytest.mark.parametrize("pset_name", ("logreg", "set2"))
+def test_logreg_replay_shares_one_decomposition(pset_name, monkeypatch):
     # the seven rotations of t0 share one decomposition of its c1 limbs, a
     # limb broadcast back to its own RPAU is not transformed again, and
-    # every DYADIC mul/mac chain is summed unreduced, so no Barrett product
-    eng, prog, variables = _toy_logreg(logreg_pset)
-    calls = {}
-    for name in ("ntt_forward", "ntt_inverse"):
-        _count_calls(monkeypatch, calls, (archsim,), name)
-    _count_calls(monkeypatch, calls, (kernels.ModContext,), "mulmod")
-    execute_workload(eng, prog, variables)
-    assert calls == {"ntt_forward": 239, "ntt_inverse": 67, "mulmod": 0}
-
-
-def test_split_logreg_replay_shares_one_decomposition(set2, monkeypatch):
-    # split limbs share decompositions as native ones do, and only the
-    # decompositions transform: each runs two half-ring transforms where a
-    # native limb runs one, a SPLIT before each forward pair and a JOIN
-    # after each inverse pair, so the counts are twice, once and once
-    # native logreg's 239 forward and 67 inverse transforms
-    eng, prog, variables = _toy_logreg(set2)
+    # every DYADIC mul/mac chain is summed unreduced, so no Barrett product.
+    # Split limbs share decompositions as native ones do, and a split
+    # limb's decomposition runs the full-degree transforms that equal its
+    # half-ring pairs, so the counts are native logreg's and no split or
+    # join runs
+    eng, prog, variables = _toy_logreg(get_param_set(pset_name))
     calls = {}
     for name in ("ntt_forward", "ntt_inverse"):
         _count_calls(monkeypatch, calls, (archsim, ringsplit), name)
     for name in ("split", "join"):
-        _count_calls(monkeypatch, calls, (archsim,), name)
+        _count_calls(monkeypatch, calls, (ringsplit,), name)
     _count_calls(monkeypatch, calls, (kernels.ModContext,), "mulmod")
     execute_workload(eng, prog, variables)
-    assert calls == {"ntt_forward": 478, "ntt_inverse": 134, "split": 239, "join": 67,
+    assert calls == {"ntt_forward": 239, "ntt_inverse": 67, "split": 0, "join": 0,
                      "mulmod": 0}
+    assert not {"split", "join", "forward_pair", "inverse_pair"} & set(vars(archsim))
+
+
+def test_split_replay_builds_no_half_ring_table(set2, monkeypatch):
+    # the executor's only transforms are its decompositions', at full
+    # degree, so a split replay needs no plus or minus twiddle table
+    eng, prog, variables = _toy_logreg(set2)
+    built = []
+    init = polyring.TwiddleTable.__init__
+
+    def spy(self, q, n, twist):
+        built.append(twist)
+        init(self, q, n, twist)
+
+    polyring.twiddle_table.cache_clear()
+    monkeypatch.setattr(polyring.TwiddleTable, "__init__", spy)
+    execute_workload(eng, prog, variables)
+    assert built and set(built) == {polyring.STANDARD}
 
 
 def test_decomposition_dropped_with_its_variable(logreg_pset, monkeypatch):
@@ -764,6 +772,43 @@ def test_replay_releases_state_at_last_reader(request, pset_name, engine, monkey
              for (_, _, held), keep in zip(ends, read_later)]
     assert extra == [0, 0, 0]
     assert ends[-1][0].decomps == {}
+
+
+@pytest.mark.parametrize("pset_name, engine", [("set1", "toy_native"), ("set2", "toy_split2")])
+def test_unshared_decomposition_holds_no_lift_after_its_op(request, pset_name, engine,
+                                                           monkeypatch):
+    # m = x * y, rotated twice. Each op lifts limbs for its key switch and
+    # its special-prime drops; once it has run, only the decompositions of
+    # m's c1 limbs, which the second rotation shares, still hold a lift
+    eng, pset = request.getfixturevalue(engine), get_param_set(pset_name)
+    ops = [{"op": "mult_relin", "x": "x", "y": "y", "out": "m"},
+           {"op": "rotate", "steps": 1, "x": "m", "out": "r1"},
+           {"op": "rotate", "steps": 1, "x": "m", "out": "r2"}]
+    rng = np.random.default_rng(3)
+    variables = {
+        name: eng.encrypt(eng.encode(rng.uniform(-1.0, 1.0, eng.slots), pset.scale), enc_index=k)
+        for k, name in enumerate("xy")
+    }
+    made, ends, calls = [], [], {}
+    init, run = archsim._Decomp.__init__, _Executor.run
+
+    def spy_init(self, x):
+        init(self, x)
+        made.append(self)
+
+    def spy_run(self, opp, state):
+        calls["ntt_inverse"] = 0
+        run(self, opp, state)
+        ends.append((calls["ntt_inverse"], sum("lift" in vars(d) for d in made)))
+
+    _count_calls(monkeypatch, calls, (archsim,), "ntt_inverse")
+    monkeypatch.setattr(archsim._Decomp, "__init__", spy_init)
+    monkeypatch.setattr(_Executor, "run", spy_run)
+    result = execute_workload(eng, compile_workload(pset, ops), variables)
+    _same_ct(eng, result["r2"], _engine_run(eng, ops, variables)["r2"])
+    level = len(variables["x"].c1)
+    assert [held for _, held in ends] == [0, level, 0]
+    assert all(lifts for lifts, _ in ends)
 
 
 _INPUTS = ("a", "b")

@@ -100,6 +100,20 @@ def test_encode_rejects_non_finite_slots(toy_native, value):
         toy_native.encode([0.25, value], 1 << 40)
 
 
+@pytest.mark.parametrize("scale", [0, 0.0, Fraction(0), np.nan, np.inf, -np.inf])
+def test_encode_rejects_zero_and_non_finite_scale(toy_native, scale):
+    # a zero scale would encrypt and then fail to decrypt, dividing by it
+    with pytest.raises(ValueError, match="^scale must be finite and nonzero; got "):
+        toy_native.encode([0.5], scale)
+
+
+def test_encode_accepts_negative_scale(toy_native):
+    # it takes effect: the slots come back through the negative scale
+    ct = toy_native.encrypt(toy_native.encode([0.5], -(1 << 40)))
+    assert ct.scale == -(1 << 40)
+    assert abs(toy_native.decrypt(ct)[0] - 0.5) < 1e-6
+
+
 def test_encode_reduces_on_both_paths(toy_native):
     # at scale 2^58 the coefficient bound lies above every 54-bit prime and
     # below q0, so q0's limb takes the conditional add and the others divide

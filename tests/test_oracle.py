@@ -20,7 +20,9 @@ lift, transform or word kernel with the code it checks. Each result must
 equal the Engine op and `execute_workload` of the compiled op bit for bit,
 on set1 native and set2 split, at the top level (a key switch over every
 key column) and one level lower (only the key columns of that level plus
-p, and a rescale that drops a lower prime).
+p, and a rescale that drops a lower prime). The two-operand cases multiply
+two different ciphertexts, so a cross term that reads x for y shows, and
+rotate by a step of at least half the slots and by a negative one.
 """
 
 import functools
@@ -32,7 +34,7 @@ import numpy as np
 import pytest
 
 from medha.archsim import compile_workload, execute_workload
-from medha.heaan import Ciphertext
+from medha.heaan import Ciphertext, Engine
 from medha.modarith import crt_reconstruct
 from medha.polyring import STANDARD, ResiduePoly, eval_exponents, psi_for
 
@@ -138,9 +140,12 @@ class _Oracle:
         return _add(_negacyclic(x0, y0), k0), _add(d1, k1), x.scale * y.scale, x.level
 
     def rotate(self, ct: Ciphertext, steps: int):
+        # a negative step's Galois element is the inverse of 5^-steps; its
+        # key is that of the step's residue mod slots
         g = pow(5, steps, 2 * self.eng.degree)
         a0, a1 = (_automorphism(_poly(c), g) for c in (ct.c0, ct.c1))
-        k0, k1 = self.key_switch(a1, self.eng.rotation_keys[steps], ct.level)
+        ksk = self.eng.rotation_keys[steps % self.eng.slots]
+        k0, k1 = self.key_switch(a1, ksk, ct.level)
         return _add(a0, k0), k1, ct.scale, ct.level
 
     def rescale(self, ct: Ciphertext):
@@ -202,3 +207,57 @@ def test_op_matches_bigint_oracle(request, eng_name, pset_name, below_top, op, k
     _assert_equal(apply(eng, ct), want)
     program = compile_workload(pset, [{**spec, "level": level, "out": "out"}])
     _assert_equal(execute_workload(eng, program, {"x": ct})["out"], want)
+
+
+# two-operand cases: the compiled spec and the op applied to the inputs x
+# and y. The rotations' steps are taken mod the toy degree's 32 slots, as
+# the Engine takes them, so they compile against the toy-degree sets
+_WIDE_STEP, _NEGATIVE_STEP = 21, -5
+_TWO_OPERAND = {
+    "mult_relin-xy": ({"op": "mult_relin", "x": "x", "y": "y"},
+                      lambda impl, x, y: impl.mult_relin(x, y)),
+    "rotate-wide": ({"op": "rotate", "x": "x", "steps": _WIDE_STEP},
+                    lambda impl, x, y: impl.rotate(x, _WIDE_STEP)),
+    "rotate-negative": ({"op": "rotate", "x": "x", "steps": _NEGATIVE_STEP},
+                        lambda impl, x, y: impl.rotate(x, _NEGATIVE_STEP)),
+}
+
+
+@pytest.fixture(scope="module")
+def two_operand_engines(set1, set2):
+    """Toy engines over set1 native and set2 split with the keys of both
+    rotations; the shared toy engines keep their own key sets."""
+    engines = {}
+    for name, pset in (("set1", set1), ("set2", set2)):
+        eng = Engine(pset.base, 64, pset.mode, seed=5)
+        eng.keygen(rotation_steps=(_WIDE_STEP, _NEGATIVE_STEP))
+        engines[name] = eng
+    return engines
+
+
+def _second_input(eng, kind: str, level: int) -> Ciphertext:
+    """An operand y unlike x: the boundary ciphertext with its components
+    swapped, or another encryption of other values."""
+    if kind == "boundary":
+        x = _boundary_ct(eng, level)
+        return Ciphertext(x.c1, x.c0, x.scale)
+    rng = np.random.default_rng(72)
+    pt = eng.encode(rng.uniform(-1.0, 1.0, eng.slots), 1 << 40, level=level)
+    return eng.encrypt(pt, enc_index=1)
+
+
+@pytest.mark.parametrize("kind", ("encrypted", "boundary"))
+@pytest.mark.parametrize("case", tuple(_TWO_OPERAND))
+@pytest.mark.parametrize("below_top", (0, 1))
+@pytest.mark.parametrize("pset_name", ("set1", "set2"))
+def test_two_operand_op_matches_bigint_oracle(request, two_operand_engines, pset_name,
+                                              below_top, case, kind):
+    pset = request.getfixturevalue("toy_" + pset_name)
+    eng = two_operand_engines[pset_name]
+    level = eng.base.levels - below_top
+    x, y = _input(eng, kind, level), _second_input(eng, kind, level)
+    spec, apply = _TWO_OPERAND[case]
+    want = apply(_Oracle(eng), x, y)
+    _assert_equal(apply(eng, x, y), want)
+    program = compile_workload(pset, [{**spec, "level": level, "out": "out"}])
+    _assert_equal(execute_workload(eng, program, {"x": x, "y": y})["out"], want)
