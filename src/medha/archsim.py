@@ -967,6 +967,7 @@ class _Executor:
     def __init__(self, engine, program: Program):
         self.eng = engine
         self.base = engine.base
+        self.degree = program.pset.degree
         self.parts = 2 if program.pset.mode == "split" else 1
         # RPAU i holds limb i; the special RPAU holds the special prime
         levels = self.base.levels
@@ -1025,7 +1026,13 @@ class _Executor:
         if term[0] == "slot":
             return self.read(state, (rpau, term[1]), half == "m")
         _, ksk_id, comp, i = term
-        key = self.eng.switching_key(ksk_id)
+        try:
+            key = self.eng.switching_key(ksk_id)
+        except ValueError as e:
+            if self.degree != self.eng.degree:  # a key id is a step mod the program's slots
+                raise ValueError(f"{e}; the program is compiled for ring degree {self.degree}, "
+                                 f"the engine's is {self.eng.degree}") from None
+            raise
         limb = (key.secret if comp == 0 else key.uniform)[i][self.mod_idx[rpau]]
         return _eval_part(limb, self.parts, half == "m")
 

@@ -20,6 +20,7 @@ pipelined hardware sequences them.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
@@ -117,6 +118,14 @@ def _slot_index(degree: int) -> np.ndarray:
 def galois_element(steps: int, degree: int) -> int:
     """The Galois element 5^steps mod 2·degree that rotates slots by `steps`."""
     return pow(5, steps, 2 * degree)
+
+
+def _integer(name: str, value) -> int:
+    """An int, bool (True is 1) or NumPy integer argument as an int."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer; got {value!r}") from None
 
 
 def _each(kind: str, xs: Sequence, ys: Sequence) -> list:
@@ -285,7 +294,7 @@ class Engine:
         """Distinct nonzero steps mod slots that have no key yet, in order."""
         out: list[int] = []
         for step in steps:
-            step = step % self.slots
+            step = _integer("rotation step", step) % self.slots
             if step and step not in self.rotation_keys and step not in out:
                 out.append(step)
         return out
@@ -344,8 +353,9 @@ class Engine:
         return Fraction(self.base.primes[level - 1].value)
 
     def encode(self, values, scale, level: Optional[int] = None) -> Plaintext:
-        level = self.base.levels if level is None else level
-        if not 0 < abs(scale) < np.inf:
+        level = self.base.levels if level is None else _integer("level", level)
+        # the slots are multiplied by float(scale), which must not round to 0 or inf
+        if not 2.0**-1074 <= abs(scale) <= float(np.finfo(float).max):
             raise ValueError(f"scale must be finite and nonzero; got {scale}")
         scale = Fraction(scale)
         v = np.asarray(values, dtype=np.complex128)
@@ -377,9 +387,12 @@ class Engine:
     def decode(self, pt: Plaintext) -> np.ndarray:
         centered = self._limbs_to_centered(pt.limbs)
         scale = Fraction(pt.scale)
+        d = self.degree
+        # each decoded value is at most d max|c| / |scale|
+        if max(map(abs, centered)) * d >= 2**1023 * abs(scale):
+            raise ValueError(f"decoded values overflow a float at scale {float(scale):.3g}")
         # int true division rounds correctly: float(Fraction(c) / scale), bit for bit
         m = np.array([c * scale.denominator / scale.numerator for c in centered])
-        d = self.degree
         f = np.fft.ifft(m * np.exp(1j * np.pi * np.arange(d) / d)) * d
         return f[_slot_index(d)]
 
@@ -388,6 +401,7 @@ class Engine:
     def encrypt(self, pt: Plaintext, enc_index: int = 0) -> Ciphertext:
         if self.pk_b is None:
             raise ValueError("keygen before encrypt")
+        enc_index = _integer("enc_index", enc_index)
         d = self.degree
         r = sample_ternary(
             stream_for(self.seed, enc_index, 0, component_tag(COMP_ENC_R)), d
@@ -477,6 +491,8 @@ class Engine:
         q_i and transformed back, is d_i itself, so target i takes d_i
         without a transform.
         """
+        if d_limbs[0].n != self.degree:
+            raise ValueError(f"ciphertext ring degree {d_limbs[0].n} is not the engine's {self.degree}")
         lvl = len(d_limbs)
         ext = self.base.extended_moduli(lvl)
         ext_idx = list(range(lvl)) + [self.base.levels]
@@ -518,7 +534,7 @@ class Engine:
         )
 
     def rotate(self, ct: Ciphertext, steps: int) -> Ciphertext:
-        steps = steps % self.slots
+        steps = _integer("steps", steps) % self.slots
         if steps == 0:
             return ct.copy()
         ksk = self.switching_key(steps)

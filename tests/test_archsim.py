@@ -629,23 +629,36 @@ def test_sum_of_operands_at_different_scales_rejected(set1, toy_native):
     assert execute_workload(toy_native, prog, {"x": x, "y": x})["out"].scale == x.scale
 
 
-def test_replay_without_its_rotation_key_raises_engine_error(set1):
-    eng = Engine(set1.base, TOY, "native", seed=5)
+def test_replay_without_its_rotation_key_raises_engine_error(toy_set1):
+    eng = Engine(toy_set1.base, TOY, "native", seed=5)
     eng.keygen(rotation_steps=(3,))
-    ct = eng.encrypt(eng.encode(np.linspace(-1.0, 1.0, eng.slots), set1.scale))
-    prog = compile_workload(set1, [{"op": "rotate", "steps": 1, "x": "x", "out": "out"}])
+    ct = eng.encrypt(eng.encode(np.linspace(-1.0, 1.0, eng.slots), toy_set1.scale))
+    prog = compile_workload(toy_set1, [{"op": "rotate", "steps": 1, "x": "x", "out": "out"}])
     with pytest.raises(ValueError, match="^no rotation key for step 1$"):
         eng.rotate(ct, 1)
     with pytest.raises(ValueError, match="^no rotation key for step 1$"):
         execute_workload(eng, prog, {"x": ct})
 
 
-def test_replay_without_relin_key_raises_engine_error(set1):
+def test_replay_of_another_degree_names_both_degrees(set1):
+    # compiled at 2^14, rotate by -1 takes key 8191; the toy engine takes
+    # -1 mod its 32 slots, so it holds that rotation's key as step 31
     eng = Engine(set1.base, TOY, "native", seed=5)
-    eng.keygen()
+    eng.keygen(rotation_steps=(-1,))
     ct = eng.encrypt(eng.encode(np.linspace(-1.0, 1.0, eng.slots), set1.scale))
+    assert sorted(eng.rotation_keys) == [31]
+    prog = compile_workload(set1, [{"op": "rotate", "steps": -1, "x": "x", "out": "out"}])
+    with pytest.raises(ValueError, match="^no rotation key for step 8191; the program is "
+                       "compiled for ring degree 16384, the engine's is 64$"):
+        execute_workload(eng, prog, {"x": ct})
+
+
+def test_replay_without_relin_key_raises_engine_error(toy_set1):
+    eng = Engine(toy_set1.base, TOY, "native", seed=5)
+    eng.keygen()
+    ct = eng.encrypt(eng.encode(np.linspace(-1.0, 1.0, eng.slots), toy_set1.scale))
     eng.relin_key = None
-    prog = compile_workload(set1, [{"op": "mult_relin", "x": "x", "y": "x", "out": "out"}])
+    prog = compile_workload(toy_set1, [{"op": "mult_relin", "x": "x", "y": "x", "out": "out"}])
     with pytest.raises(ValueError, match="^keygen before mult_relin$"):
         eng.mult_relin(ct, ct)
     with pytest.raises(ValueError, match="^keygen before mult_relin$"):
@@ -674,7 +687,8 @@ def _count_calls(monkeypatch, calls, owners, name):
 def test_logreg_replay_shares_one_decomposition(pset_name, monkeypatch):
     # the seven rotations of t0 share one decomposition of its c1 limbs, a
     # limb broadcast back to its own RPAU is not transformed again, and
-    # every DYADIC mul/mac chain is summed unreduced, so no Barrett product.
+    # every DYADIC mul/mac chain is summed unreduced, so no general product
+    # (`ModContext.mulmod`) runs.
     # Split limbs share decompositions as native ones do, and a split
     # limb's decomposition runs the full-degree transforms that equal its
     # half-ring pairs, so the counts are native logreg's and no split or

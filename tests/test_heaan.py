@@ -4,10 +4,14 @@ Small-ring engines over the real moduli keep these fast; an exact big-integer
 oracle checks decryption independently of the limb-domain code paths.
 """
 
+import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from medha import heaan
 from medha.archsim import compile_workload, execute_workload
@@ -571,3 +575,194 @@ def test_inverse_twiddle_layers_built_on_first_inverse_transform(set2):
     eng.decrypt(ct)
     assert ct.level == set2.levels
     assert all(built(q) for q in eng.base.primes)
+
+
+# ---- every argument takes effect or is rejected ----
+#
+# A call either raises a ValueError with one of medha's messages, or its
+# result decrypts to the plain result within _NOISE / scale + _FLOAT, where
+# scale is the smallest scale among the op's operands and its result. At
+# the toy degree a fresh encryption's slots are off by about 400 / scale,
+# a rotation's by about 1.5e4 / scale; _FLOAT covers the float transform of
+# a decoding. A bool is an int: True takes effect as 1.
+
+_NOISE = 2**16
+_FLOAT = 2**-30
+_MEDHA_ERRORS = re.compile(
+    r"^(\w+ must be an integer; got |rotation step must be an integer; got "
+    r"|level -?\d+ out of range 1\.\.\d+$|stream tag out of range$|no rotation key for step \d+$"
+    r"|scale must be finite and nonzero; got |encoded coefficients overflow 62 bits"
+    r"|decoded values overflow a float at scale |level mismatch: |scale mismatch; "
+    r"|dyadic operands live in different rings or domains$|ciphertext ring degree \d+ is not)"
+)
+
+
+def _taken_or_refused(call, check) -> None:
+    try:
+        out = call()
+    except ValueError as e:
+        assert _MEDHA_ERRORS.match(str(e)), str(e)
+        return
+    check(out)
+
+
+def _within(got, want, *scales) -> None:
+    bound = _NOISE / min(abs(float(s)) for s in scales) + _FLOAT
+    assert np.max(np.abs(got - want)) <= bound
+
+
+_SCALES = st.one_of(
+    st.sampled_from([0, -0.0, Fraction(0), math.nan, math.inf, -math.inf, 5e-324, 1e-300,
+                     2.0**-40, 1, -(1 << 40), Fraction(1 << 40, 3), 2.0**70, 10**400,
+                     Fraction(1, 10**400)]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.fractions(),
+    st.integers(-(1 << 80), 1 << 80),
+)
+
+
+@settings(max_examples=60)
+@given(scale=_SCALES)
+def test_encode_scale_takes_effect_or_is_rejected(toy_native, scale):
+    eng = toy_native
+    v = np.linspace(-0.5, 0.5, eng.slots)
+    _taken_or_refused(lambda: eng.decrypt(eng.encrypt(eng.encode(v, scale))),
+                      lambda got: _within(got, v, scale))
+
+
+_INTEGER_LIKE = st.one_of(
+    st.integers(-3, 40),
+    st.booleans(),
+    st.floats(-40, 40),
+    st.sampled_from([np.int64(3), np.int32(1), np.uint8(2), 1.0, 0.0, 1 << 24]),
+)
+
+
+@settings(max_examples=60)
+@given(arg=st.sampled_from(["level", "enc_index", "steps"]), value=_INTEGER_LIKE)
+def test_integer_arguments_take_effect_or_are_rejected(toy_native, arg, value):
+    # toy_native holds the rotation keys of steps 1 and 3; a float, even a
+    # whole one, is refused by the argument's name
+    eng = toy_native
+    v = np.linspace(-0.5, 0.5, eng.slots)
+    pt = eng.encode(v, 1 << 40)
+    ct = eng.encrypt(pt)
+
+    def check_level(out):
+        assert out.level == int(value)
+        _within(eng.decrypt(eng.encrypt(out)), v, out.scale)
+
+    def check_enc_index(out):
+        assert _same_ct(out, eng.encrypt(pt, int(value)))
+        _within(eng.decrypt(out), v, out.scale)
+
+    call, check = {
+        "level": (lambda: eng.encode(v, 1 << 40, level=value), check_level),
+        "enc_index": (lambda: eng.encrypt(pt, value), check_enc_index),
+        "steps": (lambda: eng.rotate(ct, value),
+                  lambda out: _within(eng.decrypt(out), np.roll(v, -int(value)), out.scale)),
+    }[arg]
+    if isinstance(value, float):
+        with pytest.raises(ValueError, match=f"^{arg} must be an integer; got "):
+            call()
+    else:
+        _taken_or_refused(call, check)
+
+
+def _same_ct(a: Ciphertext, b: Ciphertext) -> bool:
+    return a.scale == b.scale and all(
+        _same(x, y) for x, y in zip(a.c0 + a.c1, b.c0 + b.c1, strict=True))
+
+
+def test_true_takes_effect_as_one(toy_native):
+    eng = toy_native
+    pt = eng.encode(np.linspace(-0.5, 0.5, eng.slots), 1 << 40)
+    assert eng.encode([0.5], 1 << 40, level=True).level == 1
+    ct = eng.encrypt(pt, True)
+    assert _same_ct(ct, eng.encrypt(pt, 1))
+    assert _same_ct(eng.encrypt(pt, np.int64(1)), ct)  # used to overflow in stream_for
+    assert _same_ct(eng.rotate(ct, True), eng.rotate(ct, 1))
+
+
+@pytest.mark.parametrize("arg, value", (("enc_index", 1.5), ("level", 2.0), ("steps", 1.0)))
+def test_float_arguments_rejected_by_name(toy_native, arg, value):
+    # each used to fail inside medha with a TypeError: from | in stream_for,
+    # from a slice, and from pow after finding key 1 by float equality
+    eng = toy_native
+    pt = eng.encode([0.5], 1 << 40)
+    call = {"enc_index": lambda: eng.encrypt(pt, value),
+            "level": lambda: eng.encode([0.5], 1 << 40, level=value),
+            "steps": lambda: eng.rotate(eng.encrypt(pt), value)}[arg]
+    with pytest.raises(ValueError, match=f"^{arg} must be an integer; got {value}$"):
+        call()
+
+
+@pytest.mark.parametrize("scale", [10**400, -(10**400), Fraction(1, 10**400)])
+def test_encode_rejects_scale_outside_float_range(toy_native, scale):
+    # the slots are multiplied by float(scale): 10^400 raised OverflowError
+    # there, and 10^-400 rounded to 0 and encoded every slot as zero
+    with pytest.raises(ValueError, match="^scale must be finite and nonzero; got "):
+        toy_native.encode([0.5], scale)
+
+
+def test_decode_rejects_values_beyond_a_float(toy_native):
+    # at the smallest float scale the noise alone decodes past 2^1024; it
+    # used to raise OverflowError from the division
+    ct = toy_native.encrypt(toy_native.encode([0.5], 5e-324))
+    with pytest.raises(ValueError, match="^decoded values overflow a float at scale 4.94e-324$"):
+        toy_native.decrypt(ct)
+
+
+def test_rotation_step_of_keygen_must_be_an_integer(set1):
+    eng = Engine(set1.base, TOY, "native", seed=5)
+    with pytest.raises(ValueError, match="^rotation step must be an integer; got 1.5$"):
+        eng.keygen(rotation_steps=(1.5,))
+
+
+@pytest.fixture(scope="module")
+def toy_native_128(set1):
+    eng = Engine(set1.base, 2 * TOY, "native", seed=5)
+    eng.keygen(rotation_steps=(1,))
+    return eng
+
+
+# the op applied to x, from toy_native, and to the mismatched operand y,
+# with the slots it must decrypt to; a unary op takes y alone and is
+# decrypted by y's engine, a binary one by x's
+_MISMATCH_OPS = {
+    "add": (lambda e, x, y, py: e.add(x, y), lambda vx, vy: vx + vy),
+    "sub": (lambda e, x, y, py: e.sub(x, y), lambda vx, vy: vx - vy),
+    "mult_plain": (lambda e, x, y, py: e.mult_plain(x, py), lambda vx, vy: vx * vy),
+    "mult_relin": (lambda e, x, y, py: e.mult_relin(x, y), lambda vx, vy: vx * vy),
+    "rotate": (lambda e, x, y, py: e.rotate(y, 1), lambda vx, vy: np.roll(vy, -1)),
+    "rescale": (lambda e, x, y, py: e.rescale(y), lambda vx, vy: vy),
+    "decrypt": (lambda e, x, y, py: e.decrypt(y), lambda vx, vy: vy),
+}
+
+
+@pytest.mark.parametrize("mismatch", ("level", "scale", "degree", "mode"))
+@pytest.mark.parametrize("op", tuple(_MISMATCH_OPS))
+def test_mismatched_operands_take_effect_or_are_rejected(toy_native, toy_split, toy_native_128,
+                                                         op, mismatch):
+    # toy_split shares toy_native's seed, so its secret key: a ciphertext
+    # carries no mode, and one of either mode decrypts under both
+    eng = toy_native
+    other = {"degree": toy_native_128, "mode": toy_split}.get(mismatch, eng)
+    level = eng.base.levels - (mismatch == "level")
+    scale = Fraction(1 << 41 if mismatch == "scale" else 1 << 40)
+    vx = np.linspace(-0.5, 0.5, eng.slots)
+    vy = np.cos(np.arange(other.slots))
+    x = eng.encrypt(eng.encode(vx, 1 << 40))
+    py = other.encode(vy, scale, level=level)
+    y = other.encrypt(py, 1)
+    apply, plain = _MISMATCH_OPS[op]
+    unary = op in ("rotate", "rescale", "decrypt")
+    scales = [py.scale] if unary else [x.scale, py.scale]
+
+    def check(out):
+        if op != "decrypt":
+            scales.append(out.scale)
+            out = (other if unary else eng).decrypt(out)
+        _within(out, plain(vx, vy), *scales)
+
+    _taken_or_refused(lambda: apply(eng, x, y, py), check)

@@ -158,12 +158,14 @@ def test_mulmod_general_and_scalar(set1):
 
 
 def test_ctx_cache_and_range():
-    q = (1 << 54) - 33  # reduction context needs no primality, only the range
+    q = (1 << 54) - 33  # reduction context needs no primality, only an odd q in range
     assert ctx(q) is ctx(q)
     with pytest.raises(ValueError):
         ModContext(2)
     with pytest.raises(ValueError):
         ModContext(1 << 62)
+    with pytest.raises(ValueError, match="odd"):
+        ModContext(1 << 40)  # a Shoup companion needs q^-1 mod 2^64
 
 
 def _check_mulmod(q, rng):
@@ -184,11 +186,11 @@ def _check_mulmod(q, rng):
 
 
 @pytest.mark.parametrize("q", (3, 17, (1 << 31) - 1) + NEAR_2_62)
-def test_barrett_mulmod_small_and_wide_moduli(q):
+def test_mulmod_small_and_wide_moduli(q):
     _check_mulmod(q, np.random.default_rng(q % 1009))
 
 
-def test_barrett_mulmod_preset_moduli(set1, set2, logreg_pset):
+def test_mulmod_preset_moduli(set1, set2, logreg_pset):
     rng = np.random.default_rng(19)
     moduli = {m.value for s in (set1, set2, logreg_pset) for m in s.base.all_moduli}
     for q in sorted(moduli):

@@ -1,4 +1,5 @@
-"""mult_relin, rotate and rescale against a big-integer oracle.
+"""The homomorphic ops, alone and as the logreg op list, against a
+big-integer oracle.
 
 The oracle follows the scheme's own definitions in Python integers: RNS-CKKS
 (Cheon, Han, Kim, Kim and Song, "A Full RNS Variant of Approximate
@@ -22,21 +23,28 @@ on set1 native and set2 split, at the top level (a key switch over every
 key column) and one level lower (only the key columns of that level plus
 p, and a rescale that drops a lower prime). The two-operand cases multiply
 two different ciphertexts, so a cross term that reads x for y shows, and
-rotate by a step of at least half the slots and by a negative one.
+rotate by a step of at least half the slots and by a negative one. add,
+sub and mult_plain (its plaintext at the ciphertext's level) run on the
+same sets and levels; rotate by 0 is the Engine's copy and is not
+compiled. The toy logreg op list runs op by op through the oracle and must
+end on `execute_workload`'s output.
 """
 
 import functools
 import math
+from dataclasses import replace
 from fractions import Fraction
 from operator import mul
 
 import numpy as np
 import pytest
 
-from medha.archsim import compile_workload, execute_workload
-from medha.heaan import Ciphertext, Engine
+from medha.archsim import UnsupportedOpError, compile_workload, execute_workload
+from medha.heaan import Ciphertext, Engine, Plaintext
 from medha.modarith import crt_reconstruct
+from medha.params import get_param_set
 from medha.polyring import STANDARD, ResiduePoly, eval_exponents, psi_for
+from medha.workloads import get_workload
 
 
 @functools.cache
@@ -83,6 +91,10 @@ def _divide(a: list[int], q: int) -> list[int]:
 
 def _add(a: list[int], b: list[int]) -> list[int]:
     return [x + y for x, y in zip(a, b)]
+
+
+def _sub(a: list[int], b: list[int]) -> list[int]:
+    return [x - y for x, y in zip(a, b)]
 
 
 def _negacyclic(a: list[int], b: list[int]) -> list[int]:
@@ -132,6 +144,19 @@ class _Oracle:
                 acc = _add(acc, _negacyclic([_centered(x, qi) for x in d], k_i))
             out.append(_divide([x % big for x in acc], p))
         return out
+
+    def add(self, x: Ciphertext, y: Ciphertext):
+        x0, x1, y0, y1 = (_poly(c) for c in (x.c0, x.c1, y.c0, y.c1))
+        return _add(x0, y0), _add(x1, y1), x.scale, x.level
+
+    def sub(self, x: Ciphertext, y: Ciphertext):
+        x0, x1, y0, y1 = (_poly(c) for c in (x.c0, x.c1, y.c0, y.c1))
+        return _sub(x0, y0), _sub(x1, y1), x.scale, x.level
+
+    def mult_plain(self, ct: Ciphertext, pt: Plaintext):
+        p = _poly(pt.limbs)
+        c0, c1 = (_negacyclic(_poly(c), p) for c in (ct.c0, ct.c1))
+        return c0, c1, ct.scale * pt.scale, ct.level
 
     def mult_relin(self, x: Ciphertext, y: Ciphertext):
         x0, x1, y0, y1 = (_poly(c) for c in (x.c0, x.c1, y.c0, y.c1))
@@ -261,3 +286,86 @@ def test_two_operand_op_matches_bigint_oracle(request, two_operand_engines, pset
     _assert_equal(apply(eng, x, y), want)
     program = compile_workload(pset, [{**spec, "level": level, "out": "out"}])
     _assert_equal(execute_workload(eng, program, {"x": x, "y": y})["out"], want)
+
+
+def _apply(impl, spec: dict, values: dict):
+    """The op of a compiled spec, applied by the Engine or the oracle to the
+    values its spec names."""
+    args = [values[spec[k]] for k in ("x", "y", "pt") if k in spec]
+    if spec["op"] == "rotate":
+        args.append(spec["steps"])
+    return getattr(impl, spec["op"])(*args)
+
+
+def _plaintext(eng, kind: str, level: int) -> Plaintext:
+    """A plaintext at a ciphertext's level: the boundary words, or an
+    encoding of other values."""
+    if kind == "boundary":
+        return Plaintext(_boundary_ct(eng, level).c1, Fraction(1 << 20))
+    rng = np.random.default_rng(73)
+    return eng.encode(rng.uniform(-1.0, 1.0, eng.slots), 1 << 20, level=level)
+
+
+_LINEAR = {
+    "add": {"op": "add", "x": "x", "y": "y"},
+    "sub": {"op": "sub", "x": "x", "y": "y"},
+    "mult_plain": {"op": "mult_plain", "x": "x", "pt": "p"},
+}
+
+
+@pytest.mark.parametrize("kind", ("encrypted", "boundary"))
+@pytest.mark.parametrize("case", tuple(_LINEAR))
+@pytest.mark.parametrize("below_top", (0, 1))
+@pytest.mark.parametrize("eng_name, pset_name", (("toy_native", "toy_set1"),
+                                                 ("toy_split2", "toy_set2")))
+def test_linear_op_matches_bigint_oracle(request, eng_name, pset_name, below_top, case, kind):
+    eng = request.getfixturevalue(eng_name)
+    pset = request.getfixturevalue(pset_name)
+    level = eng.base.levels - below_top
+    values = {"x": _input(eng, kind, level), "y": _second_input(eng, kind, level),
+              "p": _plaintext(eng, kind, level)}
+    spec = _LINEAR[case]
+    want = _apply(_Oracle(eng), spec, values)
+    _assert_equal(_apply(eng, spec, values), want)
+    program = compile_workload(pset, [{**spec, "level": level, "out": "out"}])
+    _assert_equal(execute_workload(eng, program, values)["out"], want)
+
+
+@pytest.mark.parametrize("below_top", (0, 1))
+@pytest.mark.parametrize("eng_name, pset_name", (("toy_native", "toy_set1"),
+                                                 ("toy_split2", "toy_set2")))
+def test_rotate_by_zero_copies_and_is_not_compiled(request, eng_name, pset_name, below_top):
+    # the oracle's rotation by 0 is the identity; no compiled stream runs it
+    eng = request.getfixturevalue(eng_name)
+    pset = request.getfixturevalue(pset_name)
+    level = eng.base.levels - below_top
+    ct = _input(eng, "encrypted", level)
+    got = eng.rotate(ct, 0)
+    _assert_equal(got, (_poly(ct.c0), _poly(ct.c1), ct.scale, ct.level))
+    for a, b in zip(got.c0 + got.c1, ct.c0 + ct.c1, strict=True):
+        assert not np.shares_memory(a.coeffs, b.coeffs)
+    with pytest.raises(UnsupportedOpError):
+        compile_workload(pset, [{"op": "rotate", "x": "x", "steps": 0, "level": level,
+                                 "out": "out"}])
+
+
+def _as_ciphertext(eng, want) -> Ciphertext:
+    """The oracle's integer polynomials as limbs at their level."""
+    c0, c1, scale, level = want
+    moduli = eng.base.level_moduli(level)
+    return Ciphertext([_limb(c0, q) for q in moduli], [_limb(c1, q) for q in moduli], scale)
+
+
+@pytest.mark.parametrize("pset_name", ("logreg", "set2"))
+def test_logreg_op_list_matches_bigint_oracle(pset_name):
+    pset = replace(get_param_set(pset_name), degree=64)
+    spec = get_workload(pset, "logreg")
+    eng = Engine(pset.base, pset.degree, pset.mode, seed=7)
+    eng.keygen(rotation_steps=spec.rotation_steps)
+    inputs, _ = spec.build_inputs(eng, 11)
+    oracle, values = _Oracle(eng), dict(inputs)
+    for op in spec.ops:
+        want = _apply(oracle, op, values)
+        values[op["out"]] = _as_ciphertext(eng, want)
+    got = execute_workload(eng, compile_workload(pset, spec.ops), inputs)
+    _assert_equal(got[spec.output_var], want)
