@@ -4,11 +4,13 @@ The package has two halves that share one instruction vocabulary:
 
 - an evaluation engine (`Engine`) computing over a residue-number-system
   limb basis, each limb one full-degree evaluation vector;
-- a deterministic latency model (`archsim`) of the accelerator that
-  executes the same instruction streams, so every simulated schedule is
-  also functionally verifiable. On rings twice the hardware size its
-  executor runs the half-degree datapath and must match the engine bit
-  for bit.
+- a deterministic latency model (`archsim`) of the accelerator, whose
+  executor runs the compiled instruction streams on real ciphertexts, so
+  every simulated schedule is also functionally verifiable. On rings twice
+  the hardware size it runs the half-degree datapath.
+
+The engine's homomorphic ops are replays of their compiled one-op
+programs through that executor, so each op has one implementation.
 """
 
 from .heaan import Ciphertext, Engine, KeySwitchKey, Plaintext

@@ -34,14 +34,17 @@ calibratable data-movement surcharge (`split_move_cycles`), the one
 quantity the hardware measurements leave unspecified.
 
 The same instruction streams can be executed functionally: every opcode
-maps onto a polynomial-ring operation, and the executed stream must
-reproduce the evaluation engine's ciphertexts bit for bit. Replay runs
-each instruction atomically, in a dependency order of its own, so it
-checks the compiled edges only in part: with one main-controller edge of
-a `mult_relin` dyadic instruction dropped, it fails or differs for 4 of
-14 such edges at set1 and 9 of 36 at set2 (and for 5 of 15 and 10 of 25
-the other way round). Replaying the simulator's dispatch order would
-catch none, as it starts such a reader only after its writer has started.
+maps onto a polynomial-ring operation. The evaluation engine's
+homomorphic ops are such replays (`heaan.Engine` runs each op's compiled
+one-op program through `execute_workload`), so each op has one
+implementation, and the tests check it against big-integer definitions
+of the scheme. Replay runs each instruction atomically, in a dependency
+order of its own, so it checks the compiled edges only in part: with one
+main-controller edge of a `mult_relin` dyadic instruction dropped, it
+fails or differs for 4 of 14 such edges at set1 and 9 of 36 at set2 (and
+for 5 of 15 and 10 of 25 the other way round). Replaying the simulator's
+dispatch order would catch none, as it starts such a reader only after
+its writer has started.
 
 Replay runs both limb layouts on one path, and computes what commutes
 with a Galois map once (hoisting; Halevi and Shoup, CRYPTO 2018). The
@@ -50,24 +53,26 @@ of it: an operand is seeded so, and the INTT of a computed limb starts
 one. The transforms, the JOIN and SPLIT butterflies, AUTO and BCAST only
 move an image's domain, compose its Galois map or retarget its modulus,
 so what they carry comes from one decomposition of x (`_Decomp`): the
-centered lift of its coefficients (`heaan.CenteredLift`, the reduction of
-signed words that the Engine's key switch and rescale go through too),
-transformed under each modulus. An automorphism permutes residues and
-negates some, the lift commutes with negation for odd q, and each
-transform maps the map's coefficient form onto its evaluation form, so
-every slot keeps its bits. The decomposition transforms at full degree on
-either layout: that gives the bits of a split limb's half-ring datapath.
+centered lift of its coefficients (`heaan.CenteredLift`, the one
+reduction of signed words), transformed under each modulus. An
+automorphism permutes residues and negates some, the lift commutes with
+negation for odd q, and each transform maps the map's coefficient form
+onto its evaluation form, so every slot keeps its bits. The decomposition
+transforms at full degree on either layout: that gives the bits of a
+split limb's half-ring datapath.
 
 Replay holds each value, as the RPAUs do, from its first write to its last
-read: a temporary until its last reader, an evaluation until the last
-slot of its image reads it, and an operand's decomposition, with the
+read: a slot's value until the last instruction of its op that reads it
+(an output's until the op's result is read off), an evaluation until the
+last slot of its image reads it, and an operand's decomposition, with the
 evaluations that the rotations of the operand share, until the last op
 that reads the operand. A limb broadcast back to its own RPAU is the limb
-its INTT started from, so it is not transformed again. DYADIC mul/mac
-chains sum their products unreduced in a `kernels.WideSum` and reduce
-once, when another instruction reads the slot. Keys come from
-`Engine.switching_key`, so a missing one is refused as the Engine op
-refuses it.
+its INTT started from, so it is not transformed again. Every DYADIC
+product is reduced as `polyring.dyadic` computes it, against the Shoup
+companions of its slot operand, formed once for all the products that
+read that value (a key switch's two components, a tensor product's two
+terms). Keys come from `Engine.switching_key`, so a missing one is
+refused with the Engine's message.
 """
 
 from __future__ import annotations
@@ -79,7 +84,6 @@ from typing import Optional, Sequence
 
 from . import kernels
 from .heaan import RELIN_KSK_ID, CenteredLift, Ciphertext, galois_element
-from .kernels import WideSum
 from .modarith import PrimeModulus
 from .params import ParamSet
 from .polyring import (
@@ -294,6 +298,20 @@ def _slot_terms(slots) -> tuple:
     return tuple(("slot", s) for s in slots)
 
 
+def _reads(rpaus, src) -> list[tuple[int, int]]:
+    """The (rpau, slot) pairs that an instruction's sources read; key
+    material lives outside the RPM dataflow."""
+    reads: list[tuple[int, int]] = []
+    for term in src:
+        if term[0] == "slot":
+            reads.extend((r, term[1]) for r in rpaus)
+        elif term[0] == "remote":
+            reads.append((term[1], term[2]))
+        elif term[0] != "ksk":
+            raise ArchSimError(f"unknown source kind {term[0]!r}")
+    return reads
+
+
 class _OpCompiler:
     """Compiles one high-level operation into the two controller streams:
     it holds the op's frame (level, RPAUs, slot layout, receive buffers)
@@ -360,16 +378,7 @@ class _OpCompiler:
     ) -> Instruction:
         rpaus = tuple(rpaus)
         deps: set[int] = set()
-        reads: list[tuple[int, int]] = []
-        for term in src:
-            if term[0] == "slot":
-                reads.extend((r, term[1]) for r in rpaus)
-            elif term[0] == "remote":
-                reads.append((term[1], term[2]))
-            elif term[0] == "ksk":
-                pass  # key material lives outside the RPM dataflow
-            else:
-                raise ArchSimError(f"unknown source kind {term[0]!r}")
+        reads = _reads(rpaus, src)
         writes = [(r, s) for r in rpaus for s in dst]
         for ref in reads:
             w = self.last_write.get(ref)
@@ -487,7 +496,7 @@ class _OpCompiler:
         """Hoisted key switch of the limbs in `src` into `acc0`/`acc1`.
 
         The main controller walks each limb's coefficients through every
-        output modulus; the dyadic controller accumulates them against the
+        output modulus; the dyadic controller sums their products with the
         key, plus half before minus half so the ring can overwrite sooner.
         Two sequential special-prime drops bring both sums back to the level.
         """
@@ -532,7 +541,7 @@ def _compile_mult_relin(c: _OpCompiler) -> OpProgram:
     """Tensor product, key-switch of the quadratic part, and base merge.
 
     The dyadic controller owns the tensor products and the running
-    accumulations; the main controller owns the transform/broadcast loop
+    key-switch sums; the main controller owns the transform/broadcast loop
     that walks the quadratic part through every output modulus, then the
     two sequential special-prime drops.
     """
@@ -939,26 +948,15 @@ class _Half:
     v: ResiduePoly
 
 
-@dataclass
-class _Chain:
-    """A DYADIC mul/mac chain not yet reduced: its products summed into one
-    WideSum as unreduced 128-bit words, and a limb over the sum's own
-    words, which hold its residues once the slot's first read reduces it."""
-    total: WideSum
-    limb: ResiduePoly
-
-    def value(self) -> ResiduePoly:
-        return replace(self.limb, coeffs=self.total.residues())
-
-
 class _Executor:
     """Runs instruction streams on RPM slot states, {(rpau, slot): value}.
 
     NTT, INTT, JOIN and SPLIT move an image's domain, AUTO composes its
     Galois element into it and BCAST retargets its modulus; the other
-    instructions compute, settling an image or a `_Chain` of products on a
-    slot's first read, where a split limb's slot takes its half. A value is
-    kept until its last reader: a slot's until the slot is written again,
+    instructions compute, reduced, settling an image on a slot's first
+    read, where a split limb's slot takes its half. A value is kept until
+    its last reader: a slot's until the last instruction of the op that
+    reads it (`run`), with the companions its products formed (`shoups`),
     an evaluation until the last slot of its image reads it, and an operand
     limb's decomposition in `decomps`, shared by the ops that read the
     operand, until the last of them has run.
@@ -973,6 +971,7 @@ class _Executor:
         levels = self.base.levels
         self.mod_idx = {r: r for r in range(levels)} | {program.machine.special_rpau: levels}
         self.decomps: dict[int, _Decomp] = {}   # id(x) -> its decomposition
+        self.shoups: dict = {}   # slot -> (its value, the value's companions)
         # the domain an instruction moves an image to: eval <-> coeff on a
         # native limb, eval -> half -> coeff -> half -> eval on a split one
         mid = "half" if self.parts == 2 else "coeff"
@@ -1005,8 +1004,6 @@ class _Executor:
         v = state[key]
         if isinstance(v, _Image):
             v = state[key] = _eval_part(v.value(), self.parts, minus)
-        elif isinstance(v, _Chain):
-            v = state[key] = v.value()
         elif isinstance(v, _Half):
             raise ValueError("arithmetic read of a lone half")
         return v
@@ -1037,14 +1034,34 @@ class _Executor:
         return _eval_part(limb, self.parts, half == "m")
 
     def run(self, opp: OpProgram, state: dict) -> None:
-        """Run one op; the decompositions no later op shares leave `decomps`."""
-        for ins in _exec_order(opp.streams):
+        """Run one op. A slot's value leaves `state` after the last
+        instruction of the run order that reads it, unless it is the op's
+        output; the decompositions no later op shares leave `decomps`."""
+        order = _exec_order(opp.streams)
+        # a backward pass: `live` holds the slots read before they are
+        # written again, and at the end the output's
+        live = {(r, s) for places in opp.outputs["out"]["components"]
+                for r, slots in places for s in slots}
+        dead = []
+        for ins in reversed(order):
+            reads = _reads(ins.rpaus, ins.src)
+            writes = [(r, s) for r in ins.rpaus for s in ins.dst]
+            dead.append({*reads, *writes} - live)
+            live.difference_update(writes)
+            live.update(reads)
+        for ins, keys in zip(order, reversed(dead)):
             self.step(ins, state)
+            for key in keys:
+                del state[key]
+                self.shoups.pop(key, None)
         self.decomps = {k: d for k, d in self.decomps.items() if d.shared}
 
     def read_ct(self, state, binding, scale) -> Ciphertext:
+        """The ciphertext in the slots of `binding`, which leave `state`."""
         def limb(rpau, slots):
             parts = [self.read(state, (rpau, s), h == 1) for h, s in enumerate(slots)]
+            for s in slots:
+                del state[(rpau, s)]
             return eval_whole(SplitPair(*parts)) if len(parts) == 2 else parts[0]
 
         c0, c1 = ([limb(*place) for place in places] for places in binding["components"])
@@ -1070,36 +1087,33 @@ class _Executor:
                 raise ValueError(f"{op} of an image in the {v.domain} domain")
             state[k] = replace(v, domain=self.moves[op, v.domain])
 
-    def accumulate(self, ins: Instruction, state: dict, r: int) -> None:
-        """A DYADIC mul opens a chain in its slot, and a mac onto the open
-        chain in its own slot adds to it; a mac onto anything else reduces."""
-        key = (r, ins.dst[0])
-        a, b = (self.operand(state, t, r, ins.half) for t in ins.src[:2])
-        if not a.compatible(b):
-            raise ValueError("dyadic operands live in different rings or domains")
-        if ins.kind == "mul":
-            total = WideSum(kernels.ctx(a.q.value), a.n)
-            chain = _Chain(total, replace(a, coeffs=total.lo))
-        else:
-            chain = state.get(key) if ins.src[2] == ("slot", ins.dst[0]) else None
-            if not (isinstance(chain, _Chain) and chain.limb.compatible(a)):
-                acc = self.operand(state, ins.src[2], r, ins.half)
-                state[key] = dyadic("mac", a, b, acc)
-                return
-        chain.total.add(a.coeffs, b.coeffs)
-        state[key] = chain
+    def companions(self, key, v: ResiduePoly):
+        """The Shoup companions of slot `key`'s value v, as `ModContext.mulmod`
+        takes them: formed by the first product that reads v, reused by the
+        others and dropped with v."""
+        held = self.shoups.get(key)
+        if held is None or held[0] is not v:
+            shoup = kernels.ctx(v.q.value).shoup(v.coeffs)
+            held = self.shoups[key] = (v, kernels.shoup_halves(shoup))
+        return held[1]
 
     def step(self, ins: Instruction, state: dict) -> None:
         if ins.op in (NTT, INTT, JOIN, SPLIT):
             for r in ins.rpaus:
                 self.move(ins.op, state, [(r, s) for s in ins.dst])
-        elif ins.op == DYADIC and ins.kind in ("mul", "mac"):
-            for r in ins.rpaus:
-                self.accumulate(ins, state, r)
         elif ins.op in (CWISE, DYADIC):
+            # a product is taken against the companions of its slot source
+            # (the second, when both are slots), formed once per value for
+            # every product that reads it: a key switch's two components,
+            # a tensor product's two terms on one operand limb
+            k = 0 if ins.src[1][0] == "ksk" else 1
             for r in ins.rpaus:
                 ops = [self.operand(state, t, r, ins.half) for t in ins.src]
-                state[(r, ins.dst[0])] = dyadic(ins.kind, *ops)
+                halves = None
+                if ins.kind in ("mul", "mac"):
+                    ops[k], ops[1] = ops[1], ops[k]
+                    halves = self.companions((r, ins.src[k][1]), ops[1])
+                state[(r, ins.dst[0])] = dyadic(ins.kind, *ops, b_halves=halves)
         elif ins.op == SCALE_QINV:
             inv = self.base.inv[ins.meta["drop_idx"]]
             for r in ins.rpaus:
@@ -1168,7 +1182,8 @@ def _run_order(ops: list, variables: dict) -> list[int]:
 
 
 def execute_workload(engine, program: Program, variables: dict) -> dict:
-    """Run every compiled op on real ciphertext data.
+    """Run every compiled op on real ciphertext data. The Engine's
+    homomorphic ops are this function on their one-op programs.
 
     `variables` maps var names to Ciphertext/Plaintext values. The result
     maps every name to its newest value, except a temporary: a name that
@@ -1186,6 +1201,8 @@ def execute_workload(engine, program: Program, variables: dict) -> dict:
     with the last slot that reads it. An operand a later op reads keeps its
     decompositions and their evaluations, so logreg's rotations of t0 share
     one until r7 has run. A name written again frees its older value.
+    Within an op, each slot's value goes after its last reader
+    (`_Executor.run`), and the output's as the result is read off.
     """
     ex = _Executor(engine, program)
     ops = []

@@ -1,19 +1,23 @@
 """Approximate-arithmetic homomorphic evaluation over an RNS limb basis.
 
-One Engine instance fixes a prime basis, a ring degree, a mode and a seed.
-Every limb is one degree-D polynomial held as its full-degree evaluation
-vector. Under the factorization x^D + 1 = (x^h - z^h)(x^h + z^h) that vector
-is the plus half-ring evaluations followed by the minus half-ring
-evaluations (the split is the transform's first butterfly layer), so a
-"split" limb needs no layout of its own. The mode only picks which tagged
-streams expand the uniform key material: two half-ring streams in split
-mode, one full-ring stream in native mode. The half-ring datapath itself
-runs in the accelerator model's executor (`archsim`), which must reproduce
-this engine's ciphertexts bit for bit.
+One Engine instance fixes a prime basis, a ring degree, a mode and a seed,
+and with them its parameter set (`params.ParamSet`), whose rules on mode
+and degree it takes. Every limb is one degree-D polynomial held as its
+full-degree evaluation vector. Under the factorization x^D + 1 = (x^h -
+z^h)(x^h + z^h) that vector is the plus half-ring evaluations followed by
+the minus half-ring evaluations (the split is the transform's first
+butterfly layer), so a "split" limb needs no layout of its own. The mode
+picks which tagged streams expand the uniform key material (two half-ring
+streams in split mode, one full-ring stream in native mode) and the layout
+of the compiled streams.
 
-Elementwise limb arithmetic stays in the evaluation domain. The nonlinear
-steps (centered base conversion inside key switching, modulus dropping and
-rescaling) pass through the parent coefficient domain, mirroring how the
+The engine draws keys, encodes, encrypts and decrypts. Each homomorphic op
+(add, sub, mult_plain, mult_relin, rescale, rotate) checks its arguments
+and then runs its compiled one-op program through the accelerator model's
+executor (`archsim.execute_workload`), so the instruction streams that the
+cycle model schedules are the one implementation of each op. In them the
+nonlinear steps (centered base conversion inside key switching, modulus
+dropping and rescaling) pass through the parent coefficient domain, as the
 pipelined hardware sequences them.
 """
 
@@ -27,7 +31,6 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from . import kernels
 from . import keys as krand
 from .keys import (
     COMP_ENC_E0,
@@ -49,6 +52,7 @@ from .keys import (
     stream_for,
 )
 from .modarith import PrimeModulus, RnsBase, crt_reconstruct
+from .params import ParamSet
 from .polyring import (
     STANDARD,
     ResiduePoly,
@@ -120,6 +124,14 @@ def galois_element(steps: int, degree: int) -> int:
     return pow(5, steps, 2 * degree)
 
 
+def _number(value):
+    """A NumPy scalar as the Python number of its exact value (a finite
+    float of any width as a Fraction); any other value as it is."""
+    if isinstance(value, np.floating) and np.isfinite(value):
+        return Fraction(*value.as_integer_ratio())
+    return value.item() if isinstance(value, np.generic) else value
+
+
 def _integer(name: str, value) -> int:
     """An int, bool (True is 1) or NumPy integer argument as an int."""
     try:
@@ -128,21 +140,15 @@ def _integer(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer; got {value!r}") from None
 
 
-def _each(kind: str, xs: Sequence, ys: Sequence) -> list:
-    """One dyadic op limb by limb."""
-    return [dyadic(kind, a, b) for a, b in zip(xs, ys)]
-
-
 class CenteredLift:
     """Signed words, each at most `half` from zero, made once and reduced
     under each target modulus. It is the one reduction of signed words to
     residues: keygen's secret and error rows, encryption's r, e0 and e1 and
     encoded coefficients take their bound from the sampler or one abs-max,
-    and the centered lift of a coefficient limb (`of_limb`, which key
-    switching and rescaling reduce, in the Engine and the replay alike) has
-    half = q/2. Under a modulus above `half` each word is one conditional
-    add, and no word is scanned to find that out; under a smaller one each
-    is divided."""
+    and the centered lift of a coefficient limb (`of_limb`, which the
+    executor's key switches and rescales reduce) has half = q/2. Under a
+    modulus above `half` each word is one conditional add, and no word is
+    scanned to find that out; under a smaller one each is divided."""
 
     def __init__(self, signed: np.ndarray, half: int):
         self.signed = signed
@@ -180,11 +186,9 @@ class Engine:
         mode: str = "native",
         seed: int = 0,
     ):
-        if mode not in ("native", "split"):
-            raise ValueError(f"unknown mode {mode!r}")
-        min_deg = 16 if mode == "split" else 8
-        if degree < min_deg or degree & (degree - 1):
-            raise ValueError(f"degree must be a power of two >= {min_deg}")
+        # the set's rules on mode and degree are the engine's: its ops run
+        # the programs compiled for it
+        self.pset = ParamSet(f"{mode}-{degree}", degree, base.total_bits, mode, base=base)
         if not 0 <= seed < (1 << 64):
             raise ValueError("seed must be in [0, 2^64)")
         self.base = base
@@ -198,6 +202,7 @@ class Engine:
         self.relin_key: Optional[KeySwitchKey] = None
         self.rotation_keys: dict[int, KeySwitchKey] = {}
         self._s_grid: Optional[list] = None
+        self._programs: dict = {}   # (op, level, steps) -> its compiled Program
 
     # ---- limb primitives ----
 
@@ -354,6 +359,7 @@ class Engine:
 
     def encode(self, values, scale, level: Optional[int] = None) -> Plaintext:
         level = self.base.levels if level is None else _integer("level", level)
+        scale = _number(scale)
         # the slots are multiplied by float(scale), which must not round to 0 or inf
         if not 2.0**-1074 <= abs(scale) <= float(np.finfo(float).max):
             raise ValueError(f"scale must be finite and nonzero; got {scale}")
@@ -450,95 +456,53 @@ class Engine:
 
     def add(self, x: Ciphertext, y: Ciphertext) -> Ciphertext:
         self._check_pair(x, y)
-        return Ciphertext(_each("add", x.c0, y.c0), _each("add", x.c1, y.c1), x.scale)
+        return self._replay("add", x.level, x=x, y=y)
 
     def sub(self, x: Ciphertext, y: Ciphertext) -> Ciphertext:
         self._check_pair(x, y)
-        return Ciphertext(_each("sub", x.c0, y.c0), _each("sub", x.c1, y.c1), x.scale)
+        return self._replay("sub", x.level, x=x, y=y)
 
     def add_plain(self, ct: Ciphertext, pt: Plaintext) -> Ciphertext:
         self._check_pair(ct, pt)
         return Ciphertext(
-            _each("add", ct.c0, pt.limbs), [a.copy() for a in ct.c1], ct.scale
+            [dyadic("add", a, b) for a, b in zip(ct.c0, pt.limbs)],
+            [a.copy() for a in ct.c1], ct.scale,
         )
 
     def mult_plain(self, ct: Ciphertext, pt: Plaintext) -> Ciphertext:
         self._check_level(ct, pt)
-        return Ciphertext(
-            _each("mul", ct.c0, pt.limbs), _each("mul", ct.c1, pt.limbs), ct.scale * pt.scale
-        )
+        return self._replay("mult_plain", ct.level, x=ct, pt=pt)
 
     def mult_relin(self, x: Ciphertext, y: Ciphertext) -> Ciphertext:
         self._check_level(x, y)
-        ksk = self.switching_key(RELIN_KSK_ID)
-        d0 = _each("mul", x.c0, y.c0)
-        d1 = [
-            dyadic("mac", a1, b0, acc=dyadic("mul", a0, b1))
-            for a0, a1, b0, b1 in zip(x.c0, x.c1, y.c0, y.c1)
-        ]
-        ks0, ks1 = self._key_switch(_each("mul", x.c1, y.c1), ksk)
-        return Ciphertext(_each("add", d0, ks0), _each("add", d1, ks1), x.scale * y.scale)
-
-    def _key_switch(self, d_limbs: list, ksk: KeySwitchKey) -> tuple[list, list]:
-        """Accumulate ksk rows against the decomposition of d, then drop p.
-
-        Target j of each output is the sum over rows i of d_ij * k_ij mod
-        q_j, where d_ij is row i's `CenteredLift` mod q_j. The targets run one
-        at a time, each sum as a `kernels.WideSum`: its terms add up as
-        unreduced 128-bit words and it reduces once. A term is below
-        q_j^2 < 2^124, so the at most `levels` terms of a preset sum stay
-        below 2^128 (WideSum folds a longer one). Row i's lift, reduced mod
-        q_i and transformed back, is d_i itself, so target i takes d_i
-        without a transform.
-        """
-        if d_limbs[0].n != self.degree:
-            raise ValueError(f"ciphertext ring degree {d_limbs[0].n} is not the engine's {self.degree}")
-        lvl = len(d_limbs)
-        ext = self.base.extended_moduli(lvl)
-        ext_idx = list(range(lvl)) + [self.base.levels]
-        lifts = [CenteredLift.of_limb(ntt_inverse(d)) for d in d_limbs]
-        acc0: list = []
-        acc1: list = []
-        for j, (m, jg) in enumerate(zip(ext, ext_idx)):
-            c = kernels.ctx(m.value)
-            sum0 = kernels.WideSum(c, self.degree)
-            sum1 = kernels.WideSum(c, self.degree)
-            for i, lift in enumerate(lifts):
-                dl = d_limbs[i] if j == i else lift.limb(m)
-                sum0.add(dl.coeffs, ksk.secret[i][jg].coeffs)
-                sum1.add(dl.coeffs, ksk.uniform[i][jg].coeffs)
-            acc0.append(ResiduePoly(m, sum0.residues(), "eval", STANDARD))
-            acc1.append(ResiduePoly(m, sum1.residues(), "eval", STANDARD))
-        inv_p = self.base.inv[self.base.levels]
-        return self._drop_last(acc0, inv_p), self._drop_last(acc1, inv_p)
-
-    def _drop_last(self, limbs: list, inv_row: Sequence[int]) -> list:
-        """Drop the last limb and divide its modulus out of the others.
-
-        inv_row[i] is the dropped modulus' inverse modulo limb i's.
-        """
-        lift = CenteredLift.of_limb(ntt_inverse(limbs[-1]))
-        return [
-            scalar_mul(dyadic("sub", x, lift.limb(x.q)), inv_row[i])
-            for i, x in enumerate(limbs[:-1])
-        ]
+        self.switching_key(RELIN_KSK_ID)  # a missing key is refused before any work
+        return self._replay("mult_relin", x.level, x=x, y=y)
 
     def rescale(self, ct: Ciphertext) -> Ciphertext:
-        lvl = ct.level
-        if lvl < 2:
+        if ct.level < 2:
             raise ValueError("cannot rescale below level 1")
-        inv = self.base.inv[lvl - 1]
-        return Ciphertext(
-            self._drop_last(ct.c0, inv), self._drop_last(ct.c1, inv),
-            ct.scale / self.drop_scale(lvl),
-        )
+        return self._replay("rescale", ct.level, x=ct)
 
     def rotate(self, ct: Ciphertext, steps: int) -> Ciphertext:
         steps = _integer("steps", steps) % self.slots
         if steps == 0:
             return ct.copy()
-        ksk = self.switching_key(steps)
-        g = galois_element(steps, self.degree)
-        a0 = [automorphism(x, g) for x in ct.c0]
-        ks0, ks1 = self._key_switch([automorphism(x, g) for x in ct.c1], ksk)
-        return Ciphertext(_each("add", a0, ks0), ks1, ct.scale)
+        self.switching_key(steps)  # a missing key is refused before any work
+        return self._replay("rotate", ct.level, steps, x=ct)
+
+    def _replay(self, op: str, level: int, steps: int = 1, **operands) -> Ciphertext:
+        """The op's one-op program, compiled once per (op, level, steps),
+        run on `operands` through the accelerator model's executor."""
+        from . import archsim  # archsim imports this module as it loads
+
+        for v in operands.values():
+            if isinstance(v, Ciphertext) and v.c0[0].n != self.degree:
+                raise ValueError(
+                    f"ciphertext ring degree {v.c0[0].n} is not the engine's {self.degree}")
+        program = self._programs.get((op, level, steps))
+        if program is None:
+            spec = {"op": op, "level": level, "steps": steps}
+            machine = archsim.MachineConfig(n_rpaus=self.base.levels + 1)
+            program = archsim.compile_workload(self.pset, [spec], machine)
+            self._programs[op, level, steps] = program
+        return archsim.execute_workload(self, program, operands)["out"]

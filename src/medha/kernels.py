@@ -23,10 +23,6 @@ Companions. `ModContext.shoup` forms the companions of a whole table with
 no division: for a residue x < q and odd q, floor(x * 2^64 / q) is
 -r * q^-1 mod 2^64, where r = x * 2^64 mod q is one Shoup product.
 
-Wide sums. A sum of products a*b mod q (the key-switch inner product)
-need not reduce every term: `WideSum` adds each 128-bit product to
-unreduced (hi, lo) words and reduces once, with `ModContext.reduce_pair`.
-
 Corrections. A value x in [0, 2c) is brought into [0, c) by
 `np.minimum(x, x - c)`: when x < c the difference wraps around 2^64 to a
 word above x, so the minimum keeps x; otherwise it is x - c. With c = q
@@ -113,8 +109,9 @@ def mulmod_shoup(a: np.ndarray, w, w_shoup, q: np.uint64) -> np.ndarray:
     return r
 
 
-def addmod(a: np.ndarray, b: np.ndarray, q: np.uint64) -> np.ndarray:
-    s = a + b
+def addmod(a: np.ndarray, b: np.ndarray, q: np.uint64, out=None) -> np.ndarray:
+    """(a + b) mod q, written to `out` (which may be a or b) when given."""
+    s = np.add(a, b, out=out)
     np.minimum(s, s - q, out=s)
     return s
 
@@ -145,8 +142,6 @@ class ModContext:
         self.r64v = np.uint64(r64)
         self.r64_halves = shoup_halves(np.uint64(shoup(r64, q)))
         self.u64_halves = shoup_halves(np.uint64((1 << 64) // q))
-        # how many products of two residues fit below 2^128 on top of a residue
-        self.wide_terms = ((1 << 128) - q) // (q - 1) ** 2
 
     def reduce_word(self, lo: np.ndarray) -> np.ndarray:
         """lo mod q for full uint64 words: a Shoup product by 1, since
@@ -159,11 +154,14 @@ class ModContext:
         m2 = self.reduce_word(lo)
         return addmod(m1, m2, self.qv)
 
-    def mulmod(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def mulmod(self, a: np.ndarray, b: np.ndarray, b_halves=None) -> np.ndarray:
         """a * b mod q for residues a, b < q: a Shoup product against b's own
-        companions, in slices of MUL_SLICE words for 1-D operands."""
-        if not (a.ndim == b.ndim == 1 and len(a) > MUL_SLICE):
-            return mulmod_shoup(a, b, self.shoup(b), self.qv)
+        companions. A caller that multiplies b again passes them as
+        `shoup_halves(self.shoup(b))`, and the product runs in one piece;
+        otherwise they are formed here, in slices of MUL_SLICE words for
+        1-D operands."""
+        if b_halves is not None or not (a.ndim == b.ndim == 1 and len(a) > MUL_SLICE):
+            return mulmod_shoup(a, b, self.shoup(b) if b_halves is None else b_halves, self.qv)
         out = np.empty(len(a), dtype=np.uint64)
         for k in range(0, len(a), MUL_SLICE):
             s = slice(k, k + MUL_SLICE)
@@ -193,78 +191,6 @@ class ModContext:
 # 64 KB: a 2^15-word product in one piece took 0.70-0.75 ms, in 2^13-word
 # slices 0.44-0.46 ms (min and median of 300 runs, 2-core Xeon VM).
 MUL_SLICE = 1 << 13
-
-
-# Words per slice of a wide sum. A 2^15-word temporary is 256 KB, and at
-# that size every temporary took fresh pages: a 2^15 mulmod cost twice per
-# word what a 2^14 one did. Slices of 2^14 words keep every temporary below
-# that size.
-WIDE_SLICE = 1 << 14
-
-
-def _mac_wide(hi: np.ndarray, lo: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
-    """hi * 2^64 + lo += a * b elementwise, in place, for words a, b < 2^62.
-
-    With a, b < 2^62 the high halves are below 2^30, so the cross partials
-    al*bh + ah*bl sum below 2^63 and the product is hh * 2^64 + mid * 2^32 +
-    ll with one carry, out of ll + (mid << 32). The caller keeps the sum
-    below 2^128.
-    """
-    al = a & _M32
-    ah = a >> _S32
-    bl = b & _M32
-    bh = b >> _S32
-    ll = al * bl
-    al *= bh
-    bl *= ah
-    al += bl  # mid
-    ah *= bh  # hh
-    p = a * b  # the product's low word
-    c = p < ll
-    hi += c
-    lo += p
-    np.less(lo, p, out=c)
-    hi += c
-    al >>= _S32
-    hi += al
-    hi += ah
-
-
-class WideSum:
-    """Sum of elementwise products a * b mod q, reduced once.
-
-    Terms are added as unreduced 128-bit (hi, lo) words. A term is at most
-    (q - 1)^2 < 2^124, so `ctx.wide_terms` of them (at least 16 for any
-    q < 2^62) fit below 2^128 on top of a residue; a longer sum folds its
-    words to residues before the next group. Each word op runs on slices of
-    at most WIDE_SLICE words.
-    """
-
-    def __init__(self, ctx: ModContext, n: int):
-        self.ctx = ctx
-        self.hi = np.zeros(n, dtype=np.uint64)
-        self.lo = np.zeros(n, dtype=np.uint64)
-        self.terms = 0
-        self._slices = [slice(k, k + WIDE_SLICE) for k in range(0, n, WIDE_SLICE)]
-
-    def add(self, a: np.ndarray, b: np.ndarray) -> None:
-        """Add a * b for residues a, b mod q."""
-        if self.terms == self.ctx.wide_terms:
-            self._fold()
-        for s in self._slices:
-            _mac_wide(self.hi[s], self.lo[s], a[s], b[s])
-        self.terms += 1
-
-    def _fold(self) -> None:
-        for s in self._slices:
-            self.lo[s] = self.ctx.reduce_pair(self.hi[s], self.lo[s])
-        self.hi.fill(0)
-        self.terms = 0
-
-    def residues(self) -> np.ndarray:
-        """The sum mod q, as canonical residues (the sum is spent)."""
-        self._fold()
-        return self.lo
 
 
 @functools.cache

@@ -378,8 +378,11 @@ def ntt_inverse(p: ResiduePoly) -> ResiduePoly:
     return ResiduePoly(p.q, f.T.reshape(n), "coeff", p.twist)
 
 
-def dyadic(kind: str, a: ResiduePoly, b: ResiduePoly, acc: Optional[ResiduePoly] = None) -> ResiduePoly:
-    """Elementwise evaluation-domain arithmetic (add/sub/mul/mac)."""
+def dyadic(kind: str, a: ResiduePoly, b: ResiduePoly, acc: Optional[ResiduePoly] = None,
+           b_halves=None) -> ResiduePoly:
+    """Elementwise evaluation-domain arithmetic (add/sub/mul/mac). A caller
+    that multiplies b more than once may pass its Shoup companions, as
+    `ModContext.mulmod` takes them, in `b_halves`."""
     if not a.compatible(b):
         raise ValueError("dyadic operands live in different rings or domains")
     c = kernels.ctx(a.q.value)
@@ -388,11 +391,12 @@ def dyadic(kind: str, a: ResiduePoly, b: ResiduePoly, acc: Optional[ResiduePoly]
     elif kind == "sub":
         out = submod(a.coeffs, b.coeffs, c.qv)
     elif kind == "mul":
-        out = c.mulmod(a.coeffs, b.coeffs)
+        out = c.mulmod(a.coeffs, b.coeffs, b_halves)
     elif kind == "mac":
         if acc is None or not acc.compatible(a):
             raise ValueError("mac needs a compatible accumulator")
-        out = addmod(acc.coeffs, c.mulmod(a.coeffs, b.coeffs), c.qv)
+        prod = c.mulmod(a.coeffs, b.coeffs, b_halves)
+        out = addmod(acc.coeffs, prod, c.qv, out=prod)
     else:
         raise ValueError(f"unknown dyadic kind {kind!r}")
     return ResiduePoly(a.q, out, a.domain, a.twist)

@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import math
 from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import combinations
@@ -39,7 +40,7 @@ from medha.archsim import (
 from medha.heaan import Ciphertext, Engine
 from medha.params import get_param_set
 from medha.polyring import ntt_inverse
-from medha.workloads import get_workload, workload_names
+from medha.workloads import get_workload, plain_values, workload_names
 
 TOY = 64
 
@@ -685,24 +686,39 @@ def _count_calls(monkeypatch, calls, owners, name):
 
 @pytest.mark.parametrize("pset_name", ("logreg", "set2"))
 def test_logreg_replay_shares_one_decomposition(pset_name, monkeypatch):
-    # the seven rotations of t0 share one decomposition of its c1 limbs, a
-    # limb broadcast back to its own RPAU is not transformed again, and
-    # every DYADIC mul/mac chain is summed unreduced, so no general product
-    # (`ModContext.mulmod`) runs.
+    # the seven rotations of t0 share one decomposition of its c1 limbs,
+    # and a limb broadcast back to its own RPAU is not transformed again.
     # Split limbs share decompositions as native ones do, and a split
     # limb's decomposition runs the full-degree transforms that equal its
     # half-ring pairs, so the counts are native logreg's and no split or
-    # join runs
+    # join runs. Every DYADIC product on every RPAU is one general product
+    # (`ModContext.mulmod`), and the companions (`ModContext.shoup`) of the
+    # slot value it is taken against are formed once for all the products
+    # that read that value before its slot is written again: a key-switch
+    # value's two key components, a tensor operand's two terms
     eng, prog, variables = _toy_logreg(get_param_set(pset_name))
+    execute_workload(eng, prog, variables)   # builds the twiddle tables, which form companions
+    products = values = 0
+    for opp in prog.ops:
+        formed = set()
+        for ins in archsim._exec_order(opp.streams):
+            if ins.op == archsim.DYADIC and ins.kind in ("mul", "mac"):
+                source = ins.src[0 if ins.src[1][0] == "ksk" else 1][1]
+                products += len(ins.rpaus)
+                values += sum((r, source) not in formed for r in ins.rpaus)
+                formed.update((r, source) for r in ins.rpaus)
+            formed.difference_update((r, s) for r in ins.rpaus for s in ins.dst)
+    assert values < products
     calls = {}
     for name in ("ntt_forward", "ntt_inverse"):
         _count_calls(monkeypatch, calls, (archsim, ringsplit), name)
     for name in ("split", "join"):
         _count_calls(monkeypatch, calls, (ringsplit,), name)
-    _count_calls(monkeypatch, calls, (kernels.ModContext,), "mulmod")
+    for name in ("mulmod", "shoup"):
+        _count_calls(monkeypatch, calls, (kernels.ModContext,), name)
     execute_workload(eng, prog, variables)
     assert calls == {"ntt_forward": 239, "ntt_inverse": 67, "split": 0, "join": 0,
-                     "mulmod": 0}
+                     "mulmod": products, "shoup": values}
     assert not {"split", "join", "forward_pair", "inverse_pair"} & set(vars(archsim))
 
 
@@ -803,6 +819,7 @@ def test_unshared_decomposition_holds_no_lift_after_its_op(request, pset_name, e
         name: eng.encrypt(eng.encode(rng.uniform(-1.0, 1.0, eng.slots), pset.scale), enc_index=k)
         for k, name in enumerate("xy")
     }
+    want = _engine_run(eng, ops, variables)["r2"]   # before the spies: the Engine ops replay too
     made, ends, calls = [], [], {}
     init, run = archsim._Decomp.__init__, _Executor.run
 
@@ -819,7 +836,7 @@ def test_unshared_decomposition_holds_no_lift_after_its_op(request, pset_name, e
     monkeypatch.setattr(archsim._Decomp, "__init__", spy_init)
     monkeypatch.setattr(_Executor, "run", spy_run)
     result = execute_workload(eng, compile_workload(pset, ops), variables)
-    _same_ct(eng, result["r2"], _engine_run(eng, ops, variables)["r2"])
+    _same_ct(eng, result["r2"], want)
     level = len(variables["x"].c1)
     assert [held for _, held in ends] == [0, level, 0]
     assert all(lifts for lifts, _ in ends)
@@ -827,6 +844,63 @@ def test_unshared_decomposition_holds_no_lift_after_its_op(request, pset_name, e
 
 _INPUTS = ("a", "b")
 _PT_SCALE = Fraction(1 << 40)   # the scale plaintext operands are encoded at
+# A bound on the noise one op adds, and on a fresh encryption's or
+# encoding's, in slot units times the scale; at the toy degree a fresh
+# encryption measured about 400 and a rotation about 1.5e4 (test_heaan)
+_OP_NOISE = 2.0**16
+
+
+def _error_bounds(pset, ops, levels: dict) -> dict:
+    """For each name, a bound on |decrypted - plain_values| from the noise
+    each op adds, or None when its plain magnitude and that error, times
+    the scale, need not stay below 2^-8 of its level's modulus, so that it
+    need not decrypt. `levels` gives each input's level; inputs are
+    encrypted at scale 2^40 from slots in [-1, 1], plaintext operands
+    encoded at _PT_SCALE from slots in [-1, 1].
+
+    A name carries (magnitude bound m, error bound e, scale s, level): a sum
+    adds both, a rotation adds one op's noise, a rescale divides the scale
+    by the dropped prime and adds its rounding, and a product of (m1, e1)
+    and (m2, e2) has error m1 e2 + m2 e1 + e1 e2 plus one op's noise at
+    the product's scale."""
+    primes = [m.value for m in pset.base.primes]
+    fresh = Fraction(1 << 40)
+    b = {name: (1.0, _OP_NOISE / float(fresh), fresh, level) for name, level in levels.items()}
+    for op in ops:
+        mx, ex, sx, level = b[op["x"]]
+        kind = op["op"]
+        if kind in ("add", "sub"):
+            my, ey, _, _ = b[op["y"]]
+            b[op["out"]] = (mx + my, ex + ey, sx, level)
+        elif kind == "rotate":
+            b[op["out"]] = (mx, ex + _OP_NOISE / float(sx), sx, level)
+        elif kind == "rescale":
+            s = sx / primes[level - 1]
+            b[op["out"]] = (mx, ex + _OP_NOISE / float(s), s, level - 1)
+        else:
+            my, ey, sy = ((1.0, _OP_NOISE / float(_PT_SCALE), _PT_SCALE) if kind == "mult_plain"
+                          else b[op["y"]][:3])
+            s = sx * sy
+            b[op["out"]] = (mx * my, mx * ey + my * ex + ex * ey + _OP_NOISE / float(s), s, level)
+    return {name: e if (m + e) * float(s) * 2**8 < math.prod(primes[:level]) else None
+            for name, (m, e, s, level) in b.items()}
+
+
+def _check_schedule_and_precision(pset, eng, ops, program, plain: dict, result: dict) -> int:
+    """The program's schedule is the same on a second simulation, and
+    every decryptable ciphertext it returns is within _error_bounds of
+    `plain_values`; returns how many were checked."""
+    assert simulate(program) == simulate(program)
+    want = plain_values(ops, plain)
+    levels = {name: eng.base.levels for name in _INPUTS}
+    bounds = _error_bounds(pset, ops, levels)
+    checked = 0
+    for name, value in result.items():
+        if isinstance(value, Ciphertext) and bounds[name] is not None:
+            err = np.max(np.abs(eng.decrypt(value) - want[name]))
+            assert err <= bounds[name] + 2**-30, (name, err, bounds[name])
+            checked += 1
+    return checked
 
 
 @st.composite
@@ -869,16 +943,16 @@ def _rotate_add_programs(draw):
 def test_rotate_add_programs_match_engine(set1, toy_native, ops):
     eng = toy_native
     rng = np.random.default_rng(17)
-    variables = {
-        name: eng.encrypt(eng.encode(rng.uniform(-1.0, 1.0, eng.slots), set1.scale),
-                          enc_index=k)
-        for k, name in enumerate(_INPUTS)
-    }
-    result = execute_workload(eng, compile_workload(set1, ops), variables)
+    plain = {name: rng.uniform(-1.0, 1.0, eng.slots) for name in _INPUTS}
+    variables = {name: eng.encrypt(eng.encode(plain[name], set1.scale), enc_index=k)
+                 for k, name in enumerate(_INPUTS)}
+    program = compile_workload(set1, ops)
+    result = execute_workload(eng, program, variables)
     want = _engine_run(eng, ops, variables)
     assert set(result) <= set(want) and ops[-1]["out"] in result
     for name, value in result.items():
         _same_ct(eng, value, want[name])
+    assert _check_schedule_and_precision(set1, eng, ops, program, plain, result) == len(result)
 
 
 def _mixed_programs(pset, steps):
@@ -923,18 +997,20 @@ def _mixed_programs(pset, steps):
 
 def _check_program(pset, eng, ops):
     """Every ciphertext execute_workload returns equals an Engine
-    interpretation, and every plaintext is the one supplied."""
+    interpretation, and every plaintext is the one supplied; the schedule
+    and the precision pass _check_schedule_and_precision."""
     rng = np.random.default_rng(18)
-    variables = {
-        name: eng.encrypt(eng.encode(rng.uniform(-1.0, 1.0, eng.slots), 1 << 40), enc_index=k)
-        for k, name in enumerate(_INPUTS)
-    }
-    plaintexts = {
-        op["pt"]: eng.encode(rng.uniform(-1.0, 1.0, eng.slots), _PT_SCALE, level=op["level"])
-        for op in ops if op["op"] == "mult_plain"
-    }
+    plain = {name: rng.uniform(-1.0, 1.0, eng.slots) for name in _INPUTS}
+    variables = {name: eng.encrypt(eng.encode(plain[name], 1 << 40), enc_index=k)
+                 for k, name in enumerate(_INPUTS)}
+    plaintexts = {}
+    for op in ops:
+        if op["op"] == "mult_plain":
+            plain[op["pt"]] = rng.uniform(-1.0, 1.0, eng.slots)
+            plaintexts[op["pt"]] = eng.encode(plain[op["pt"]], _PT_SCALE, level=op["level"])
     variables.update(plaintexts)
-    result = execute_workload(eng, compile_workload(pset, ops), variables)
+    program = compile_workload(pset, ops)
+    result = execute_workload(eng, program, variables)
     want = _engine_run(eng, ops, variables)
     assert set(result) <= set(want) and ops[-1]["out"] in result
     for name, value in result.items():
@@ -942,6 +1018,7 @@ def _check_program(pset, eng, ops):
             assert value is plaintexts[name]
         else:
             _same_ct(eng, value, want[name])
+    _check_schedule_and_precision(pset, eng, ops, program, plain, result)
 
 
 _SET1, _SET2 = get_param_set("set1"), get_param_set("set2")

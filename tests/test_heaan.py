@@ -4,8 +4,10 @@ Small-ring engines over the real moduli keep these fast; an exact big-integer
 oracle checks decryption independently of the limb-domain code paths.
 """
 
+import json
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -13,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medha import heaan
-from medha.archsim import compile_workload, execute_workload
+from medha import archsim
+from medha.archsim import MachineConfig, _Executor, compile_workload, execute_workload
 from medha.heaan import Ciphertext, Engine, KeySwitchKey, _slot_index
 from medha.keys import (
     COMP_KSK_ERROR,
@@ -38,6 +40,7 @@ from medha.polyring import (
     scalar_mul,
     twiddle_table,
 )
+from medha.params import load_param_config
 from medha.ringsplit import forward_pair, split
 
 TOY = 64
@@ -116,6 +119,22 @@ def test_encode_accepts_negative_scale(toy_native):
     ct = toy_native.encrypt(toy_native.encode([0.5], -(1 << 40)))
     assert ct.scale == -(1 << 40)
     assert abs(toy_native.decrypt(ct)[0] - 0.5) < 1e-6
+
+
+@pytest.mark.parametrize("scale", [np.float16(1 << 10), np.float32(1 << 20), np.longdouble(1 << 40),
+                                   np.int64(1 << 20), np.uint64(1 << 40)])
+def test_encode_takes_numpy_scalar_scale_as_its_value(toy_native, scale):
+    # the same plaintext as the Python int of the same value, with no
+    # NumPy warning on the way
+    eng = toy_native
+    v = np.linspace(-0.5, 0.5, eng.slots)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pt = eng.encode(v, scale)
+    want = eng.encode(v, int(scale))
+    assert pt.scale == want.scale and type(pt.scale.numerator) is int
+    assert all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(pt.limbs, want.limbs))
+    _within(eng.decrypt(eng.encrypt(pt)), v, scale)
 
 
 def test_encode_reduces_on_both_paths(toy_native):
@@ -253,15 +272,16 @@ def test_mult_relin_rescale_bookkeeping(toy_native, toy_split):
 
 def test_mult_relin_forward_transform_count(toy_split2, monkeypatch):
     # at level L the key switch lifts L rows onto L + 1 targets, and target
-    # i of row i is the source limb itself; dropping p transforms 2L limbs
+    # i of row i is the source limb itself; dropping p transforms 2L limbs.
+    # The op replays its compiled stream, whose transforms are the executor's
     eng = toy_split2
     rng = np.random.default_rng(59)
     vx, vy = _rand_slots(rng, eng.slots), _rand_slots(rng, eng.slots)
     x = eng.encrypt(eng.encode(vx, 1 << 40))
     y = eng.encrypt(eng.encode(vy, 1 << 40), enc_index=1)
     calls = []
-    orig = heaan.ntt_forward
-    monkeypatch.setattr(heaan, "ntt_forward", lambda p: calls.append(p.n) or orig(p))
+    orig = archsim.ntt_forward
+    monkeypatch.setattr(archsim, "ntt_forward", lambda p: calls.append(p.n) or orig(p))
     prod = eng.mult_relin(x, y)
     monkeypatch.undo()
     top = eng.base.levels
@@ -269,41 +289,142 @@ def test_mult_relin_forward_transform_count(toy_split2, monkeypatch):
     assert _rel_err(eng.decrypt(prod), vx * vy) < 2 ** -16
 
 
+def _centered(limb) -> list:
+    """An evaluation limb's coefficients as Python ints in (-q/2, q/2]."""
+    q = limb.q.value
+    return [c - q if c > q // 2 else c for c in map(int, ntt_inverse(limb).coeffs)]
+
+
 @pytest.mark.parametrize("fill", ("max", "random"))
-def test_key_switch_matches_per_term_mac(toy_split2, fill):
+def test_key_switch_matches_per_term_mac(toy_split2, fill, monkeypatch):
     # "max": every d limb and key word is q - 1, whose lift is -1 on every
     # target, so each sum takes the largest terms there are; "random" words
-    # take the carry out of the low partial products as well
+    # take the carry out of the low partial products as well. The key
+    # switch runs inside a replayed mult_relin of x = (0, d) and y = (0, 1)
+    # under a substituted relinearization key: the tensor product leaves
+    # d * 1 = d to switch and zero beside it, so the product is the switch
     eng = toy_split2
     base = eng.base
     lvl = base.levels
     rng = np.random.default_rng(60)
 
-    def full(m):
-        words = (np.full(eng.degree, m.value - 1, dtype=np.uint64) if fill == "max"
-                 else rng.integers(0, m.value, eng.degree, dtype=np.uint64))
-        return ResiduePoly(m, words, "eval", STANDARD)
+    def limb(m, words):
+        return ResiduePoly(m, np.asarray(words, dtype=np.uint64), "eval", STANDARD)
 
-    d = [full(m) for m in base.primes]
-    ksk = KeySwitchKey(1, *[[[full(m) for m in base.all_moduli] for _ in range(lvl)]
+    def filled(m):
+        return limb(m, np.full(eng.degree, m.value - 1) if fill == "max"
+                    else rng.integers(0, m.value, eng.degree, dtype=np.uint64))
+
+    d = [filled(m) for m in base.primes]
+    ksk = KeySwitchKey(0, *[[[filled(m) for m in base.all_moduli] for _ in range(lvl)]
                             for _ in range(2)])
-    got0, got1 = eng._key_switch(d, ksk)
+    zero = [limb(m, np.zeros(eng.degree)) for m in base.primes]
+    one = [limb(m, np.ones(eng.degree)) for m in base.primes]
+    monkeypatch.setattr(eng, "relin_key", ksk)
+    prod = eng.mult_relin(Ciphertext(zero, d, Fraction(1)), Ciphertext(zero, one, Fraction(1)))
 
-    # reference: a reduced multiply-accumulate per term, rows outermost
+    # reference: a reduced multiply-accumulate per term, rows outermost,
+    # then p dropped through Python-int lifts
     ext = base.extended_moduli(lvl)
     acc0, acc1 = [None] * len(ext), [None] * len(ext)
     for i in range(lvl):
-        q = base.primes[i].value
-        signed = [c - q if c > q // 2 else c for c in map(int, ntt_inverse(d[i]).coeffs)]
+        signed = _centered(d[i])
         for j, m in enumerate(ext):
             dl = _reference_limb(signed, m)
             kind = "mac" if i else "mul"
             acc0[j] = dyadic(kind, dl, ksk.secret[i][j], acc=acc0[j])
             acc1[j] = dyadic(kind, dl, ksk.uniform[i][j], acc=acc1[j])
     inv_p = base.inv[base.levels]
-    for got, acc in ((got0, acc0), (got1, acc1)):
-        want = eng._drop_last(acc, inv_p)
+    for got, acc in ((prod.c0, acc0), (prod.c1, acc1)):
+        p_part = _centered(acc[-1])
+        want = [scalar_mul(dyadic("sub", x, _reference_limb(p_part, x.q)), inv_p[i])
+                for i, x in enumerate(acc[:-1])]
         assert all(np.array_equal(g.coeffs, w.coeffs) for g, w in zip(got, want))
+
+
+_REPLAYED = {
+    "add": lambda e, x, y, pt: e.add(x, y),
+    "sub": lambda e, x, y, pt: e.sub(x, y),
+    "mult_plain": lambda e, x, y, pt: e.mult_plain(x, pt),
+    "mult_relin": lambda e, x, y, pt: e.mult_relin(x, y),
+    "rescale": lambda e, x, y, pt: e.rescale(x),
+    "rotate": lambda e, x, y, pt: e.rotate(x, 1),
+}
+
+
+def _spy_replays(eng, monkeypatch) -> tuple[list, list]:
+    """The kinds of the ops _Executor.run is handed, and the specs the
+    engine compiles, from an empty program cache on."""
+    runs, compiled = [], []
+    run, compile_ = _Executor.run, archsim.compile_workload
+
+    def spy_run(self, opp, state):
+        runs.append(opp.kind)
+        run(self, opp, state)
+
+    def spy_compile(pset, ops, machine=None):
+        compiled.extend((op["op"], op["level"], op["steps"]) for op in ops)
+        return compile_(pset, ops, machine)
+
+    monkeypatch.setattr(eng, "_programs", {})
+    monkeypatch.setattr(_Executor, "run", spy_run)
+    monkeypatch.setattr(archsim, "compile_workload", spy_compile)
+    return runs, compiled
+
+
+@pytest.mark.parametrize("op", sorted(_REPLAYED))
+@pytest.mark.parametrize("engine", ("toy_native", "toy_split2"))
+def test_engine_op_is_one_replay_of_its_program(request, engine, op, monkeypatch):
+    # each op runs its compiled one-op program once through the executor,
+    # and compiles it once per (op, level, steps) in an Engine
+    eng = request.getfixturevalue(engine)
+    rng = np.random.default_rng(61)
+    top = eng.base.levels
+    x, y = (eng.encrypt(eng.encode(_rand_slots(rng, eng.slots), 1 << 40), enc_index=k)
+            for k in range(2))
+    pt = eng.encode(_rand_slots(rng, eng.slots), 1 << 40)
+    runs, compiled = _spy_replays(eng, monkeypatch)
+    outs = [_REPLAYED[op](eng, x, y, pt) for _ in range(2)]
+    assert runs == [op, op]
+    assert compiled == [(op, top, 1)]
+    assert list(eng._programs) == [(op, top, 1)]
+    assert _same(outs[0].c0[0], outs[1].c0[0])
+    if op != "rescale":
+        _REPLAYED[op](eng, eng.rescale(x), eng.rescale(y), eng.encode([1.0], 1 << 40, top - 1))
+        assert compiled[-1] == (op, top - 1, 1) and len(compiled) == 3
+
+
+def test_rotate_by_zero_is_a_copy_that_runs_nothing(toy_native, monkeypatch):
+    eng = toy_native
+    ct = eng.encrypt(eng.encode(np.linspace(-1.0, 1.0, eng.slots), 1 << 40))
+    runs, compiled = _spy_replays(eng, monkeypatch)
+    for steps in (0, eng.slots, -2 * eng.slots):
+        got = eng.rotate(ct, steps)
+        assert got.scale == ct.scale
+        for a, b in zip(got.c0 + got.c1, ct.c0 + ct.c1, strict=True):
+            assert _same(a, b) and not np.shares_memory(a.coeffs, b.coeffs)
+    assert runs == [] and compiled == [] and eng._programs == {}
+
+
+@pytest.mark.parametrize("mode", ("native", "split"))
+def test_engine_runs_a_base_wider_than_the_default_machine(tmp_path, mode):
+    # ten levels and the special prime need eleven RPAUs, one more than the
+    # default machine has; the Engine sizes its own
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"name": "wide", "degree": TOY, "log_pq": 60 + 54 * 10,
+                                "mode": mode}))
+    pset = load_param_config(str(path))
+    assert pset.levels + 1 > MachineConfig().n_rpaus
+    eng = Engine(pset.base, pset.degree, pset.mode, seed=3)
+    eng.keygen(rotation_steps=(1,))
+    rng = np.random.default_rng(62)
+    vx, vy = _rand_slots(rng, eng.slots), _rand_slots(rng, eng.slots)
+    x = eng.encrypt(eng.encode(vx, 1 << 40))
+    y = eng.encrypt(eng.encode(vy, 1 << 40), enc_index=1)
+    prod = eng.rescale(eng.mult_relin(x, y))
+    assert prod.level == pset.levels - 1
+    assert _rel_err(eng.decrypt(prod), vx * vy) < 2 ** -16
+    assert _rel_err(eng.decrypt(eng.rotate(x, 1)), np.roll(vx, -1)) < 2 ** -16
 
 
 def test_rescale_floor_raises(toy_native):
@@ -618,6 +739,13 @@ _SCALES = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.fractions(),
     st.integers(-(1 << 80), 1 << 80),
+    # NumPy scalars, taken at their exact values
+    st.sampled_from([np.float16(0.5), np.float32(1 << 20), np.float32(0), np.float32(np.inf),
+                     np.float64(2.0**40), np.longdouble(2) ** 40, np.longdouble(1) / 3,
+                     np.longdouble(np.nan), np.int64(1 << 20), np.int64(-(1 << 40)),
+                     np.uint64(1 << 40), np.int64(0), np.bool_(True)]),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(1 << 63), (1 << 63) - 1).map(np.int64),
 )
 
 

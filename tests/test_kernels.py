@@ -5,9 +5,7 @@ import pytest
 
 from medha.kernels import (
     MUL_SLICE,
-    WIDE_SLICE,
     ModContext,
-    WideSum,
     addmod,
     ctx,
     mulhi64,
@@ -127,25 +125,6 @@ def test_reduce_word_and_pair(set1, set2):
         assert np.array_equal(_as_int(got), ((_as_int(hi) << 64) + _as_int(lo)) % q)
 
 
-@pytest.mark.parametrize("q", NEAR_2_62 + ((1 << 60) - 93,))
-def test_wide_sum_exact_past_its_fold(q):
-    # near 2^62, 40 terms run past wide_terms (16) twice; all-(q-1) terms
-    # take every carry, and the length spans two slices and a partial one
-    c = ctx(q)
-    assert (c.wide_terms < 40) == (q > 1 << 61)
-    n = 2 * WIDE_SLICE + 5
-    rng = np.random.default_rng(18)
-    acc = WideSum(c, n)
-    want = np.zeros(n, dtype=object)
-    for k in range(40):
-        a, b = _edge_operands(rng, q, n)
-        if k % 3 == 0:
-            a[:] = b[:] = q - 1
-        acc.add(a, b)
-        want = (want + _as_int(a) * _as_int(b)) % q
-    assert np.array_equal(_as_int(acc.residues()), want)
-
-
 def test_mulmod_general_and_scalar(set1):
     rng = np.random.default_rng(15)
     q = set1.base.special.value
@@ -179,7 +158,10 @@ def _check_mulmod(q, rng):
     for n in (7, MUL_SLICE, 2 * MUL_SLICE + 3):
         a, b = _edge_operands(rng, q, n)
         a[-3:] = b[-3:] = q - 1
-        assert np.array_equal(_as_int(c.mulmod(a, b)), _as_int(a) * _as_int(b) % q)
+        want = _as_int(a) * _as_int(b) % q
+        assert np.array_equal(_as_int(c.mulmod(a, b)), want)
+        # b's companions, formed once and passed in as halves
+        assert np.array_equal(_as_int(c.mulmod(a, b, shoup_halves(c.shoup(b)))), want)
     a = rng.integers(0, q, size=(4, 9), dtype=np.uint64)
     col = rng.integers(0, q, size=(4, 1), dtype=np.uint64)
     assert np.array_equal(_as_int(c.mulmod(a, col)), _as_int(a) * _as_int(col) % q)
