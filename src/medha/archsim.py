@@ -145,7 +145,6 @@ class UnsupportedOpError(ArchSimError):
 @dataclass(frozen=True)
 class Instruction:
     op: str
-    pipe: str
     ctrl: int
     rpaus: tuple[int, ...]
     dst: tuple[int, ...] = ()
@@ -156,6 +155,10 @@ class Instruction:
     meta: dict = field(default_factory=dict, hash=False, compare=False)
     uid: int = -1
     deps: tuple[int, ...] = ()
+
+    @property
+    def pipe(self) -> str:
+        return _PIPE[self.op]
 
     def label(self) -> str:
         tag = self.op if not self.kind else f"{self.op}.{self.kind}"
@@ -321,8 +324,9 @@ class _OpCompiler:
     start edges, so the simulator never has to guess: read-after-write
     edges point at the last writer of each source slot, write-after-read
     edges at every reader since that write, write-after-write at the
-    previous writer. Slots are never freed within an op, so its high-water
-    mark on an RPAU is the number of distinct slots touched there.
+    previous writer. Slots are never freed within an op, so `program` reads
+    its high-water mark on an RPAU off the op: the number of distinct slots
+    that its inputs and its instructions' writes name there.
     """
 
     def __init__(self, pset: ParamSet, machine: MachineConfig, level: int, op: str, name: str):
@@ -343,26 +347,13 @@ class _OpCompiler:
         self.uid = 0
         self.last_write: dict[tuple[int, int], int] = {}
         self.readers: dict[tuple[int, int], list[int]] = {}
-        self.touched: dict[int, set[int]] = {}
         self.sync_seq = 0
         # rotating receive buffers; in split mode three physical slots carry
         # a two-slot payload so the next broadcast can land while the
         # previous one is still being consumed
         self._recv_seq = 0
 
-    # slot lifecycle and emission --------------------------------------------
-
-    def _touch(self, rpau: int, slot: int):
-        if slot >= self.machine.rpm_slots:
-            raise MemoryBudgetError(
-                f"slot {slot} exceeds the {self.machine.rpm_slots}-slot RPM bank"
-            )
-        self.touched.setdefault(rpau, set()).add(slot)
-
-    def preload(self, rpaus: Sequence[int], slots: Sequence[int]):
-        for r in rpaus:
-            for s in slots:
-                self._touch(r, s)
+    # slot dataflow and emission ---------------------------------------------
 
     def emit(
         self,
@@ -390,7 +381,7 @@ class _OpCompiler:
                 deps.add(w)
             deps.update(self.readers.get(ref, ()))
         ins = Instruction(
-            op=op, pipe=_PIPE[op], ctrl=ctrl, rpaus=rpaus, dst=tuple(dst),
+            op=op, ctrl=ctrl, rpaus=rpaus, dst=tuple(dst),
             src=tuple(src), kind=kind, words=words, half=half, meta=meta,
             uid=self.uid, deps=tuple(sorted(deps)),
         )
@@ -398,7 +389,6 @@ class _OpCompiler:
         for ref in reads:
             self.readers.setdefault(ref, []).append(ins.uid)
         for ref in writes:
-            self._touch(*ref)
             self.last_write[ref] = ins.uid
             self.readers[ref] = []
         self.streams[ctrl].append(ins)
@@ -411,9 +401,8 @@ class _OpCompiler:
             meta = {"sync_id": self.sync_seq, "op_start": False, **meta}
             self.sync_seq += 1
         for c in (0, 1):
-            self.streams[c].append(
-                Instruction(op=op, pipe=PIPE_NONE, ctrl=c, rpaus=(), meta=dict(meta), uid=self.uid)
-            )
+            ins = Instruction(op=op, ctrl=c, rpaus=(), meta=dict(meta), uid=self.uid)
+            self.streams[c].append(ins)
             self.uid += 1
 
     # op frame ---------------------------------------------------------------
@@ -422,9 +411,8 @@ class _OpCompiler:
         """Slot tuple for logical limb i: one slot native, a pair in split mode."""
         return (2 * i, 2 * i + 1) if self.split else (i,)
 
-    def open(self, rpaus, slots):
-        """Preload the op's inputs, then the rendezvous that dispatches it."""
-        self.preload(rpaus, slots)
+    def open(self):
+        """The rendezvous that dispatches the op."""
         self.sync(SYNC_CTRL, op_start=True)
 
     def close(self, inputs, outputs, functional=True, **meta) -> OpProgram:
@@ -434,10 +422,17 @@ class _OpCompiler:
         return self.program(inputs, outputs, functional, level=self.level, **meta)
 
     def program(self, inputs, outputs, functional=True, **meta) -> OpProgram:
+        """Package the op, refusing it if a slot it names is past the bank."""
+        places = [p for b in inputs.values() for comp in b["components"] for p in comp]
+        places += [(r, i.dst) for stream in self.streams for i in stream for r in i.rpaus]
+        held = {(r, s) for r, slots in places for s in slots}
+        top, bank = max((s for _, s in held), default=-1), self.machine.rpm_slots
+        if top >= bank:
+            raise MemoryBudgetError(f"slot {top} exceeds the {bank}-slot RPM bank")
         return OpProgram(
             kind=self.op, name=self.name, streams=self.streams, inputs=inputs,
             outputs=outputs, meta=meta, functional=functional,
-            high_water={r: len(s) for r, s in self.touched.items()},
+            high_water=dict(sorted(Counter(r for r, _ in held).items())),
         )
 
     def recv_slots(self, ring: Sequence[int]) -> tuple[int, ...]:
@@ -517,7 +512,7 @@ class _OpCompiler:
 
 def _compile_add(c: _OpCompiler) -> OpProgram:
     x0, x1, y0, y1, o0, o1 = map(c.slots, range(6))
-    c.open(c.limbs, x0 + x1 + y0 + y1)
+    c.open()
     c.per_half(CWISE, 0, c.limbs, o0, [x0, y0], c.op)
     c.per_half(CWISE, 0, c.limbs, o1, [x1, y1], c.op)
     return c.close(
@@ -528,7 +523,7 @@ def _compile_add(c: _OpCompiler) -> OpProgram:
 
 def _compile_mult_plain(c: _OpCompiler) -> OpProgram:
     x0, x1, pt = map(c.slots, range(3))
-    c.open(c.limbs, x0 + x1 + pt)
+    c.open()
     c.per_half(DYADIC, 1, c.limbs, x0, [x0, pt], "mul")
     c.per_half(DYADIC, 1, c.limbs, x1, [x1, pt], "mul")
     return c.close(
@@ -553,7 +548,7 @@ def _compile_mult_relin(c: _OpCompiler) -> OpProgram:
     else:
         acc1 = y1
         recv_ring = (6, 2)               # slot 2 freed by the last tensor read
-    c.open(c.limbs, x0 + x1 + y0 + y1)
+    c.open()
 
     # tensor product; the quadratic part first so the transform loop can start
     c.per_half(DYADIC, 1, c.limbs, d2, [x1, y1], "mul")
@@ -577,13 +572,15 @@ def _compile_rescale_like(c: _OpCompiler) -> OpProgram:
     c0, c1 = c.slots(0), c.slots(1)
     ring = (c.slots(2) + c.slots(3))[: (3 if c.split else 2)]
     drop_special = c.op == "moddown"
+    if not drop_special and c.level < 2:
+        raise UnsupportedOpError("rescale at level 1 would drop the last limb")
     if drop_special:
         drop_rpau, drop_idx, keep = c.sp, c.pset.levels, c.limbs
         src_rpaus = c.all_r
     else:
         drop_rpau, drop_idx, keep = c.level - 1, c.level - 1, _limb_rpaus(c.level - 1)
         src_rpaus = c.limbs
-    c.open(src_rpaus, c0 + c1)
+    c.open()
     for comp in (c0, c1):
         c.mod_down(0, comp, keep, ring, drop_rpau, drop_idx)
     return c.close(
@@ -602,7 +599,7 @@ def _compile_rotate(c: _OpCompiler, steps: int) -> OpProgram:
     acc0, acc1 = c0, c1                   # inputs dead once mapped
     recv_ring = (c.slots(4) + c.slots(5))[: (3 if c.split else 2)]
     g = galois_element(steps, c.pset.degree)
-    c.open(c.limbs, c0 + c1)
+    c.open()
     for src, dst in ((c0, a0), (c1, a1)):
         if c.split:
             # the map crosses the half-ring boundary, so walk each component
@@ -622,7 +619,6 @@ def _compile_rotate(c: _OpCompiler, steps: int) -> OpProgram:
 
 def _compile_ntt_bench(c: _OpCompiler) -> OpProgram:
     s = c.slots(0)[:1]
-    c.preload((0,), s)
     c.emit(NTT, 0, (0,), dst=s, src=_slot_terms(s))
     return c.program(inputs={}, outputs={}, functional=False)
 
@@ -661,7 +657,7 @@ def compile_workload(pset: ParamSet, ops: Sequence[dict],
         uid = max((i.uid for s in last.streams for i in s), default=-1) + 1
         for ctrl in (0, 1):
             last.streams[ctrl].append(
-                Instruction(op=END, pipe=PIPE_NONE, ctrl=ctrl, rpaus=(), uid=uid + ctrl)
+                Instruction(op=END, ctrl=ctrl, rpaus=(), uid=uid + ctrl)
             )
     return Program(pset=pset, machine=machine, ops=compiled)
 
@@ -1034,22 +1030,15 @@ class _Executor:
         return _eval_part(limb, self.parts, half == "m")
 
     def run(self, opp: OpProgram, state: dict) -> None:
-        """Run one op. A slot's value leaves `state` after the last
-        instruction of the run order that reads it, unless it is the op's
-        output; the decompositions no later op shares leave `decomps`."""
+        """Run one op. A slot's value leaves `state` after its last use in
+        the run order (`_last_uses`), unless it is the op's output; the
+        decompositions no later op shares leave `decomps`."""
         order = _exec_order(opp.streams)
-        # a backward pass: `live` holds the slots read before they are
-        # written again, and at the end the output's
-        live = {(r, s) for places in opp.outputs["out"]["components"]
-                for r, slots in places for s in slots}
-        dead = []
-        for ins in reversed(order):
-            reads = _reads(ins.rpaus, ins.src)
-            writes = [(r, s) for r in ins.rpaus for s in ins.dst]
-            dead.append({*reads, *writes} - live)
-            live.difference_update(writes)
-            live.update(reads)
-        for ins, keys in zip(order, reversed(dead)):
+        out = {(r, s) for places in opp.outputs["out"]["components"]
+               for r, slots in places for s in slots}
+        steps = [(_reads(i.rpaus, i.src), [(r, s) for r in i.rpaus for s in i.dst])
+                 for i in order]
+        for ins, keys in zip(order, _last_uses(steps, out)):
             self.step(ins, state)
             for key in keys:
                 del state[key]
@@ -1138,6 +1127,19 @@ class _Executor:
             raise UnsupportedOpError(f"cannot execute {ins.op}")
 
 
+def _last_uses(steps: list, keep=()) -> list[set]:
+    """Per (keys read, keys written) step, the keys it touches that are not
+    in `keep` and that no later step reads before writing them again: the
+    step is their last use. Keys are an op's slots or a workload's names."""
+    live = set(keep)
+    dead: list[set] = []
+    for reads, writes in reversed(steps):
+        dead.append({*reads, *writes} - live)
+        live.difference_update(writes)
+        live.update(reads)
+    return dead[::-1]
+
+
 def _run_order(ops: list, variables: dict) -> list[int]:
     """The order execute_workload runs ops in, as indices into `ops`, a
     list of (names read, name written) pairs.
@@ -1193,16 +1195,17 @@ def execute_workload(engine, program: Program, variables: dict) -> dict:
     reader, so (on logreg) each rotation is added in before the next one
     runs.
 
-    State is kept until its last reader. One backward pass over the run
-    order records which operands of each op a later op reads before the
-    name is written again; an operand that none does is at its last reader.
-    A temporary leaves the result there, and its limbs' decompositions leave
-    the registry once the op has run, each evaluation they hand out going
-    with the last slot that reads it. An operand a later op reads keeps its
-    decompositions and their evaluations, so logreg's rotations of t0 share
-    one until r7 has run. A name written again frees its older value.
-    Within an op, each slot's value goes after its last reader
-    (`_Executor.run`), and the output's as the result is read off.
+    State is kept until its last reader, which the one last-use pass
+    (`_last_uses`) finds over the run order's names: an op is the last
+    reader of each operand that no later op reads before it is written
+    again. A temporary leaves the result there, and its limbs'
+    decompositions leave the registry once the op has run, each evaluation
+    they hand out going with the last slot that reads it. An operand a
+    later op reads keeps its decompositions and their evaluations, so
+    logreg's rotations of t0 share one until r7 has run. A name written
+    again frees its older value; a name with no value is refused. Within
+    an op, the same pass over its slots drops each slot's value after its
+    last reader (`_Executor.run`), and the output's as the result is read off.
     """
     ex = _Executor(engine, program)
     ops = []
@@ -1211,20 +1214,18 @@ def execute_workload(engine, program: Program, variables: dict) -> dict:
             names = opp.meta.get("vars", {})
             ops.append((opp, [names.get(var, var) for var in opp.inputs], names.get("out", "out")))
     order = _run_order([(reads, out) for _, reads, out in ops], variables)
-    read_later, pending = {}, set()
-    for i in reversed(order):
-        _, reads, out = ops[i]
-        read_later[i] = pending.intersection(reads)
-        pending.discard(out)
-        pending.update(reads)
+    last = dict(zip(order, _last_uses([(ops[i][1], [ops[i][2]]) for i in order])))
     writes = Counter(out for _, _, out in ops)
     live = dict(variables)
     for i in order:
         opp, reads, out = ops[i]
         state: dict = {}
+        if unset := [name for name in reads if name not in live]:
+            raise ArchSimError(f"{opp.name} reads {unset[0]!r}, which no executed op wrote "
+                               "and the caller did not supply")
         operands = [live[name] for name in reads]
         for binding, name, value in zip(opp.inputs.values(), reads, operands):
-            ex.seed(state, binding, value, name in read_later[i])
+            ex.seed(state, binding, value, name not in last[i])
         # a sum keeps its operands' common scale, a product multiplies them
         # and a rescale divides by the dropped prime
         scale = operands[0].scale
@@ -1237,7 +1238,7 @@ def execute_workload(engine, program: Program, variables: dict) -> dict:
             scale = scale / engine.drop_scale(opp.meta["level"])
         ex.run(opp, state)
         for name in reads:
-            if name not in read_later[i] and writes[name] == 1 and name not in variables:
+            if name in last[i] and writes[name] == 1 and name not in variables:
                 live.pop(name, None)
         live[out] = ex.read_ct(state, opp.outputs["out"], scale)
     return live

@@ -185,10 +185,6 @@ class RnsBase:
             raise ValueError(f"level {level} out of range 1..{self.levels}")
         return self.primes[:level]
 
-    def extended_moduli(self, level: int) -> tuple[PrimeModulus, ...]:
-        """Level limbs plus the special prime (key-switch working basis)."""
-        return self.level_moduli(level) + (self.special,)
-
     @property
     def total_bits(self) -> int:
         return sum(m.bit_width for m in self.all_moduli)

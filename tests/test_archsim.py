@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import math
+import re
 from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import combinations
@@ -23,7 +24,6 @@ from medha.archsim import (
     MachineConfig,
     MemoryBudgetError,
     OpProgram,
-    PIPE_NONE,
     Program,
     SYNC_CTRL,
     UnsupportedOpError,
@@ -151,15 +151,26 @@ def test_memory_high_water(set1, set2):
 
 
 def test_memory_budget_enforced(set1, set2):
-    with pytest.raises(MemoryBudgetError):
+    with pytest.raises(MemoryBudgetError, match="slot 6 exceeds the 6-slot RPM bank"):
         compile_workload(set1, [{"op": "mult_relin"}], MachineConfig(rpm_slots=6))
-    with pytest.raises(MemoryBudgetError):
+    with pytest.raises(MemoryBudgetError, match="slot 12 exceeds the 12-slot RPM bank"):
         compile_workload(set2, [{"op": "mult_relin"}], MachineConfig(rpm_slots=12))
+
+
+@pytest.mark.parametrize("pset_name", ["logreg", "set1", "set2"])
+def test_memory_audit_lists_rpaus_in_order(pset_name):
+    # the --simulate JSON keeps this order; the pinned digests sort it away
+    pset = get_param_set(pset_name)
+    for name in workload_names():
+        _, prog = _bench_program(pset, name)
+        rpaus = list(memory_audit(prog)["per_rpau"])
+        assert rpaus == sorted(rpaus), name
+        assert prog.machine.special_rpau not in rpaus[:-1], name
 
 
 def test_unpaired_sync_detected(set1):
     lone = Instruction(
-        op=SYNC_CTRL, pipe=PIPE_NONE, ctrl=0, rpaus=(),
+        op=SYNC_CTRL, ctrl=0, rpaus=(),
         meta={"sync_id": 0, "op_start": False}, uid=0,
     )
     bad = OpProgram(kind="raw", name="bad", streams=([lone], []), inputs={}, outputs={})
@@ -182,11 +193,11 @@ def test_dual_issue_beats_serial(set1, set2):
 
 def test_cost_model_shape():
     cost = CostModel()
-    ntt = Instruction(op=NTT, pipe="main", ctrl=0, rpaus=(0,))
+    ntt = Instruction(op=NTT, ctrl=0, rpaus=(0,))
     assert cost.cost(ntt) == 7_168
-    minus = Instruction(op=NTT, pipe="main", ctrl=0, rpaus=(0,), half="m")
+    minus = Instruction(op=NTT, ctrl=0, rpaus=(0,), half="m")
     assert cost.cost(minus) == 7_168 + cost.split_move_cycles
-    bcast = Instruction(op=BCAST, pipe="ring", ctrl=0, rpaus=(0,), words=3)
+    bcast = Instruction(op=BCAST, ctrl=0, rpaus=(0,), words=3)
     assert cost.cost(bcast) == 3 * 512
 
 
@@ -354,6 +365,32 @@ def test_latency_only_op_not_executed(set1, toy_native):
     assert all(not op.functional for op in prog.ops)
     result = execute_workload(toy_native, prog, {})
     assert spec.output_var is None
+
+
+def test_rescale_below_level_two_refused(set1, toy_native):
+    # a rescale at level 1 would leave a ciphertext with no limbs
+    with pytest.raises(UnsupportedOpError, match="level 1"):
+        compile_op(set1, "rescale", level=1)
+    with pytest.raises(UnsupportedOpError, match="level 1"):
+        compile_workload(set1, [{"op": "rescale", "level": 1, "x": "x", "out": "out"}])
+    assert compile_op(set1, "rescale", level=2).outputs["out"]["components"][0] == [(0, (0,))]
+    # a moddown at level 1 drops the special prime and keeps the one limb
+    assert compile_op(set1, "moddown", level=1).outputs["out"]["components"][0] == [(0, (0,))]
+    ct = toy_native.encrypt(toy_native.encode(np.zeros(toy_native.slots), set1.scale, level=1))
+    with pytest.raises(ValueError, match="cannot rescale below level 1"):
+        toy_native.rescale(ct)
+
+
+def test_name_without_a_value_refused(set1, toy_native):
+    ct = toy_native.encrypt(toy_native.encode(np.zeros(toy_native.slots), set1.scale))
+    add = compile_workload(set1, [{"op": "add", "x": "x", "y": "w", "out": "out"}])
+    with pytest.raises(ArchSimError, match=re.escape("add[0] reads 'w'")):
+        execute_workload(toy_native, add, {"x": ct})
+    # a latency-only moddown is skipped, so its output never gets a value
+    chain = compile_workload(set1, [{"op": "moddown", "x": "x", "out": "y"},
+                                    {"op": "add", "x": "x", "y": "y", "out": "out"}])
+    with pytest.raises(ArchSimError, match=re.escape("add[1] reads 'y'")):
+        execute_workload(toy_native, chain, {"x": ct})
 
 
 def test_logreg_regression_and_memory(logreg_pset):

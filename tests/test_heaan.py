@@ -325,7 +325,7 @@ def test_key_switch_matches_per_term_mac(toy_split2, fill, monkeypatch):
 
     # reference: a reduced multiply-accumulate per term, rows outermost,
     # then p dropped through Python-int lifts
-    ext = base.extended_moduli(lvl)
+    ext = base.level_moduli(lvl) + (base.special,)
     acc0, acc1 = [None] * len(ext), [None] * len(ext)
     for i in range(lvl):
         signed = _centered(d[i])

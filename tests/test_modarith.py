@@ -115,7 +115,6 @@ def test_rns_base_level_views(set1):
     assert base.levels == 7
     assert base.all_moduli == base.primes + (base.special,)
     assert base.level_moduli(3) == base.primes[:3]
-    assert base.extended_moduli(3) == base.primes[:3] + (base.special,)
     with pytest.raises(ValueError):
         base.level_moduli(0)
     with pytest.raises(ValueError):
