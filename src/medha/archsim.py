@@ -82,13 +82,13 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
-from . import kernels
 from .heaan import RELIN_KSK_ID, CenteredLift, Ciphertext, galois_element
 from .modarith import PrimeModulus
 from .params import ParamSet
 from .polyring import (
     ResiduePoly,
     automorphism,
+    companions,
     dyadic,
     ntt_forward,
     ntt_inverse,
@@ -244,11 +244,12 @@ class Program:
         return sum(len(s) for op in self.ops for s in op.streams)
 
     def high_water(self) -> dict[int, int]:
+        """Each RPAU's peak over the ops, in RPAU index order."""
         peak: dict[int, int] = {}
         for op in self.ops:
             for r, v in op.high_water.items():
                 peak[r] = max(peak.get(r, 0), v)
-        return peak
+        return dict(sorted(peak.items()))
 
 
 _CRITICAL_PATH_STEPS = 8   # the critical path's tail that a report shows
@@ -1082,8 +1083,7 @@ class _Executor:
         others and dropped with v."""
         held = self.shoups.get(key)
         if held is None or held[0] is not v:
-            shoup = kernels.ctx(v.q.value).shoup(v.coeffs)
-            held = self.shoups[key] = (v, kernels.shoup_halves(shoup))
+            held = self.shoups[key] = (v, companions(v))
         return held[1]
 
     def step(self, ins: Instruction, state: dict) -> None:

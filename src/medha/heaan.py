@@ -57,6 +57,7 @@ from .polyring import (
     STANDARD,
     ResiduePoly,
     automorphism,
+    companions,
     dyadic,
     ntt_forward,
     ntt_inverse,
@@ -66,14 +67,42 @@ from .polyring import (
 RELIN_KSK_ID = 0  # rotation keys use ksk_id = step, which is always >= 1
 
 
-@dataclass
 class Plaintext:
-    limbs: list  # ResiduePoly per level modulus, evaluation domain
-    scale: Fraction
+    """A plaintext at `scale`: one evaluation-domain limb per level modulus.
+
+    `Engine.encode` leaves a plaintext holding its centered coefficients
+    instead, and `limbs` forms the limbs from them on first read and drops
+    them, so a plaintext holds one or the other, and one that is only
+    encrypted is never transformed on its own (`Engine.encrypt`)."""
+
+    def __init__(self, limbs: Optional[list], scale: Fraction):
+        self._limbs = limbs
+        self._coeffs: Optional[tuple] = None   # (CenteredLift, moduli) until limbs are read
+        self.scale = scale
+
+    @classmethod
+    def of_coeffs(cls, lift: "CenteredLift", moduli: list, scale: Fraction) -> "Plaintext":
+        """A plaintext that holds centered coefficients, whose limbs under
+        `moduli` are formed on first read."""
+        pt = cls(None, scale)
+        pt._coeffs = (lift, moduli)
+        return pt
+
+    @property
+    def limbs(self) -> list:
+        if self._limbs is None:
+            lift, moduli = self._coeffs
+            self._limbs, self._coeffs = [lift.limb(q) for q in moduli], None
+        return self._limbs
+
+    @property
+    def coeffs(self) -> Optional["CenteredLift"]:
+        """The centered coefficients, while the limbs are not formed."""
+        return None if self._coeffs is None else self._coeffs[0]
 
     @property
     def level(self) -> int:
-        return len(self.limbs)
+        return len(self._coeffs[1] if self._limbs is None else self._limbs)
 
 
 @dataclass
@@ -106,6 +135,14 @@ class KeySwitchKey:
     ksk_id: int
     uniform: list
     secret: list
+
+
+@functools.cache
+def _twists(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """The twist vectors exp(-i pi j / D) and exp(i pi j / D), j < D, that
+    encoding and decoding multiply by."""
+    jj = np.arange(degree)
+    return np.exp(-1j * np.pi * jj / degree), np.exp(1j * np.pi * jj / degree)
 
 
 @functools.cache
@@ -327,22 +364,28 @@ class Engine:
         A key in `stored` keeps its secret half and reads no error row."""
         width = len(self.base.all_moduli)
         u_iter, e_iter = iter(uniform), iter(errors)
+        # the secret's companions under each modulus, formed once for all
+        # the new keys' products by it (a stored key has none)
+        s_halves = ([companions(s) for s in self._s_grid]
+                    if any(k not in stored for k in ids) else [])
         keys = []
         for ksk_id in ids:
             u_grid = [[next(u_iter) for _ in range(width)] for _ in range(self.base.levels)]
             secret = stored.get(ksk_id)
             if secret is None:
                 target = self._ksk_target(ksk_id)
-                secret = [self._ksk_row(i, next(e_iter), u, target) for i, u in enumerate(u_grid)]
+                secret = [self._ksk_row(i, next(e_iter), u, target, s_halves)
+                          for i, u in enumerate(u_grid)]
             keys.append(KeySwitchKey(ksk_id, u_grid, secret))
         return keys
 
-    def _ksk_row(self, i: int, e: np.ndarray, u_row: list, target: list) -> list:
+    def _ksk_row(self, i: int, e: np.ndarray, u_row: list, target: list, s_halves: list) -> list:
         """Row i of a new key's secret half: e - u s + P qtilde_i target."""
         e_lift = CenteredLift(e, GAUSS_BOUND)
         row = []
         for j, (m, u) in enumerate(zip(self.base.all_moduli, u_row)):
-            k = dyadic("sub", e_lift.limb(m), dyadic("mul", u, self._s_grid[j]))
+            prod = dyadic("mul", u, self._s_grid[j], b_halves=s_halves[j])
+            k = dyadic("sub", e_lift.limb(m), prod)
             # P * qtilde_i is 0 mod every modulus but q_i, and adding a zero
             # limb changes no bit, so only q_i's term is added
             factor = self.base.p_qtilde[i][j]
@@ -376,14 +419,13 @@ class Engine:
         tk = _slot_index(d)
         f[tk] = v
         f[d - 1 - tk] = np.conj(v)
-        jj = np.arange(d)
-        m = np.real(np.fft.fft(f) * np.exp(-1j * np.pi * jj / d)) / d
+        m = np.real(np.fft.fft(f) * _twists(d)[0]) / d
         coeffs = np.round(m * float(scale))
         peak = np.abs(coeffs).max()
         if not peak < 2**62:  # so does a NaN, from a transform that overflowed
             raise ValueError("encoded coefficients overflow 62 bits; lower the scale")
         lift = CenteredLift(coeffs.astype(np.int64), int(peak))
-        return Plaintext([lift.limb(q) for q in self.base.level_moduli(level)], scale)
+        return Plaintext.of_coeffs(lift, self.base.level_moduli(level), scale)
 
     def _limbs_to_centered(self, limbs: list) -> list[int]:
         moduli = self.base.level_moduli(len(limbs))
@@ -399,7 +441,7 @@ class Engine:
             raise ValueError(f"decoded values overflow a float at scale {float(scale):.3g}")
         # int true division rounds correctly: float(Fraction(c) / scale), bit for bit
         m = np.array([c * scale.denominator / scale.numerator for c in centered])
-        f = np.fft.ifft(m * np.exp(1j * np.pi * np.arange(d) / d)) * d
+        f = np.fft.ifft(m * _twists(d)[1]) * d
         return f[_slot_index(d)]
 
     # ---- encryption ----
@@ -418,15 +460,21 @@ class Engine:
         ]
         _, (e0, e1) = sample_lanes((), 0, errors, d)
         r = CenteredLift(r, 1)
-        e0, e1 = (CenteredLift(e, GAUSS_BOUND) for e in (e0, e1))
+        e1 = CenteredLift(e1, GAUSS_BOUND)
+        # the transform is linear mod q, so a plaintext that still holds its
+        # coefficients m is added to e0 before the one transform of each limb
+        m = pt.coeffs
+        e0 = (CenteredLift(e0, GAUSS_BOUND) if m is None
+              else CenteredLift(e0 + m.signed, GAUSS_BOUND + m.half))
         c0 = []
         c1 = []
         for i, q in enumerate(self.base.level_moduli(pt.level)):
             rl = r.limb(q)
-            c0.append(
-                dyadic("add", dyadic("mac", self.pk_b[i], rl, acc=e0.limb(q)), pt.limbs[i])
-            )
-            c1.append(dyadic("mac", self.pk_a[i], rl, acc=e1.limb(q)))
+            # r's companions, formed once for both of its products
+            r_halves = companions(rl)
+            acc = e0.limb(q) if m is not None else dyadic("add", e0.limb(q), pt.limbs[i])
+            c0.append(dyadic("mac", self.pk_b[i], rl, acc=acc, b_halves=r_halves))
+            c1.append(dyadic("mac", self.pk_a[i], rl, acc=e1.limb(q), b_halves=r_halves))
         return Ciphertext(c0, c1, pt.scale)
 
     def decrypt(self, ct: Ciphertext) -> np.ndarray:

@@ -26,14 +26,26 @@ canonical residue: the bits are those of an exactly reduced butterfly
 network. The bounds hold for every modulus ModContext accepts (q < 2^62, so
 4q fits a word).
 
-Layout. Layers whose butterfly span is at least _ROWS (64) words run on
-the words in natural order; the narrower ones run on a transposed copy
-(row r holds words r, r + 64, r + 128, ...), so their NumPy calls run over
-rows of n / 64 contiguous words. Each TwiddleTable lays out every layer's
-constants once, in the shape the layer broadcasts them, (k, 1, cols): w and
-the two 32-bit halves of its Shoup companion, contiguous. A transform
-writes its lazy products and corrections with out= into one scratch block
-of n words, reused by every layer.
+Layout. Layer s of a degree-n transform has 2^s groups of n / 2^(s+1)
+butterflies. The wide layers, whose groups are at least as long as they
+are many, run in place in natural order, each group's constant broadcast
+along its run. From layer ceil(logn / 2) on (7 at 2^14, 8 at 2^15) the
+layers are self-sorted, after Stockham's autosort (Van Loan, Computational
+Frameworks for the FFT, 1992): after one transposing copy, a layer reads x
+and y as the two contiguous halves of one buffer and writes the next
+layer's halves into the other, so every operand runs over as many words as
+the layer has groups, and the groups' constants, in the order the layer
+holds its groups, broadcast along rows. One gather then restores the
+bit-reversed order of the output. The inverse transform mirrors this: one
+gather in, the self-sorted layers, one transposing copy, the wide layers.
+Each TwiddleTable lays out every layer's constants once, in the order and
+shape the layer reads them: w and the two 32-bit halves of its Shoup
+companion, contiguous. Every transform of a degree runs in one workspace,
+built on the degree's first transform: three n-word buffers, the two
+gathers' indices, and every layer's operand, output, product and
+temporary views of the buffers, made once, so a layer allocates nothing
+and makes no view. A forward transform reads its input where it is; the
+transforms allocate only their n-word result.
 
 Twiddle tables. A ring's constants are grown, as the accelerator generates
 its twiddles on the fly: stage s of the flat table starts from one seed
@@ -51,10 +63,11 @@ Unbuffered calls. Where an operand is broadcast or strided and its
 contiguous run is shorter than the ufunc buffer (8192 elements by
 default), NumPy copies it through that buffer, and a layer call ran
 1.6-2.6x slower per word than a flat one. Each transform therefore sets
-np.setbufsize(_ROWS), the shortest run of its layer views at n >= 2^12,
-and restores the caller's size in a finally, so NumPy's state outside a
-transform does not change. The size is context-local in NumPy 2 and
-thread-global in NumPy 1.x, which requires a multiple of 16; 64 is both.
+np.setbufsize(_BUFSIZE), 64, which no layer view's run undercuts at
+n >= 2^12 (the shortest are 128 words at 2^14 and 2^15), and restores the
+caller's size in a finally, so NumPy's state outside a transform does not
+change. The size is context-local in NumPy 2 and thread-global in NumPy
+1.x, which requires a multiple of 16; 64 is both.
 """
 
 from __future__ import annotations
@@ -155,11 +168,73 @@ def _bitrev(n: int) -> np.ndarray:
     return r
 
 
-# Layers whose butterfly span is at most _ROWS / 2 run on a transposed copy
-# of the words, and a transform sets the ufunc buffer to _ROWS words (see
-# the module docstring): natural layers then run over spans of at least 64
-# words, transposed ones over n / 64 columns. 64 and 128 measured alike.
-_ROWS = 64
+# A transform sets the ufunc buffer to _BUFSIZE words (see the module
+# docstring): at n >= 2^12 no layer view has a shorter contiguous run.
+_BUFSIZE = 64
+
+
+def _switch(logn: int) -> int:
+    """The first self-sorted layer: the first whose groups are shorter than
+    they are many (7 of 14 at 2^14, 8 of 15 at 2^15)."""
+    return (logn + 1) // 2
+
+
+def _group_orders(n: int) -> list:
+    """For each layer s, the network group that position j of the layer
+    holds: j itself up to the first self-sorted layer, after which position
+    b*g + j of the next layer holds group 2 * order[j] + b. The last entry,
+    one past the last layer, gives the evaluation held at each word."""
+    logn = n.bit_length() - 1
+    orders = [np.arange(1 << s) for s in range(_switch(logn) + 1)]
+    while len(orders) <= logn:
+        orders.append(np.concatenate([2 * orders[-1], 2 * orders[-1] + 1]))
+    return orders
+
+
+class _Workspace:
+    """The buffers that every transform of degree n runs in, and each
+    layer's views of them, made once (see Layout above).
+
+    `layers[s]` is (x, y, x_out, y_out, u, tmp): layer s's operands, where
+    it writes x + t and x - t, and two scratch halves for its product and
+    one temporary. Before `switch`, x and y are (g, h) views of `natural`
+    (g = 2^s groups of h = n / 2g) and the layer writes them in place; from
+    `switch` on, they are the two contiguous (h, g) halves of one buffer,
+    and x_out and y_out interleave in the other as the next layer's halves.
+    After the last layer, word p of `last` holds evaluation `ranks[p]`.
+    Every transform of the degree shares the buffers, so transforms do not
+    run concurrently.
+    """
+
+    def __init__(self, n: int):
+        logn = n.bit_length() - 1
+        self.switch = s0 = _switch(logn)
+        self.natural = np.empty(n, dtype=np.uint64)
+        self.scratch = np.empty(n, dtype=np.uint64)
+        bufs = (np.empty(n, dtype=np.uint64), self.natural)
+        g0, h0 = 1 << s0, n >> (s0 + 1)
+        # the words at `switch`, in the order the first self-sorted layer reads them
+        self.sorted_view = bufs[0].reshape(2, h0, g0)
+        self.natural_view = self.natural.reshape(g0, 2, h0).transpose(1, 2, 0)
+        self.layers = []
+        for s in range(logn):
+            g, h = 1 << s, n >> (s + 1)
+            if s < s0:
+                x, y = self.natural.reshape(g, 2, h).transpose(1, 0, 2)
+                self.layers.append((x, y, x, y, *self.scratch.reshape(2, g, h)))
+                continue
+            src, dst = bufs[(s - s0) % 2], bufs[(s - s0 + 1) % 2]
+            out = dst.reshape(h, 2, g)
+            self.layers.append((*src.reshape(2, h, g), out[:, 0], out[:, 1],
+                                *self.scratch.reshape(2, h, g)))
+        self.last = dst
+        self.ranks = _group_orders(n)[logn]
+        self.order = np.argsort(self.ranks)
+
+
+@functools.cache
+def _workspace(n: int) -> _Workspace:
+    return _Workspace(n)
 
 
 def _grow(q: int, n: int, psi: int, gen: int) -> np.ndarray:
@@ -226,20 +301,19 @@ class TwiddleTable:
     def _layers(self, consts: np.ndarray) -> list:
         """(w, wl, wh) for each layer, g = 1, 2, ..., n/2: the layer's
         constants consts[g : 2g] and the halves of their companions, each
-        contiguous and shaped (k, 1, cols) as the layer broadcasts them."""
+        contiguous, in the order the layer holds its groups and in the
+        shape it broadcasts them, (g, 1) or (1, g)."""
         n = self.n
-        wide = n // min(_ROWS, n)  # columns of a transposed layer
+        switch = _switch(n.bit_length() - 1)
         halves = shoup_halves(kernels.ctx(self.q.value).shoup(consts))
         laid = [np.empty(n, dtype=np.uint64) for _ in range(3)]
         layers = []
-        for s in range(n.bit_length() - 1):
+        for s, groups in enumerate(_group_orders(n)[:-1]):
             g = 1 << s
-            cols = wide if g >= wide else 1
-            views = []
+            shape = (g, 1) if s < switch else (1, g)
             for src, dst in zip((consts, *halves), laid):
-                dst[g : 2 * g].reshape(g // cols, cols)[...] = src[g : 2 * g].reshape(cols, -1).T
-                views.append(dst[g : 2 * g].reshape(g // cols, 1, cols))
-            layers.append(tuple(views))
+                np.take(src, g + groups, out=dst[g : 2 * g])
+            layers.append(tuple(dst[g : 2 * g].reshape(shape) for dst in laid))
         return layers
 
 
@@ -268,7 +342,7 @@ def ntt_forward(p: ResiduePoly) -> ResiduePoly:
     into [0, ceil(b/2) q), and then, if still needed, t into [0, 2q)
     (writing x + 2q - t). Since q < 2^62, 4q fits, so those two
     corrections always suffice. The end halves the bound until it is 1,
-    which leaves canonical residues.
+    which leaves canonical residues, and one gather puts them in order.
     """
     if p.domain != "coeff":
         raise ValueError("ntt_forward expects a coefficient-domain polynomial")
@@ -278,20 +352,15 @@ def ntt_forward(p: ResiduePoly) -> ResiduePoly:
     q2 = qv + qv
     fits = (1 << 64) // q  # a bound b*q fits a word while b <= fits
     n = p.n
-    f = p.coeffs.copy()
-    scratch = np.empty(n, dtype=np.uint64)
+    ws = _workspace(n)
     b = 1
-    bufsize = np.setbufsize(_ROWS)
+    bufsize = np.setbufsize(_BUFSIZE)
     try:
-        for w, wl, wh in t.forward:
-            k, _, cols = w.shape
-            if cols > 1 and f.ndim == 1:
-                f = f.reshape(cols, n // cols).T.copy()
-            half = n // (2 * k * cols)
-            a = f.reshape(k, 2, half, cols)
-            x = a[:, 0]
-            y = a[:, 1]
-            u, tmp = scratch.reshape(2, k, half, cols)
+        for s, ((x, y, x_out, y_out, u, tmp), (w, wl, wh)) in enumerate(zip(ws.layers, t.forward)):
+            if s == 0:  # the first layer reads the caller's words
+                x, y = p.coeffs.reshape(2, 1, n // 2)
+            elif s == ws.switch:
+                np.copyto(ws.sorted_view, ws.natural_view)
             mulmod_shoup_lazy(y, w, (wl, wh), qv, out=u, tmp=tmp)
             grow = 4
             if b + grow > fits and b > 1:
@@ -303,13 +372,14 @@ def ntt_forward(p: ResiduePoly) -> ResiduePoly:
                 np.subtract(u, q2, out=tmp)
                 np.minimum(u, tmp, out=u)
             b += grow
-            np.add(x, np.uint64(grow * q), out=y)
-            y -= u
-            x += u
-        _settle(f, b, q, scratch.reshape(f.shape))
+            np.add(x, np.uint64(grow * q), out=y_out)
+            y_out -= u
+            np.add(x, u, out=x_out)
+        _settle(ws.last, b, q, ws.scratch)
+        out = np.take(ws.last, ws.order)
     finally:
         np.setbufsize(bufsize)
-    return ResiduePoly(p.q, f.T.reshape(n), "eval", p.twist)
+    return ResiduePoly(p.q, out, "eval", p.twist)
 
 
 def ntt_inverse(p: ResiduePoly) -> ResiduePoly:
@@ -338,51 +408,53 @@ def ntt_inverse(p: ResiduePoly) -> ResiduePoly:
     fits = (1 << 64) // q  # a bound b*q fits a word while b <= fits
     prod_b = 4 if fits >= 8 else 2  # the bound of a layer's products
     n = p.n
-    rows = min(_ROWS, n)
-    f = p.coeffs.reshape(n // rows, rows).T.copy()
-    scratch = np.empty(n, dtype=np.uint64)
+    ws = _workspace(n)
+    np.take(p.coeffs, ws.ranks, out=ws.last)
     b = 1
-    bufsize = np.setbufsize(_ROWS)
+    bufsize = np.setbufsize(_BUFSIZE)
     try:
-        for w, wl, wh in reversed(t.inverse):
-            k, _, cols = w.shape
-            if cols == 1 and f.ndim == 2:
-                f = f.T.reshape(n)
-            half = n // (2 * k * cols)
-            a = f.reshape(k, 2, half, cols)
-            u = a[:, 0]
-            v = a[:, 1]
-            d, s = scratch.reshape(2, k, half, cols)
+        for s in reversed(range(len(ws.layers))):
+            # the forward layer's outputs are this layer's operands
+            u_out, v_out, u, v, d, tmp = ws.layers[s]
+            w, wl, wh = t.inverse[s]
+            if s == ws.switch - 1:
+                np.copyto(ws.natural_view, ws.sorted_view)
             np.add(u, np.uint64(b * q), out=d)
             d -= v
-            if k * cols == 1:  # the last layer: the sums take n^-1 too
-                np.add(u, v, out=s)
-                mulmod_shoup_lazy(d, w, (wl, wh), qv, out=v, tmp=u)
-                mulmod_shoup_lazy(s, t.n_inv, t.n_inv_halves, qv, out=u, tmp=d)
+            if s == 0:  # the last layer writes the result; its sums take n^-1 too
+                out = np.empty(n, dtype=np.uint64)
+                u_out, v_out = out.reshape(2, 1, n // 2)
+                np.add(u, v, out=tmp)
+                mulmod_shoup_lazy(d, w, (wl, wh), qv, out=v_out, tmp=u)
+                mulmod_shoup_lazy(tmp, t.n_inv, t.n_inv_halves, qv, out=u_out, tmp=d)
                 b = 4
-                continue
-            u += v
+                break
+            np.add(u, v, out=u_out)
             if 4 * b > fits:
-                np.subtract(u, np.uint64(b * q), out=s)
-                np.minimum(u, s, out=u)
+                np.subtract(u_out, np.uint64(b * q), out=tmp)
+                np.minimum(u_out, tmp, out=u_out)
             else:
                 b *= 2
-            mulmod_shoup_lazy(d, w, (wl, wh), qv, out=v, tmp=s)
+            mulmod_shoup_lazy(d, w, (wl, wh), qv, out=v_out, tmp=tmp)
             if prod_b == 2:
-                np.subtract(v, q2, out=s)
-                np.minimum(v, s, out=v)
+                np.subtract(v_out, q2, out=tmp)
+                np.minimum(v_out, tmp, out=v_out)
             b = max(b, prod_b)
-        _settle(f, b, q, scratch.reshape(f.shape))
+        _settle(out, b, q, ws.scratch)
     finally:
         np.setbufsize(bufsize)
-    return ResiduePoly(p.q, f.T.reshape(n), "coeff", p.twist)
+    return ResiduePoly(p.q, out, "coeff", p.twist)
+
+
+def companions(p: ResiduePoly) -> tuple:
+    """The Shoup companions of p's words, as `dyadic` takes them."""
+    return shoup_halves(kernels.ctx(p.q.value).shoup(p.coeffs))
 
 
 def dyadic(kind: str, a: ResiduePoly, b: ResiduePoly, acc: Optional[ResiduePoly] = None,
            b_halves=None) -> ResiduePoly:
     """Elementwise evaluation-domain arithmetic (add/sub/mul/mac). A caller
-    that multiplies b more than once may pass its Shoup companions, as
-    `ModContext.mulmod` takes them, in `b_halves`."""
+    that multiplies b more than once may pass `companions(b)` in `b_halves`."""
     if not a.compatible(b):
         raise ValueError("dyadic operands live in different rings or domains")
     c = kernels.ctx(a.q.value)

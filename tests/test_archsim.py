@@ -159,10 +159,14 @@ def test_memory_budget_enforced(set1, set2):
 
 @pytest.mark.parametrize("pset_name", ["logreg", "set1", "set2"])
 def test_memory_audit_lists_rpaus_in_order(pset_name):
-    # the --simulate JSON keeps this order; the pinned digests sort it away
+    # the --simulate JSON keeps this order; the pinned digests sort it away.
+    # The last program's first op is compiled below the top level, so it
+    # marks the special RPAU before the top limbs' RPAUs
     pset = get_param_set(pset_name)
-    for name in workload_names():
-        _, prog = _bench_program(pset, name)
+    programs = [(name, _bench_program(pset, name)[1]) for name in workload_names()]
+    programs.append(("mult_relin at level 3, then add", compile_workload(
+        pset, [{"op": "mult_relin", "level": 3}, {"op": "add"}])))
+    for name, prog in programs:
         rpaus = list(memory_audit(prog)["per_rpau"])
         assert rpaus == sorted(rpaus), name
         assert prog.machine.special_rpau not in rpaus[:-1], name

@@ -3,9 +3,13 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import medha
 from medha.cli import main
 from medha.heaan import Engine
 from medha.keys import COMP_KSK_ERROR, COMP_KSK_UNIFORM
@@ -370,3 +374,18 @@ def test_simulation_flag_without_simulate_rejected(tmp_path, capsys, flag):
     assert main(["--config", str(cfg), "--workload", "add", flag, value]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and flag in err and "--simulate" in err
+
+
+def test_python_m_medha_runs_the_cli(capsys):
+    # `python -m medha` is the `medha` script: the same exit code and the
+    # same report bytes
+    argv = ["--param-set", "set1", "--workload", "add", "--seed", "3"]
+    assert main(argv) == 0
+    want = capsys.readouterr().out.encode()
+    src = str(Path(medha.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-m", "medha", *argv], env=env,
+                          capture_output=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == want

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from medha import archsim
 from medha.archsim import MachineConfig, _Executor, compile_workload, execute_workload
-from medha.heaan import Ciphertext, Engine, KeySwitchKey, _slot_index
+from medha.heaan import Ciphertext, Engine, KeySwitchKey, Plaintext, _slot_index
 from medha.keys import (
     COMP_KSK_ERROR,
     COMP_KSK_UNIFORM,
@@ -679,6 +679,26 @@ def test_ciphertext_copy_is_deep(toy_native):
     dup.c0[0].coeffs[0] += np.uint64(1)
     assert dup.c0[0].coeffs[0] != ct.c0[0].coeffs[0]
     assert isinstance(dup, Ciphertext)
+
+
+@pytest.mark.parametrize("engine", ["toy_native", "toy_split"])
+def test_encoded_and_limb_plaintexts_encrypt_alike(engine, request):
+    # an encoded plaintext holds its coefficients, and encryption transforms
+    # e0 + m once per limb; a plaintext given as limbs has them added to
+    # e0's. Both are e0 + m + pk_b r mod q, bit for bit, also where the
+    # coefficients exceed the modulus (2^60 at level 1)
+    eng = request.getfixturevalue(engine)
+    rng = np.random.default_rng(66)
+    for scale, level in ((1 << 40, eng.base.levels), (1 << 60, 1)):
+        pt = eng.encode(_rand_slots(rng, eng.slots), scale, level=level)
+        assert pt.coeffs is not None and pt.level == level
+        want = eng.encrypt(pt, enc_index=4)
+        as_limbs = Plaintext(pt.limbs, pt.scale)
+        assert pt.coeffs is None and pt.level == level  # one or the other
+        for got in (eng.encrypt(as_limbs, enc_index=4), eng.encrypt(pt, enc_index=4)):
+            assert got.scale == want.scale and got.level == level
+            assert all(np.array_equal(a.coeffs, b.coeffs)
+                       for a, b in zip(got.c0 + got.c1, want.c0 + want.c1))
 
 
 def test_inverse_twiddle_layers_built_on_first_inverse_transform(set2):

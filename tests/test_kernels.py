@@ -143,6 +143,9 @@ def test_ctx_cache_and_range():
         ModContext(2)
     with pytest.raises(ValueError):
         ModContext(1 << 62)
+    # odd, so only the range clause rejects it: 4q would not fit a word
+    with pytest.raises(ValueError, match="in \\(2, 2\\^62\\)"):
+        ModContext((1 << 62) + 1)
     with pytest.raises(ValueError, match="odd"):
         ModContext(1 << 40)  # a Shoup companion needs q^-1 mod 2^64
 

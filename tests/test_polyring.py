@@ -340,29 +340,36 @@ def test_inverse_transform_round_trips_at_full_size(log_n, qv, fill):
 @pytest.mark.parametrize("twist", ALL_TWISTS)
 def test_laid_out_constants_equal_flat_table(qv, log_n, twist):
     # layer g holds w[g : 2g] (and the inverse w[g : 2g]^-1, times n^-1 at
-    # g = 1), contiguous, in (k, 1, cols) layout with constant j of the layer
-    # at [j % k, 0, j // k], and the two halves of each constant's companion
+    # g = 1) and the two halves of each constant's companion, contiguous.
+    # The layers with at least as many butterflies per group as groups hold
+    # them in natural order, shaped (g, 1); from layer ceil(log_n / 2) on
+    # they are self-sorted, shaped (1, g), and position j holds group
+    # order[j]: the identity at the first such layer, and position
+    # b*g + j of the next one holds group 2 * order[j] + b
     q = PrimeModulus.from_value(qv)
     n = 1 << log_n
     t = twiddle_table(q, n, twist)
     flat_table = _flat_table(q, n, twist)
     n_inv = pow(n, -1, qv)
+    switch = (log_n + 1) // 2
     assert len(t.forward) == len(t.inverse) == log_n
+    order = list(range(1 << switch))
     for s in range(log_n):
         g = 1 << s
+        sorted_layer = s >= switch
+        groups = order if sorted_layer else range(g)
         flat_w = [int(x) for x in flat_table[g : 2 * g]]
         flat_inv = [pow(x, -1, qv) * (n_inv if g == 1 else 1) % qv for x in flat_w]
         for layer, flat in ((t.forward[s], flat_w), (t.inverse[s], flat_inv)):
             w, wl, wh = layer
-            k, one, cols = w.shape
-            assert one == 1 and k * cols == g
-            assert cols == (max(n // 64, 1) if g >= n // 64 else 1)
+            assert w.shape == ((1, g) if sorted_layer else (g, 1))
             for arr in layer:
                 assert arr.shape == w.shape and arr.flags.c_contiguous
-            order = w.reshape(k, cols).T.reshape(g)
-            assert [int(x) for x in order] == flat
-            companions = ((wh << np.uint64(32)) | wl).reshape(k, cols).T.reshape(g)
-            assert [int(x) for x in companions] == [(x << 64) // qv for x in flat]
+            assert [int(x) for x in w.reshape(g)] == [flat[j] for j in groups]
+            companions = ((wh << np.uint64(32)) | wl).reshape(g)
+            assert [int(x) for x in companions] == [(flat[j] << 64) // qv for j in groups]
+        if sorted_layer:
+            order = [2 * j for j in order] + [2 * j + 1 for j in order]
 
 
 def test_transforms_restore_the_callers_buffer_size(set1, monkeypatch):
@@ -436,3 +443,21 @@ def test_transforms_exact_across_bound_classes(qv, fill):
     assert np.array_equal(ntt_inverse(f).coeffs, words)
     again = ntt_forward(ntt_inverse(ResiduePoly(q, words, "eval", STANDARD)))
     assert np.array_equal(again.coeffs, words)
+
+
+@pytest.mark.parametrize("qv", (get_param_set("set1").base.primes[0].value, Q_NEAR_2_62))
+@pytest.mark.parametrize("log_n", (3, 6, 14))
+def test_transforms_leave_their_input_unwritten(qv, log_n):
+    # the forward transform's first layer reads the caller's words where
+    # they are and the inverse gathers them, so a read-only input is
+    # accepted, and each result is a new array, not the shared workspace
+    q = PrimeModulus.from_value(qv)
+    n = 1 << log_n
+    words = np.random.default_rng(log_n).integers(0, qv, size=n, dtype=np.uint64)
+    words.setflags(write=False)
+    f = ntt_forward(ResiduePoly(q, words, "coeff", STANDARD))
+    c = ntt_inverse(ResiduePoly(q, words, "eval", STANDARD))
+    assert np.array_equal(ntt_inverse(f).coeffs, words)
+    assert np.array_equal(ntt_forward(c).coeffs, words)
+    assert f.coeffs.flags.owndata and c.coeffs.flags.owndata
+    assert not np.shares_memory(f.coeffs, c.coeffs)
